@@ -52,12 +52,11 @@ class DeliveryRecord:
 
 
 class ChannelState:
-    __slots__ = ("jamming_active", "subscribers", "delivery_log")
+    __slots__ = ("jamming_active", "subscribers")
 
     def __init__(self) -> None:
         self.jamming_active = False
         self.subscribers: dict[str, CaptureLog] = {}
-        self.delivery_log: list[DeliveryRecord] = []
 
 
 def subscribe(channel: ChannelState, attacker_id: str) -> CaptureLog:
@@ -96,7 +95,7 @@ def transmit(
     if captured:
         for log in channel.subscribers.values():
             log.append(transmission, now)
-    record = DeliveryRecord(
+    return DeliveryRecord(
         transmission=transmission,
         at=now,
         sender=sender,
@@ -104,5 +103,3 @@ def transmit(
         jammed=jammed,
         captured=captured,
     )
-    channel.delivery_log.append(record)
-    return record

@@ -20,8 +20,7 @@ import sys
 from dataclasses import dataclass
 
 from . import analyzer, sim
-from .channel import ATTACKER, VICTIM
-from .receiver import ActionKind, ReceiverPolicy
+from .receiver import ReceiverPolicy
 from .scenario import ParseError, load_policy, load_scenario
 from .sim import Goal, ScenarioError, Trace
 
@@ -31,7 +30,7 @@ TRACE_DIR_ENV = "RKESIM_TRACE_DIR"
 @dataclass
 class RunReport:
     scenario_name: str
-    goals: dict[str, bool]
+    goals: dict[Goal, bool]
     trace_path: str | None
     presses: int
     captures: int
@@ -41,7 +40,7 @@ class RunReport:
     def render(self) -> str:
         lines = ["scenario: %s" % self.scenario_name]
         for goal, value in self.goals.items():
-            lines.append("%s: %s" % (goal, "true" if value else "false"))
+            lines.append("%s: %s" % (goal.value, "true" if value else "false"))
         lines.append(
             "presses=%d captures=%d replays=%d resyncs=%d"
             % (self.presses, self.captures, self.replays, self.resyncs)
@@ -52,33 +51,15 @@ class RunReport:
 
 
 def report_from_trace(name: str, trace: Trace, trace_path: str | None) -> RunReport:
-    presses = captures = replays = resyncs = 0
-    for record in trace:
-        if record.kind == "tx":
-            if record.get("src") == VICTIM:
-                presses += 1
-            elif record.get("src") == ATTACKER:
-                replays += 1
-            if record.get("captured"):
-                captures += 1
-        elif record.kind == "rx" and record.get("action") is ActionKind.RESYNCED:
-            resyncs += 1
-    goals = {
-        goal.value: sim.evaluate(trace, goal)
-        for goal in (
-            Goal.UNLOCK_WITHOUT_AUTHORIZATION,
-            Goal.VICTIM_UNAFFECTED,
-            Goal.RELOCKED_AFTER,
-        )
-    }
+    summary = sim.summarize(trace)
     return RunReport(
         scenario_name=name,
-        goals=goals,
+        goals=summary.goals,
         trace_path=trace_path,
-        presses=presses,
-        captures=captures,
-        replays=replays,
-        resyncs=resyncs,
+        presses=summary.presses,
+        captures=summary.captures,
+        replays=summary.replays,
+        resyncs=summary.resyncs,
     )
 
 
@@ -87,7 +68,8 @@ def _pretty_trace(trace: Trace) -> str:
     for record in trace:
         seconds = record.at / 1000
         detail = " ".join(
-            "%s=%s" % (key, sim._render_value(value)) for key, value in record.fields
+            "%s=%s" % (key, sim._render_value(value))
+            for key, value in record.fields.items()
         )
         lines.append("[%12.3fs] %-10s %s" % (seconds, record.kind, detail))
     return "\n".join(lines) + "\n"
@@ -224,12 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a scenario file")
     p_sim.add_argument("scenario", help="path to a .scn scenario file")
     p_sim.add_argument("--trace-out", help="write the trace to this path")
-    p_sim.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="override the runtime RNG seed (reserved; scenarios are deterministic)",
-    )
     p_sim.add_argument("--pretty", action="store_true", help="print a human timeline")
     p_sim.set_defaults(func=cmd_simulate)
 

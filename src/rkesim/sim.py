@@ -5,7 +5,9 @@ optional attacker, and a time-ordered list of events (victim presses,
 attacker phases, learn-mode entry, clock markers).  Running it produces
 a trace that records every emission, delivery, receiver action,
 attacker action and door change.  Identical scenarios produce
-bit-identical traces.
+bit-identical traces.  ``summarize`` reads a finished trace once and
+returns the goal verdicts and run counters; ``evaluate`` looks up one
+goal in it.
 """
 
 from __future__ import annotations
@@ -116,17 +118,14 @@ class Goal(str, Enum):
 class TraceRecord:
     at: int
     kind: str
-    fields: tuple[tuple[str, object], ...]
+    fields: dict[str, object]
 
     def get(self, name: str, default=None):
-        for key, value in self.fields:
-            if key == name:
-                return value
-        return default
+        return self.fields.get(name, default)
 
     def render(self) -> str:
         parts = ["t=%d" % self.at, "ev=%s" % self.kind]
-        parts.extend("%s=%s" % (key, _render_value(v)) for key, v in self.fields)
+        parts.extend("%s=%s" % (key, _render_value(v)) for key, v in self.fields.items())
         return " ".join(parts)
 
 
@@ -145,7 +144,7 @@ class Trace:
         self.records: list[TraceRecord] = []
 
     def add(self, at: int, kind: str, **fields) -> TraceRecord:
-        record = TraceRecord(at=at, kind=kind, fields=tuple(fields.items()))
+        record = TraceRecord(at=at, kind=kind, fields=fields)
         self.records.append(record)
         return record
 
@@ -388,54 +387,71 @@ def run(scenario: Scenario) -> Trace:
     return Engine(scenario).run()
 
 
+@dataclass(frozen=True)
+class Summary:
+    """Goal verdicts and run counters of one finished trace."""
+
+    goals: dict[Goal, bool]
+    presses: int
+    captures: int
+    replays: int
+    resyncs: int
+
+
+def summarize(trace: Trace) -> Summary:
+    """Compute every goal verdict and run counter in one pass over a trace.
+
+    Each delivered, in-range, unjammed victim press is answered by the
+    first later rx with the same time and serial.  The victim is
+    unaffected only if every such rx executed or resynced the pressed
+    button; a press whose time ends without an answer counts against it.
+    """
+    unlocked = False
+    victim_unaffected = True
+    final_door = None
+    presses = captures = replays = resyncs = 0
+    pending: dict[object, list] = {}  # serial -> buttons of unanswered presses
+    now = None
+    for record in trace:
+        if record.at != now:
+            if pending:
+                victim_unaffected = False
+                pending = {}
+            now = record.at
+        if record.kind == "tx":
+            src = record.get("src")
+            if src == VICTIM:
+                presses += 1
+                in_range = not record.get("out_of_range") and not record.get("jammed")
+                if in_range and record.get("delivered"):
+                    pending.setdefault(record.get("serial"), []).append(record.get("btn"))
+            elif src == ATTACKER:
+                replays += 1
+            if record.get("captured"):
+                captures += 1
+        elif record.kind == "rx":
+            action = record.get("action")
+            button = record.get("btn")
+            acted = action in (ActionKind.EXECUTED, ActionKind.RESYNCED)
+            if action is ActionKind.RESYNCED:
+                resyncs += 1
+            if acted and record.get("src") == ATTACKER and button is Instruction.UNLOCK:
+                unlocked = True
+            for intended in pending.pop(record.get("serial"), ()):
+                if not (acted and button == intended):
+                    victim_unaffected = False
+        elif record.kind == "final":
+            final_door = record.get("door")
+    goals = {
+        Goal.UNLOCK_WITHOUT_AUTHORIZATION: unlocked,
+        Goal.VICTIM_UNAFFECTED: victim_unaffected and not pending,
+        Goal.RELOCKED_AFTER: unlocked and final_door is Door.LOCKED,
+    }
+    return Summary(goals, presses, captures, replays, resyncs)
+
+
 def evaluate(trace: Trace, goal: Goal) -> bool:
     """Check a goal predicate against a finished trace."""
-    if goal is Goal.UNLOCK_WITHOUT_AUTHORIZATION:
-        return _unlocked_by_attacker(trace)
-    if goal is Goal.VICTIM_UNAFFECTED:
-        return _victim_unaffected(trace)
-    if goal is Goal.RELOCKED_AFTER:
-        final_door = None
-        for record in trace:
-            if record.kind == "final":
-                final_door = record.get("door")
-        return final_door is Door.LOCKED and _unlocked_by_attacker(trace)
-    raise ValueError("unknown goal %r" % (goal,))
-
-
-def _unlocked_by_attacker(trace: Trace) -> bool:
-    for record in trace:
-        if (
-            record.kind == "rx"
-            and record.get("src") == ATTACKER
-            and record.get("action") in (ActionKind.EXECUTED, ActionKind.RESYNCED)
-            and record.get("btn") is Instruction.UNLOCK
-        ):
-            return True
-    return False
-
-
-def _victim_unaffected(trace: Trace) -> bool:
-    records = trace.records
-    for i, record in enumerate(records):
-        if record.kind != "tx" or record.get("src") != VICTIM:
-            continue
-        if record.get("out_of_range") or record.get("jammed"):
-            continue
-        if not record.get("delivered"):
-            continue
-        intended = record.get("btn")
-        # The matching receiver action is the next rx record at this time.
-        acted = False
-        for later in records[i + 1 :]:
-            if later.at != record.at:
-                break
-            if later.kind == "rx" and later.get("serial") == record.get("serial"):
-                acted = (
-                    later.get("action") in (ActionKind.EXECUTED, ActionKind.RESYNCED)
-                    and later.get("btn") == intended
-                )
-                break
-        if not acted:
-            return False
-    return True
+    if not isinstance(goal, Goal):
+        raise ValueError("unknown goal %r" % (goal,))
+    return summarize(trace).goals[goal]

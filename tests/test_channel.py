@@ -38,12 +38,9 @@ def test_passive_capture_with_jamming_off():
 def test_toggle_consistency():
     channel = ChannelState()
     subscribe(channel, "attacker")
-    expected = []
-    for flag in (False, True, False, True, True, False):
-        set_jamming(channel, flag)
-        transmit(channel, make_frame(), 0)
-        expected.append(flag)
-    for record, was_jammed in zip(channel.delivery_log, expected):
+    for was_jammed in (False, True, False, True, True, False):
+        set_jamming(channel, was_jammed)
+        record = transmit(channel, make_frame(), 0)
         assert record.jammed == was_jammed
         assert record.delivered == (not was_jammed)
         assert not (record.delivered and record.jammed)
@@ -53,14 +50,15 @@ def test_capture_completeness_in_range():
     channel = ChannelState()
     log = subscribe(channel, "attacker")
     frames = [make_frame(counter=i + 1) for i in range(5)]
+    records = []
     set_jamming(channel, True)
     for frame in frames[:2]:
-        transmit(channel, frame, 0)
+        records.append(transmit(channel, frame, 0))
     set_jamming(channel, False)
     for frame in frames[2:]:
-        transmit(channel, frame, 0)
+        records.append(transmit(channel, frame, 0))
     assert [entry.transmission for entry in log.entries] == frames
-    assert len(channel.delivery_log) == len(frames)
+    assert [record.transmission for record in records] == frames
 
 
 def test_out_of_range_suppresses_delivery():

@@ -1,7 +1,9 @@
+import time
+
 import pytest
 
 from rkesim.codebook import Instruction
-from rkesim.receiver import ReceiverPolicy, RollbackProfile, SequenceMode
+from rkesim.receiver import ActionKind, ReceiverPolicy, RollbackProfile, SequenceMode
 from rkesim.sim import (
     AdvanceClock,
     AttackerDef,
@@ -12,6 +14,7 @@ from rkesim.sim import (
     Scenario,
     ScenarioError,
     ScenarioEvent,
+    Trace,
     VictimPress,
     evaluate,
     run,
@@ -19,6 +22,7 @@ from rkesim.sim import (
 
 UNLOCK = Instruction.UNLOCK
 LOCK = Instruction.LOCK
+EXECUTED = ActionKind.EXECUTED
 
 DAY_MS = 24 * 3600 * 1000
 
@@ -328,3 +332,69 @@ def test_causality_replays_reference_prior_captures():
             assert frame in seen_frames
         else:
             seen_frames.add(frame)
+
+
+def add_victim_press(trace, at, serial=7, button=UNLOCK):
+    trace.add(
+        at,
+        "tx",
+        src="victim",
+        serial=serial,
+        btn=button,
+        out_of_range=False,
+        jammed=False,
+        delivered=True,
+        captured=False,
+    )
+
+
+def add_rx(trace, at, serial=7, button=UNLOCK, action=EXECUTED):
+    trace.add(at, "rx", src="victim", serial=serial, action=action, btn=button)
+
+
+@pytest.mark.parametrize(
+    "steps, unaffected",
+    [
+        ([("tx", 0, 7, UNLOCK), (EXECUTED, 0, 7, UNLOCK)], True),
+        ([("tx", 0, 7, UNLOCK), (ActionKind.RESYNCED, 0, 7, UNLOCK)], True),
+        ([("tx", 0, 7, UNLOCK), (ActionKind.DISCARDED, 0, 7, UNLOCK)], False),
+        ([("tx", 0, 7, UNLOCK), (EXECUTED, 0, 7, LOCK)], False),
+        ([("tx", 0, 7, UNLOCK), (EXECUTED, 1, 7, UNLOCK)], False),
+        ([("tx", 0, 7, UNLOCK)], False),
+        ([("tx", 0, 7, UNLOCK), (EXECUTED, 0, 8, LOCK), (EXECUTED, 0, 7, UNLOCK)], True),
+        # The first later rx of the serial answers every press before it.
+        ([("tx", 0, 7, UNLOCK), ("tx", 0, 7, LOCK), (EXECUTED, 0, 7, LOCK)], False),
+        ([("tx", 0, 7, LOCK), ("tx", 0, 7, LOCK), (EXECUTED, 0, 7, LOCK)], True),
+    ],
+)
+def test_victim_unaffected_rule(steps, unaffected):
+    trace = Trace()
+    for kind, at, serial, button in steps:
+        if kind == "tx":
+            add_victim_press(trace, at, serial, button)
+        else:
+            add_rx(trace, at, serial, button, kind)
+    assert evaluate(trace, Goal.VICTIM_UNAFFECTED) is unaffected
+
+
+def test_evaluate_rejects_unknown_goal():
+    with pytest.raises(ValueError):
+        evaluate(Trace(), "VictimUnaffected")
+
+
+def test_victim_evaluation_grows_linearly():
+    def best_of_five(pairs):
+        trace = Trace()
+        for i in range(pairs):
+            add_victim_press(trace, i * 1000)
+            add_rx(trace, i * 1000)
+        best = float("inf")
+        for _ in range(5):
+            start = time.perf_counter()
+            assert evaluate(trace, Goal.VICTIM_UNAFFECTED)
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    # A ratio, not an absolute bound: doubling the trace must not
+    # (nearly) quadruple the cost, whatever the host speed.
+    assert best_of_five(20_000) / best_of_five(10_000) < 3
