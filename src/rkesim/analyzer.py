@@ -8,9 +8,13 @@ The verdict is either NotVulnerable or the minimal working variant
 (#signals, sequence mode, timeframe).
 
 ``exhaustive_search`` is the independent oracle: over small bounds it
-enumerates every ascending subsequence of the transcript at every probe
-gap and every starting counter, driving the receiver directly, and
-returns the subset-minimal successful sequences.  The two must agree.
+tries every ascending subsequence of the transcript at every probe gap
+and every starting counter, driving the receiver directly, and returns
+the subset-minimal successful sequences.  The two must agree.  The
+subsequences form a tree in which each node extends its parent's
+prefix by one later capture, so the oracle walks that tree depth-first
+and replays one frame per node on a copy of the state its parent left,
+instead of replaying every subsequence from the start.
 """
 
 from __future__ import annotations
@@ -52,10 +56,15 @@ class ProbeBudget:
     def __post_init__(self) -> None:
         if self.max_signals < 2:
             raise ValueError("max_signals must be at least 2")
-        if not self.gap_probes_ms:
-            raise ValueError("at least one gap probe is required")
-        if list(self.gap_probes_ms) != sorted(self.gap_probes_ms):
-            raise ValueError("gap probes must be sorted ascending")
+        _check_gap_probes(self.gap_probes_ms)
+
+
+def _check_gap_probes(gap_probes_ms: tuple[int, ...]) -> None:
+    # The last probe is read as the unbounded sentinel, so order matters.
+    if not gap_probes_ms:
+        raise ValueError("at least one gap probe is required")
+    if list(gap_probes_ms) != sorted(gap_probes_ms):
+        raise ValueError("gap probes must be sorted ascending")
 
 
 @dataclass(frozen=True)
@@ -192,30 +201,34 @@ def exhaustive_search(
     transcript_len: int,
     gap_probes_ms: tuple[int, ...] = DEFAULT_GAP_PROBES_MS,
 ) -> list[OracleFinding]:
-    """Enumerate every replay subsequence over every starting counter.
+    """Try every replay subsequence over every starting counter.
+
+    For each of the ``2^counter_bits`` starting counters and each probe
+    gap, walks the tree of ascending index sequences depth-first: a node
+    replays one more capture on a copy of the receiver its parent prefix
+    left, so a walk costs ``2^transcript_len - 1`` receive() calls.  A
+    single replay has no gap and is recorded at the first probe only.
 
     Returns the subset-minimal successful sequences (by capture index),
     each with the full set of passing probe gaps.  Success must be
     identical for every starting counter; results are merged by union.
     """
+    if counter_bits < 0:
+        raise ValueError("counter_bits must not be negative")
+    if transcript_len < 1:
+        raise ValueError("transcript_len must be at least 1")
+    _check_gap_probes(gap_probes_ms)
     if counter_bits > 8 or transcript_len > 8:
+        n = transcript_len
         raise SearchBoundsError(
-            "bounds exceeded: ~%d candidate replays"
-            % ((1 << counter_bits) * (1 << transcript_len) * len(gap_probes_ms))
+            "bounds exceeded: %d candidate replays"
+            % ((1 << counter_bits) * (n + ((1 << n) - 1 - n) * len(gap_probes_ms)))
         )
-    index_sets = [
-        combo
-        for length in range(1, transcript_len + 1)
-        for combo in itertools.combinations(range(transcript_len), length)
-    ]
     success_gaps: dict[tuple[int, ...], set[int]] = {}
     for start_counter in range(1 << counter_bits):
         probe = _Probe(policy, transcript_len, start_counter=start_counter)
-        for indices in index_sets:
-            probe_gaps = gap_probes_ms if len(indices) > 1 else gap_probes_ms[:1]
-            for gap in probe_gaps:
-                if _direct_replay(probe, indices, gap):
-                    success_gaps.setdefault(indices, set()).add(gap)
+        for indices, gaps in _probe_successes(probe, gap_probes_ms).items():
+            success_gaps.setdefault(indices, set()).update(gaps)
     findings = []
     minimal = _subset_minimal(list(success_gaps))
     for indices in sorted(minimal, key=lambda seq: (len(seq), seq)):
@@ -229,17 +242,34 @@ def exhaustive_search(
     return findings
 
 
-def _direct_replay(probe: _Probe, indices: tuple[int, ...], gap_ms: int) -> bool:
+def _probe_successes(
+    probe: _Probe, gap_probes_ms: tuple[int, ...]
+) -> dict[tuple[int, ...], set[int]]:
+    """Unlocking index sequences of one probe, each with its passing gaps."""
     # Drives the receiver straight through receive(); deliberately does
     # not share the execute_exploit code path it is meant to check.
-    state = probe.base_state.clone()
-    state.door = Door.LOCKED
-    now = probe.transcript_end + _EXPLOIT_DELAY_MS
     entries = probe.captures.entries
-    for idx in indices:
-        receive(state, probe.policy, entries[idx].transmission, now)
-        now += gap_ms
-    return state.door is Door.UNLOCKED
+    last = len(entries) - 1
+    start = probe.transcript_end + _EXPLOIT_DELAY_MS
+    success_gaps: dict[tuple[int, ...], set[int]] = {}
+    for gap in gap_probes_ms:
+        root = probe.base_state.clone()
+        root.door = Door.LOCKED  # vehicle parked and locked before the replay
+        # Prefixes still to extend: (indices, receiver state, next replay time).
+        pending = [((), root, start)]
+        while pending:
+            prefix, state, now = pending.pop()
+            for idx in range(prefix[-1] + 1 if prefix else 0, last + 1):
+                # The last child is a leaf and the parent needs its state
+                # no longer, so it replays on that state instead of a copy.
+                child = state if idx == last else state.clone()
+                receive(child, probe.policy, entries[idx].transmission, now)
+                indices = prefix + (idx,)
+                if child.door is Door.UNLOCKED and (prefix or gap == gap_probes_ms[0]):
+                    success_gaps.setdefault(indices, set()).add(gap)
+                if idx != last:
+                    pending.append((indices, child, now + gap))
+    return success_gaps
 
 
 def _subset_minimal(sequences: list[tuple[int, ...]]) -> list[tuple[int, ...]]:

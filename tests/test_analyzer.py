@@ -2,7 +2,9 @@ import itertools
 
 import pytest
 
+from rkesim import analyzer
 from rkesim.analyzer import (
+    DEFAULT_GAP_PROBES_MS,
     UNBOUNDED_GAP_MS,
     ProbeBudget,
     SearchBoundsError,
@@ -13,10 +15,13 @@ from rkesim.analyzer import (
 )
 from rkesim.codebook import Instruction
 from rkesim.receiver import (
+    Door,
+    LearnBehavior,
     ReceiverPolicy,
     RollbackProfile,
     SequenceMode,
     TimestampCheck,
+    receive,
 )
 from rkesim.sim import (
     AttackerDef,
@@ -122,9 +127,27 @@ def test_oracle_secure_policy_empty():
 def test_oracle_bounds_refusal():
     with pytest.raises(SearchBoundsError) as excinfo:
         exhaustive_search(ReceiverPolicy(), counter_bits=9, transcript_len=6)
-    assert "candidate" in str(excinfo.value)
+    # 2^9 starts x (6 single replays + 57 longer sequences x 11 gaps)
+    assert "324096 candidate replays" in str(excinfo.value)
     with pytest.raises(SearchBoundsError):
         exhaustive_search(ReceiverPolicy(), counter_bits=4, transcript_len=9)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"counter_bits": -1, "transcript_len": 4},
+        {"counter_bits": 2, "transcript_len": 0},
+        {"counter_bits": 2, "transcript_len": -3},
+        {"counter_bits": 2, "transcript_len": 4, "gap_probes_ms": ()},
+        {"counter_bits": 2, "transcript_len": 4, "gap_probes_ms": (5000, 1000)},
+    ],
+    ids=["negative-bits", "empty-transcript", "negative-transcript", "no-gaps",
+         "unsorted-gaps"],
+)
+def test_oracle_rejects_bad_bounds(kwargs):
+    with pytest.raises(ValueError):
+        exhaustive_search(policy(2, SequenceMode.LOOSE), **kwargs)
 
 
 def test_oracle_timeframe_gap_partition():
@@ -192,3 +215,103 @@ def test_notation_rendering():
         vulnerable=True, signals=2, sequence=SequenceMode.STRICT, timeframe_ms=4500
     )
     assert sig.notation() == "RollBack^Strict_4.5(2)"
+
+
+FOREVER_LEARN = LearnBehavior(explicit_entry_required=False, exit_after_success=False)
+
+EQUIVALENCE_GRID = [
+    ReceiverPolicy(),
+    ReceiverPolicy(learn=FOREVER_LEARN),
+    policy(2, SequenceMode.LOOSE),
+    policy(2, SequenceMode.STRICT, 3000),
+    policy(3),
+    policy(3, SequenceMode.LOOSE, 5000),
+    policy(4),
+    policy(2, SequenceMode.LOOSE, timestamp_check=TimestampCheck(1000)),
+    policy(2, SequenceMode.LOOSE, per_instruction_counters=True),
+    policy(2, SequenceMode.LOOSE, learn=FOREVER_LEARN),
+    policy(2, single_window=1, double_window_limit=2),
+    policy(3, SequenceMode.LOOSE, single_window=2, double_window_limit=4),
+]
+
+# The criterion-8 acceptance grid.
+CRITERION_8_GRID = [
+    ReceiverPolicy(),
+    ReceiverPolicy(single_window=8),
+    policy(2, SequenceMode.LOOSE),
+    policy(2, SequenceMode.STRICT, 5000),
+    policy(3),
+    policy(5),
+    policy(2, SequenceMode.LOOSE, 3000),
+    policy(3, SequenceMode.LOOSE),
+    policy(2),
+    policy(4),
+    policy(2, SequenceMode.STRICT, 8000),
+    policy(3, SequenceMode.STRICT, 5000),
+]
+
+
+def _brute_force_search(pol, counter_bits, transcript_len, gaps=DEFAULT_GAP_PROBES_MS):
+    """Reference oracle: replays each subset from a fresh copy of the probe."""
+    success = {}
+    for start_counter in range(1 << counter_bits):
+        probe = analyzer._Probe(pol, transcript_len, start_counter=start_counter)
+        entries = probe.captures.entries
+        for length in range(1, transcript_len + 1):
+            for indices in itertools.combinations(range(transcript_len), length):
+                for gap in gaps if length > 1 else gaps[:1]:
+                    state = probe.base_state.clone()
+                    state.door = Door.LOCKED
+                    now = probe.transcript_end + analyzer._EXPLOIT_DELAY_MS
+                    for idx in indices:
+                        receive(state, pol, entries[idx].transmission, now)
+                        now += gap
+                    if state.door is Door.UNLOCKED:
+                        success.setdefault(indices, set()).add(gap)
+    minimal = [
+        seq for seq in success
+        if not any(set(other) < set(seq) for other in success)
+    ]
+    return [
+        analyzer.OracleFinding(
+            indices=seq,
+            counter_steps=tuple(b - a for a, b in itertools.pairwise(seq)),
+            passing_gaps=tuple(gaps) if len(seq) == 1 else tuple(sorted(success[seq])),
+        )
+        for seq in sorted(minimal, key=lambda seq: (len(seq), seq))
+    ]
+
+
+@pytest.mark.parametrize("transcript_len", range(1, 7))
+def test_oracle_matches_brute_force_reference(transcript_len):
+    # transcript_len=1 is the walk's edge case: the root's only child is
+    # also its last child and replays on the root state itself.
+    for pol in EQUIVALENCE_GRID:
+        found = exhaustive_search(pol, counter_bits=2, transcript_len=transcript_len)
+        assert found == _brute_force_search(pol, 2, transcript_len), pol
+
+
+def test_oracle_receive_count_is_one_per_tree_node(monkeypatch):
+    calls = []
+    original = analyzer.receive
+
+    def counting_receive(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(analyzer, "receive", counting_receive)
+    exhaustive_search(policy(2, SequenceMode.LOOSE), counter_bits=1, transcript_len=8)
+    # Per start: 8 transcript presses, then one receive per node of the
+    # 255-node subset tree at each probe gap.
+    assert len(calls) == 2 * (8 + len(DEFAULT_GAP_PROBES_MS) * (2**8 - 1)) == 5626
+
+
+def test_oracle_success_sets_invariant_across_counter_wrap():
+    # Transcripts that straddle 2^16 succeed on the same index sequences
+    # at the same gaps as a transcript starting at counter 0.
+    gaps = (1000, 3000, 5000, 8000, 10_000, UNBOUNDED_GAP_MS)
+    for pol in CRITERION_8_GRID:
+        at_zero = analyzer._probe_successes(analyzer._Probe(pol, 8), gaps)
+        for start_counter in range(65530, 65536):
+            probe = analyzer._Probe(pol, 8, start_counter=start_counter)
+            assert analyzer._probe_successes(probe, gaps) == at_zero, (pol, start_counter)
