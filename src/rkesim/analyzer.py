@@ -5,7 +5,9 @@ a fob, feeds the receiver a transcript of legitimate presses, then
 probes replay sequences of growing length, two shapes (a consecutive
 run and an ascending run with gaps) and a grid of inter-replay gaps.
 The verdict is either NotVulnerable or the minimal working variant
-(#signals, sequence mode, timeframe).
+(#signals, sequence mode, timeframe).  The length-k run of a shape is
+its length-(k-1) run plus one capture, so each (shape, gap) probe keeps
+one receiver and replays one more capture per length step.
 
 ``exhaustive_search`` is the independent oracle: over small bounds it
 tries every ascending subsequence of the transcript at every probe gap
@@ -65,6 +67,8 @@ def _check_gap_probes(gap_probes_ms: tuple[int, ...]) -> None:
         raise ValueError("at least one gap probe is required")
     if list(gap_probes_ms) != sorted(gap_probes_ms):
         raise ValueError("gap probes must be sorted ascending")
+    if gap_probes_ms[0] <= 0:
+        raise ValueError("gap probes must be positive")
 
 
 @dataclass(frozen=True)
@@ -134,16 +138,6 @@ class _Probe:
         state.door = Door.LOCKED  # vehicle parked and locked before the replay
         return DirectTarget(state, self.policy)
 
-    def replay_succeeds(self, indices: tuple[int, ...], gap_ms: int) -> bool:
-        target = self.fresh_target()
-        outcome = execute_exploit(
-            ExploitSpec(signal_indices=indices, inter_replay_gap_ms=gap_ms),
-            self.captures,
-            target,
-            self.transcript_end + _EXPLOIT_DELAY_MS,
-        )
-        return outcome.success
-
 
 def classify(policy: ReceiverPolicy, budget: ProbeBudget = ProbeBudget()) -> VariantSignature:
     """Search replay space for the minimal working attack on a policy.
@@ -151,16 +145,24 @@ def classify(policy: ReceiverPolicy, budget: ProbeBudget = ProbeBudget()) -> Var
     Probes sequence lengths from 2 up to the budget, refines the first
     success by shape (consecutive vs gapped) and by the largest passing
     replay gap.  A policy surviving the whole budget is NotVulnerable.
+
+    Each (shape, gap) probe owns one receiver: step k replays the k-th
+    capture of its run onto the state step k-1 left, the same frames at
+    the same times a fresh length-k replay would deliver.  The search
+    stops at the first passing length, so no probe carries a success
+    forward.  Step 1 is the shared single replay and is not judged.
     """
     gaps = budget.gap_probes_ms
     probe = _Probe(policy, transcript_len=2 * budget.max_signals)
+    consecutive_targets = [probe.fresh_target() for _ in gaps]
+    gapped_targets = [probe.fresh_target() for _ in gaps]
 
-    for k in range(2, budget.max_signals + 1):
+    for k in range(1, budget.max_signals + 1):
         consecutive = tuple(range(k))
         gapped = tuple(range(0, 2 * k, 2))
-        consecutive_pass = [g for g in gaps if probe.replay_succeeds(consecutive, g)]
-        gapped_pass = [g for g in gaps if probe.replay_succeeds(gapped, g)]
-        if not consecutive_pass and not gapped_pass:
+        consecutive_pass = _replay_next(probe, consecutive_targets, gaps, consecutive)
+        gapped_pass = _replay_next(probe, gapped_targets, gaps, gapped)
+        if k == 1 or (not consecutive_pass and not gapped_pass):
             continue
         sequence = SequenceMode.LOOSE if gapped_pass else SequenceMode.STRICT
         passing = sorted(set(consecutive_pass) | set(gapped_pass))
@@ -177,6 +179,30 @@ def classify(policy: ReceiverPolicy, budget: ProbeBudget = ProbeBudget()) -> Var
             witness_gap_ms=witness_gap,
         )
     return VariantSignature(vulnerable=False)
+
+
+def _replay_next(
+    probe: _Probe,
+    targets: list[DirectTarget],
+    gaps: tuple[int, ...],
+    run: tuple[int, ...],
+) -> list[int]:
+    """Replay the last capture of ``run`` on each gap's target, in turn.
+
+    Every target already holds the rest of the run, replayed at its gap;
+    returns the gaps whose door is unlocked after the whole run.
+    """
+    start = probe.transcript_end + _EXPLOIT_DELAY_MS
+    return [
+        gap
+        for gap, target in zip(gaps, targets)
+        if execute_exploit(
+            ExploitSpec(signal_indices=run[-1:], inter_replay_gap_ms=gap),
+            probe.captures,
+            target,
+            start + (len(run) - 1) * gap,
+        ).success
+    ]
 
 
 def _timeframe_from_gaps(
@@ -287,6 +313,7 @@ def signature_from_findings(
     gap_probes_ms: tuple[int, ...] = DEFAULT_GAP_PROBES_MS,
 ) -> VariantSignature:
     """Collapse oracle findings into the signature they imply."""
+    _check_gap_probes(gap_probes_ms)
     if not findings:
         return VariantSignature(vulnerable=False)
     signals = min(len(f.indices) for f in findings)

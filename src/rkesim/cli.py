@@ -98,15 +98,13 @@ def _budget_from_args(args) -> analyzer.ProbeBudget:
     gaps = analyzer.DEFAULT_GAP_PROBES_MS
     if args.gaps:
         try:
-            parsed = tuple(int(g) for g in args.gaps.split(","))
+            gaps = tuple(int(g) for g in args.gaps.split(","))
         except ValueError:
             raise _UsageError("--gaps must be comma-separated integers (ms)")
-        if not parsed or list(parsed) != sorted(parsed) or min(parsed) <= 0:
-            raise _UsageError("--gaps must be positive and sorted ascending")
-        gaps = parsed
-    if args.max_signals < 2:
-        raise _UsageError("--max-signals must be at least 2")
-    return analyzer.ProbeBudget(max_signals=args.max_signals, gap_probes_ms=gaps)
+    try:
+        return analyzer.ProbeBudget(max_signals=args.max_signals, gap_probes_ms=gaps)
+    except ValueError as exc:
+        raise _UsageError(str(exc))
 
 
 class _UsageError(Exception):

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from rkesim import analyzer
+from rkesim import analyzer, attacks
 from rkesim.analyzer import (
     DEFAULT_GAP_PROBES_MS,
     UNBOUNDED_GAP_MS,
@@ -13,6 +13,7 @@ from rkesim.analyzer import (
     exhaustive_search,
     signature_from_findings,
 )
+from rkesim.attacks import ExploitSpec, execute_exploit
 from rkesim.codebook import Instruction
 from rkesim.receiver import (
     Door,
@@ -100,6 +101,13 @@ def test_classify_rejects_bad_budget():
         ProbeBudget(max_signals=1)
     with pytest.raises(ValueError):
         ProbeBudget(gap_probes_ms=(5000, 1000))
+    with pytest.raises(ValueError):
+        ProbeBudget(gap_probes_ms=(0, 1000))
+    with pytest.raises(ValueError):
+        classify(
+            policy(2, SequenceMode.STRICT, 500),
+            ProbeBudget(gap_probes_ms=(-1000, 1000, UNBOUNDED_GAP_MS)),
+        )
 
 
 def test_oracle_strict3_transcript6_exactly_consecutive_triples():
@@ -141,13 +149,29 @@ def test_oracle_bounds_refusal():
         {"counter_bits": 2, "transcript_len": -3},
         {"counter_bits": 2, "transcript_len": 4, "gap_probes_ms": ()},
         {"counter_bits": 2, "transcript_len": 4, "gap_probes_ms": (5000, 1000)},
+        {"counter_bits": 2, "transcript_len": 4, "gap_probes_ms": (0, 1000)},
+        {"counter_bits": 2, "transcript_len": 4,
+         "gap_probes_ms": (-1000, 1000, UNBOUNDED_GAP_MS)},
     ],
     ids=["negative-bits", "empty-transcript", "negative-transcript", "no-gaps",
-         "unsorted-gaps"],
+         "unsorted-gaps", "zero-gap", "negative-gap"],
 )
 def test_oracle_rejects_bad_bounds(kwargs):
     with pytest.raises(ValueError):
         exhaustive_search(policy(2, SequenceMode.LOOSE), **kwargs)
+
+
+def test_signature_from_findings_rejects_bad_gaps():
+    findings = exhaustive_search(policy(2, SequenceMode.LOOSE), counter_bits=1, transcript_len=4)
+    assert signature_from_findings(findings).notation() == "RollBack^Loose_⊗(2)"
+    # Read in this order, the last probe (1000) would be taken as the
+    # unbounded sentinel and the verdict rendered RollBack^Loose_1e+06(2).
+    with pytest.raises(ValueError):
+        signature_from_findings(findings, (UNBOUNDED_GAP_MS, 1000))
+    with pytest.raises(ValueError):
+        signature_from_findings(findings, (0, 1000, UNBOUNDED_GAP_MS))
+    with pytest.raises(ValueError):
+        signature_from_findings([], ())
 
 
 def test_oracle_timeframe_gap_partition():
@@ -315,3 +339,80 @@ def test_oracle_success_sets_invariant_across_counter_wrap():
         for start_counter in range(65530, 65536):
             probe = analyzer._Probe(pol, 8, start_counter=start_counter)
             assert analyzer._probe_successes(probe, gaps) == at_zero, (pol, start_counter)
+
+
+def _fresh_replay_classify(pol, budget):
+    """Reference classifier: every probe replays its whole run from a fresh clone."""
+    gaps = budget.gap_probes_ms
+    probe = analyzer._Probe(pol, transcript_len=2 * budget.max_signals)
+    start = probe.transcript_end + analyzer._EXPLOIT_DELAY_MS
+
+    def passes(indices, gap):
+        spec = ExploitSpec(signal_indices=indices, inter_replay_gap_ms=gap)
+        return execute_exploit(spec, probe.captures, probe.fresh_target(), start).success
+
+    for k in range(2, budget.max_signals + 1):
+        consecutive = tuple(range(k))
+        gapped = tuple(range(0, 2 * k, 2))
+        consecutive_pass = [g for g in gaps if passes(consecutive, g)]
+        gapped_pass = [g for g in gaps if passes(gapped, g)]
+        if not consecutive_pass and not gapped_pass:
+            continue
+        passing = sorted(set(consecutive_pass) | set(gapped_pass))
+        timeframe_ms, incomplete = analyzer._timeframe_from_gaps(passing, gaps)
+        return VariantSignature(
+            vulnerable=True,
+            signals=k,
+            sequence=SequenceMode.LOOSE if gapped_pass else SequenceMode.STRICT,
+            timeframe_ms=timeframe_ms,
+            incomplete=incomplete,
+            witness_indices=gapped if gapped_pass else consecutive,
+            witness_gap_ms=max(gapped_pass) if gapped_pass else max(consecutive_pass),
+        )
+    return VariantSignature(vulnerable=False)
+
+
+CLASSIFY_EQUIVALENCE_GRID = CRITERION_8_GRID + [
+    policy(2, SequenceMode.LOOSE, timestamp_check=TimestampCheck(1000)),
+    policy(2, SequenceMode.LOOSE, per_instruction_counters=True),
+    ReceiverPolicy(learn=FOREVER_LEARN),
+    policy(2, SequenceMode.LOOSE, learn=FOREVER_LEARN),
+    policy(2, single_window=1, double_window_limit=2),
+    policy(2, SequenceMode.STRICT, 500),
+    policy(7),
+]
+
+CLASSIFY_EQUIVALENCE_BUDGETS = [ProbeBudget(max_signals=m) for m in range(2, 8)] + [
+    ProbeBudget(gap_probes_ms=(250, 500, 750, 4000, 30_000, UNBOUNDED_GAP_MS)),
+]
+
+
+@pytest.mark.parametrize("budget", CLASSIFY_EQUIVALENCE_BUDGETS, ids=repr)
+def test_classify_matches_fresh_replay_reference(budget):
+    for pol in CLASSIFY_EQUIVALENCE_GRID:
+        assert classify(pol, budget) == _fresh_replay_classify(pol, budget), pol
+
+
+@pytest.mark.parametrize(
+    "pol, calls",
+    [
+        # 12 transcript presses, then one replay per (shape, gap) probe
+        # and length step up to the first passing length: 12 + 22 * k.
+        (ReceiverPolicy(), 144),
+        (policy(2, SequenceMode.LOOSE), 56),
+        (policy(5), 122),
+    ],
+    ids=["secure", "loose-2", "strict-5"],
+)
+def test_classify_receive_count(monkeypatch, pol, calls):
+    counted = []
+    for module in (analyzer, attacks):
+        original = module.receive
+
+        def counting_receive(*args, _original=original):
+            counted.append(None)
+            return _original(*args)
+
+        monkeypatch.setattr(module, "receive", counting_receive)
+    classify(pol)
+    assert len(counted) == calls

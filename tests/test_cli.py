@@ -120,6 +120,17 @@ def test_classify_bad_gaps_usage_error(capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize(
+    "option, value", [("--gaps", "0,1000"), ("--max-signals", "1")]
+)
+def test_classify_bad_budget_usage_error(capsys, option, value):
+    code, _, err = run_cli(
+        capsys, "classify", os.path.join(POLICIES, "loose2.pol"), option, value
+    )
+    assert code == 2
+    assert "usage error" in err
+
+
 def test_matrix_canonical_table(capsys):
     code, out, _ = run_cli(capsys, "matrix", POLICIES)
     assert code == 0
