@@ -7,7 +7,11 @@ run and an ascending run with gaps) and a grid of inter-replay gaps.
 The verdict is either NotVulnerable or the minimal working variant
 (#signals, sequence mode, timeframe).  The length-k run of a shape is
 its length-(k-1) run plus one capture, so each (shape, gap) probe keeps
-one receiver and replays one more capture per length step.
+one receiver and replays one more capture per length step.  Both shapes
+open with the same single replay, so it is replayed once and the probes
+are cloned after it.  The probe transcript depends only on the timestamp
+flag, its length and the start counter, so it is encoded once per
+process and only replayed into each policy's receiver.
 
 ``exhaustive_search`` is the independent oracle: over small bounds it
 tries every ascending subsequence of the transcript at every probe gap
@@ -23,9 +27,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .attacks import DirectTarget, ExploitSpec, execute_exploit
-from .channel import CaptureLog
+from .channel import CaptureEntry, CaptureLog
 from .codebook import Instruction, derive_key, master_from_seed
 from .fob import FobState, press
 from .receiver import (
@@ -108,30 +113,46 @@ class OracleFinding:
     passing_gaps: tuple[int, ...]
 
 
+@lru_cache(maxsize=512)  # both flags at every start of an 8-bit oracle sweep
+def _probe_transcript(
+    emit_timestamps: bool, transcript_len: int, start_counter: int
+) -> tuple[bytes, bytes, tuple[CaptureEntry, ...], int]:
+    """Master, fob key, captured presses and end time of a probe transcript.
+
+    The frames do not depend on the policy beyond its timestamp flag, so
+    they are encoded once and shared; the tuple keeps them immutable.
+    """
+    master = master_from_seed(_PROBE_SEED)
+    key = derive_key(master, _PROBE_SERIAL)
+    fob = FobState(
+        serial=_PROBE_SERIAL,
+        key=key,
+        counter=start_counter,
+        emit_timestamps=emit_timestamps,
+    )
+    entries = []
+    now = 0
+    for _ in range(transcript_len):
+        now += _PRESS_SPACING_MS
+        fob, transmission = press(fob, Instruction.UNLOCK, now)
+        entries.append(CaptureEntry(transmission, now))
+    return master, key, tuple(entries), now
+
+
 class _Probe:
     """Synthetic fob + receiver pair with a captured press transcript."""
 
     def __init__(self, policy: ReceiverPolicy, transcript_len: int, start_counter: int = 0):
-        master = master_from_seed(_PROBE_SEED)
-        key = derive_key(master, _PROBE_SERIAL)
-        fob = FobState(
-            serial=_PROBE_SERIAL,
-            key=key,
-            counter=start_counter,
-            emit_timestamps=policy.timestamp_check is not None,
+        master, key, entries, self.transcript_end = _probe_transcript(
+            policy.timestamp_check is not None, transcript_len, start_counter
         )
         state = new_receiver_state(policy, master)
         register_fob(state, _PROBE_SERIAL, key, start_counter)
+        for entry in entries:
+            receive(state, policy, entry.transmission, entry.captured_at)
         self.policy = policy
-        self.captures = CaptureLog()
-        now = 0
-        for _ in range(transcript_len):
-            now += _PRESS_SPACING_MS
-            fob, transmission = press(fob, Instruction.UNLOCK, now)
-            receive(state, policy, transmission, now)
-            self.captures.append(transmission, now)
+        self.captures = CaptureLog(entries)
         self.base_state = state
-        self.transcript_end = now
 
     def fresh_target(self) -> DirectTarget:
         state = self.base_state.clone()
@@ -150,19 +171,27 @@ def classify(policy: ReceiverPolicy, budget: ProbeBudget = ProbeBudget()) -> Var
     capture of its run onto the state step k-1 left, the same frames at
     the same times a fresh length-k replay would deliver.  The search
     stops at the first passing length, so no probe carries a success
-    forward.  Step 1 is the shared single replay and is not judged.
+    forward.  Step 1, the single replay of capture 0 that opens both
+    shapes, is replayed once, unjudged, before the probes are cloned.
     """
     gaps = budget.gap_probes_ms
     probe = _Probe(policy, transcript_len=2 * budget.max_signals)
-    consecutive_targets = [probe.fresh_target() for _ in gaps]
-    gapped_targets = [probe.fresh_target() for _ in gaps]
+    first = probe.fresh_target()
+    execute_exploit(
+        ExploitSpec(signal_indices=(0,)),
+        probe.captures,
+        first,
+        probe.transcript_end + _EXPLOIT_DELAY_MS,
+    )
+    consecutive_targets = [DirectTarget(first.state.clone(), policy) for _ in gaps]
+    gapped_targets = [DirectTarget(first.state.clone(), policy) for _ in gaps]
 
-    for k in range(1, budget.max_signals + 1):
+    for k in range(2, budget.max_signals + 1):
         consecutive = tuple(range(k))
         gapped = tuple(range(0, 2 * k, 2))
         consecutive_pass = _replay_next(probe, consecutive_targets, gaps, consecutive)
         gapped_pass = _replay_next(probe, gapped_targets, gaps, gapped)
-        if k == 1 or (not consecutive_pass and not gapped_pass):
+        if not consecutive_pass and not gapped_pass:
             continue
         sequence = SequenceMode.LOOSE if gapped_pass else SequenceMode.STRICT
         passing = sorted(set(consecutive_pass) | set(gapped_pass))

@@ -137,17 +137,14 @@ class ReceiverAction:
     new_counter: int | None = None
 
     @classmethod
-    def executed(cls, instruction: Instruction) -> "ReceiverAction":
-        return cls(kind=ActionKind.EXECUTED, instruction=instruction)
-
-    @classmethod
     def resynced(cls, new_counter: int, instruction: Instruction | None) -> "ReceiverAction":
         return cls(
             kind=ActionKind.RESYNCED, instruction=instruction, new_counter=new_counter
         )
 
 
-# Discards carry no per-event data, so one frozen instance per reason is shared.
+# Discards and plain accepts carry no per-event data, so one frozen
+# instance per reason, or per instruction, is shared.
 _DISCARDS = {
     reason: ReceiverAction(kind=ActionKind.DISCARDED, reason=reason)
     for reason in (
@@ -160,6 +157,10 @@ _DISCARDS = {
         LEARN_ABORT,
         READD_IGNORED,
     )
+}
+_EXECUTED = {
+    instruction: ReceiverAction(kind=ActionKind.EXECUTED, instruction=instruction)
+    for instruction in Instruction
 }
 _LEARN_PROGRESS = ReceiverAction(kind=ActionKind.LEARN_PROGRESS)
 
@@ -177,11 +178,14 @@ class FobRecord:
         self.rollback: list[tuple[int, Instruction, int]] = []  # (counter, button, at)
 
     def clone(self) -> "FobRecord":
-        other = FobRecord(self.key, self.counter)
-        if self.button_counters is not None:
-            other.button_counters = dict(self.button_counters)
+        # Fills the slots directly; running __init__ would set them twice.
+        other = object.__new__(FobRecord)
+        other.key = self.key
+        other.counter = self.counter
+        buttons = self.button_counters
+        other.button_counters = None if buttons is None else buttons.copy()
         other.resync = self.resync
-        other.rollback = list(self.rollback)
+        other.rollback = self.rollback.copy()
         return other
 
 
@@ -199,9 +203,11 @@ class ReceiverState:
         self.clock = 0
 
     def clone(self) -> "ReceiverState":
-        other = ReceiverState(self.master, self.learn_phase)
+        other = object.__new__(ReceiverState)
+        other.master = self.master
         other.fobs = {serial: rec.clone() for serial, rec in self.fobs.items()}
         other.door = self.door
+        other.learn_phase = self.learn_phase
         other.learn_buffer = self.learn_buffer
         other.clock = self.clock
         return other
@@ -280,7 +286,7 @@ def receive(
 
     if window is WindowClass.SINGLE:
         _accept(state, record, policy, button, c_k)
-        return ReceiverAction.executed(button)
+        return _EXECUTED[button]
 
     if window is WindowClass.DOUBLE:
         buffered = record.resync

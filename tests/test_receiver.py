@@ -8,6 +8,7 @@ from rkesim.receiver import (
     LearnBehavior,
     LearnPhase,
     ReaddMode,
+    ReceiverAction,
     ReceiverPolicy,
     RollbackProfile,
     SequenceMode,
@@ -586,3 +587,48 @@ def test_learn_different_serial_restarts_sequence():
     action = receive(state, policy, f3, 2000)
     assert action.kind is ActionKind.LEARN_COMPLETE
     assert 32 in state.fobs and 31 not in state.fobs
+
+
+# --- clones and shared actions ---------------------------------------------
+
+def test_clone_mutations_leave_the_original_untouched():
+    policy = ReceiverPolicy(
+        rollback=RollbackProfile(3, SequenceMode.LOOSE),
+        per_instruction_counters=True,
+    )
+    state, fob = build(policy, fob_counter=0, stored=0)
+    fob, frames, now = capture_run(state, policy, fob, [LOCK, UNLOCK, LOCK, UNLOCK])
+    receive(state, policy, frames[1], now)  # stale unlock: buffered for rollback
+    record = state.fobs[SERIAL]
+    record.resync = (500, now)
+    state.door = Door.LOCKED
+
+    def snapshot():
+        return (state.door, state.learn_phase, state.learn_buffer, state.clock,
+                record.counter, dict(record.button_counters), record.resync,
+                list(record.rollback))
+
+    before = snapshot()
+    assert record.rollback and record.button_counters
+    copy = state.clone()
+    copied = copy.fobs[SERIAL]
+    assert copied is not record and copied.key == record.key
+    assert (copied.counter, copied.button_counters, copied.resync, copied.rollback) == (
+        record.counter, record.button_counters, record.resync, record.rollback)
+    copied.rollback.append((9, UNLOCK, now))
+    copied.button_counters[UNLOCK] = 9
+    copied.resync = None
+    copy.door = Door.UNLOCKED
+    copy.learn_phase = LearnPhase.AWAIT_FIRST
+    assert snapshot() == before
+
+
+def test_accepts_return_equal_executed_actions():
+    policy = ReceiverPolicy()
+    state, fob = build(policy)
+    for button in (UNLOCK, LOCK):
+        fob, first = emit(fob, button, 0)
+        fob, second = emit(fob, button, 1000)
+        one = receive(state, policy, first, 0)
+        two = receive(state, policy, second, 1000)
+        assert one == two == ReceiverAction(kind=ActionKind.EXECUTED, instruction=button)
