@@ -9,9 +9,7 @@ The verdict is either NotVulnerable or the minimal working variant
 its length-(k-1) run plus one capture, so each (shape, gap) probe keeps
 one receiver and replays one more capture per length step.  Both shapes
 open with the same single replay, so it is replayed once and the probes
-are cloned after it.  The probe transcript depends only on the timestamp
-flag, its length and the start counter, so it is encoded once per
-process and only replayed into each policy's receiver.
+are cloned after it.
 
 ``exhaustive_search`` is the independent oracle: over small bounds it
 tries every ascending subsequence of the transcript at every probe gap
@@ -27,10 +25,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .attacks import DirectTarget, ExploitSpec, execute_exploit
-from .channel import CaptureEntry, CaptureLog
+from .channel import CaptureLog
 from .codebook import Instruction, derive_key, master_from_seed
 from .fob import FobState, press
 from .receiver import (
@@ -113,46 +110,30 @@ class OracleFinding:
     passing_gaps: tuple[int, ...]
 
 
-@lru_cache(maxsize=512)  # both flags at every start of an 8-bit oracle sweep
-def _probe_transcript(
-    emit_timestamps: bool, transcript_len: int, start_counter: int
-) -> tuple[bytes, bytes, tuple[CaptureEntry, ...], int]:
-    """Master, fob key, captured presses and end time of a probe transcript.
-
-    The frames do not depend on the policy beyond its timestamp flag, so
-    they are encoded once and shared; the tuple keeps them immutable.
-    """
-    master = master_from_seed(_PROBE_SEED)
-    key = derive_key(master, _PROBE_SERIAL)
-    fob = FobState(
-        serial=_PROBE_SERIAL,
-        key=key,
-        counter=start_counter,
-        emit_timestamps=emit_timestamps,
-    )
-    entries = []
-    now = 0
-    for _ in range(transcript_len):
-        now += _PRESS_SPACING_MS
-        fob, transmission = press(fob, Instruction.UNLOCK, now)
-        entries.append(CaptureEntry(transmission, now))
-    return master, key, tuple(entries), now
-
-
 class _Probe:
     """Synthetic fob + receiver pair with a captured press transcript."""
 
     def __init__(self, policy: ReceiverPolicy, transcript_len: int, start_counter: int = 0):
-        master, key, entries, self.transcript_end = _probe_transcript(
-            policy.timestamp_check is not None, transcript_len, start_counter
+        master = master_from_seed(_PROBE_SEED)
+        key = derive_key(master, _PROBE_SERIAL)
+        fob = FobState(
+            serial=_PROBE_SERIAL,
+            key=key,
+            counter=start_counter,
+            emit_timestamps=policy.timestamp_check is not None,
         )
         state = new_receiver_state(policy, master)
         register_fob(state, _PROBE_SERIAL, key, start_counter)
-        for entry in entries:
-            receive(state, policy, entry.transmission, entry.captured_at)
         self.policy = policy
-        self.captures = CaptureLog(entries)
+        self.captures = CaptureLog()
+        now = 0
+        for _ in range(transcript_len):
+            now += _PRESS_SPACING_MS
+            fob, transmission = press(fob, Instruction.UNLOCK, now)
+            receive(state, policy, transmission, now)
+            self.captures.append(transmission, now)
         self.base_state = state
+        self.transcript_end = now
 
     def fresh_target(self) -> DirectTarget:
         state = self.base_state.clone()
@@ -219,14 +200,16 @@ def _replay_next(
     """Replay the last capture of ``run`` on each gap's target, in turn.
 
     Every target already holds the rest of the run, replayed at its gap;
-    returns the gaps whose door is unlocked after the whole run.
+    returns the gaps whose door is unlocked after the whole run.  A
+    one-frame replay has no gap to wait out, so one spec serves all gaps.
     """
+    spec = ExploitSpec(signal_indices=run[-1:])
     start = probe.transcript_end + _EXPLOIT_DELAY_MS
     return [
         gap
         for gap, target in zip(gaps, targets)
         if execute_exploit(
-            ExploitSpec(signal_indices=run[-1:], inter_replay_gap_ms=gap),
+            spec,
             probe.captures,
             target,
             start + (len(run) - 1) * gap,

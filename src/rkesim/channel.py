@@ -8,7 +8,6 @@ are bit-identical to what was captured.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .codebook import Transmission
@@ -28,8 +27,8 @@ class CaptureLog:
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries: Iterable[CaptureEntry] = ()) -> None:
-        self.entries: list[CaptureEntry] = list(entries)
+    def __init__(self) -> None:
+        self.entries: list[CaptureEntry] = []
 
     def append(self, transmission: Transmission, captured_at: int) -> int:
         self.entries.append(CaptureEntry(transmission, captured_at))

@@ -178,14 +178,11 @@ class FobRecord:
         self.rollback: list[tuple[int, Instruction, int]] = []  # (counter, button, at)
 
     def clone(self) -> "FobRecord":
-        # Fills the slots directly; running __init__ would set them twice.
-        other = object.__new__(FobRecord)
-        other.key = self.key
-        other.counter = self.counter
-        buttons = self.button_counters
-        other.button_counters = None if buttons is None else buttons.copy()
+        other = FobRecord(self.key, self.counter)
+        if self.button_counters is not None:
+            other.button_counters = dict(self.button_counters)
         other.resync = self.resync
-        other.rollback = self.rollback.copy()
+        other.rollback = list(self.rollback)
         return other
 
 
@@ -203,11 +200,9 @@ class ReceiverState:
         self.clock = 0
 
     def clone(self) -> "ReceiverState":
-        other = object.__new__(ReceiverState)
-        other.master = self.master
+        other = ReceiverState(self.master, self.learn_phase)
         other.fobs = {serial: rec.clone() for serial, rec in self.fobs.items()}
         other.door = self.door
-        other.learn_phase = self.learn_phase
         other.learn_buffer = self.learn_buffer
         other.clock = self.clock
         return other

@@ -1,6 +1,4 @@
-import glob
 import itertools
-import os
 
 import pytest
 
@@ -16,8 +14,7 @@ from rkesim.analyzer import (
     signature_from_findings,
 )
 from rkesim.attacks import ExploitSpec, execute_exploit
-from rkesim.codebook import Instruction, derive_key, master_from_seed
-from rkesim.fob import FobState, press
+from rkesim.codebook import Instruction
 from rkesim.receiver import (
     Door,
     LearnBehavior,
@@ -27,7 +24,6 @@ from rkesim.receiver import (
     TimestampCheck,
     receive,
 )
-from rkesim.scenario import load_policy
 from rkesim.sim import (
     AttackerDef,
     AttackerPhase,
@@ -38,13 +34,6 @@ from rkesim.sim import (
     VictimPress,
     evaluate,
     run,
-)
-
-
-REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SHIPPED_POLICIES = sorted(
-    glob.glob(os.path.join(REPO, "policies", "*.pol"))
-    + glob.glob(os.path.join(REPO, "policies", "extra", "*.pol"))
 )
 
 
@@ -428,62 +417,3 @@ def test_classify_receive_count(monkeypatch, pol, calls):
         monkeypatch.setattr(module, "receive", counting_receive)
     classify(pol)
     assert len(counted) == calls
-
-
-def test_classify_encodes_the_probe_transcript_once(monkeypatch):
-    presses = []
-    original = analyzer.press
-
-    def counting_press(*args):
-        presses.append(None)
-        return original(*args)
-
-    monkeypatch.setattr(analyzer, "press", counting_press)
-    analyzer._probe_transcript.cache_clear()
-    for check in (None, TimestampCheck(1000)):
-        classify(policy(2, SequenceMode.LOOSE, timestamp_check=check))
-        assert len(presses) == 12
-        presses.clear()
-        # Another policy with the same timestamp flag reuses the frames.
-        classify(policy(5, timestamp_check=check))
-        assert presses == []
-
-
-@pytest.mark.parametrize("start_counter", [0, 65530])
-@pytest.mark.parametrize("emit_timestamps", [False, True])
-def test_cached_transcript_equals_fresh_presses(emit_timestamps, start_counter):
-    master, key, entries, end = analyzer._probe_transcript(emit_timestamps, 8, start_counter)
-    assert isinstance(entries, tuple)
-    assert master == master_from_seed(analyzer._PROBE_SEED)
-    assert key == derive_key(master, analyzer._PROBE_SERIAL)
-    fob = FobState(
-        serial=analyzer._PROBE_SERIAL,
-        key=key,
-        counter=start_counter,
-        emit_timestamps=emit_timestamps,
-    )
-    now = 0
-    for entry in entries:
-        now += analyzer._PRESS_SPACING_MS
-        fob, transmission = press(fob, Instruction.UNLOCK, now)
-        assert entry.transmission == transmission
-        assert entry.captured_at == now
-    assert end == now == 8 * analyzer._PRESS_SPACING_MS
-
-
-def test_warm_transcript_cache_gives_cold_results():
-    policies = [load_policy(path)[1] for path in SHIPPED_POLICIES]
-    assert len(policies) == 8
-
-    def results():
-        return [
-            (classify(pol), exhaustive_search(pol, counter_bits=6, transcript_len=8))
-            for pol in policies
-        ]
-
-    analyzer._probe_transcript.cache_clear()
-    cold = results()
-    misses = analyzer._probe_transcript.cache_info().misses
-    warm = results()
-    assert analyzer._probe_transcript.cache_info().misses == misses
-    assert warm == cold
