@@ -78,12 +78,11 @@ class ExploitSpec:
     relock: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class AttackOutcome:
     success: bool
     door_after: Door
     signals_replayed: int
-    victim_disruption: bool = False
 
 
 class AttackerStrategy:
@@ -258,24 +257,18 @@ def execute_exploit(
     re-locking the vehicle through the freshly resynced counter.
     """
     entries = captures.entries
-    indices = list(spec.signal_indices)
-    if spec.relock:
-        indices.append(spec.signal_indices[-1] + 1)
+    selected = spec.signal_indices
+    indices = (*selected, selected[-1] + 1) if spec.relock else selected
     for idx in indices:
         if not 0 <= idx < len(entries):
             raise AttackConfigError("capture index %d out of range" % idx)
 
-    at = now
-    replayed = 0
-    success = False
-    for position, idx in enumerate(indices):
-        target.deliver(entries[idx].transmission, at)
-        replayed += 1
-        if position == len(spec.signal_indices) - 1:
-            success = target.door is Door.UNLOCKED
-        at += spec.inter_replay_gap_ms
-    return AttackOutcome(
-        success=success,
-        door_after=target.door,
-        signals_replayed=replayed,
-    )
+    gap = spec.inter_replay_gap_ms
+    for position, idx in enumerate(selected):
+        target.deliver(entries[idx].transmission, now + position * gap)
+    door = target.door
+    success = door is Door.UNLOCKED if selected else False
+    if spec.relock:
+        target.deliver(entries[indices[-1]].transmission, now + len(selected) * gap)
+        door = target.door
+    return AttackOutcome(success, door, len(indices))

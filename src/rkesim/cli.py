@@ -68,7 +68,7 @@ def _pretty_trace(trace: Trace) -> str:
     for record in trace:
         seconds = record.at / 1000
         detail = " ".join(
-            "%s=%s" % (key, sim._render_value(value))
+            "%s=%s" % (key, sim.render_value(value))
             for key, value in record.fields.items()
         )
         lines.append("[%12.3fs] %-10s %s" % (seconds, record.kind, detail))

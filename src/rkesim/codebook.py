@@ -23,12 +23,12 @@ from enum import Enum
 from functools import lru_cache
 
 COUNTER_MOD = 1 << 16          # 16-bit rolling counter
+TIMESTAMP_MOD = 1 << 48        # 48-bit millisecond timestamp
 KEY_BYTES = 16
 BLOCK_BYTES = 16
 
 _ROUNDS = 4
 _MASK64 = (1 << 64) - 1
-_TIMESTAMP_MOD = 1 << 48
 _SIGNATURE_MOD = 1 << 32
 _DISCRIMINATION_MOD = 1 << 16
 
@@ -103,24 +103,28 @@ def timestamp_tag(key: bytes, serial: int, timestamp: int) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _round_value(key: bytes, rnd: int, half: int) -> int:
-    digest = hashlib.blake2b(
-        half.to_bytes(8, "big") + bytes([rnd]), key=key, digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "big")
+_ROUND_TAGS = tuple(bytes([rnd]) for rnd in range(_ROUNDS))
 
 
 def _permute(key: bytes, block: int) -> int:
+    # Each round copies one keyed BLAKE2b state instead of building a new
+    # one, which would compress the key block again.
+    keyed = hashlib.blake2b(key=key, digest_size=8)
     left, right = block >> 64, block & _MASK64
-    for rnd in range(_ROUNDS):
-        left, right = right, left ^ _round_value(key, rnd, right)
+    for tag in _ROUND_TAGS:
+        h = keyed.copy()
+        h.update(right.to_bytes(8, "big") + tag)
+        left, right = right, left ^ int.from_bytes(h.digest(), "big")
     return left << 64 | right
 
 
 def _unpermute(key: bytes, block: int) -> int:
+    keyed = hashlib.blake2b(key=key, digest_size=8)
     left, right = block >> 64, block & _MASK64
-    for rnd in reversed(range(_ROUNDS)):
-        left, right = right ^ _round_value(key, rnd, left), left
+    for tag in reversed(_ROUND_TAGS):
+        h = keyed.copy()
+        h.update(left.to_bytes(8, "big") + tag)
+        left, right = right ^ int.from_bytes(h.digest(), "big"), left
     return left << 64 | right
 
 
@@ -134,7 +138,7 @@ def _pack(payload: Payload) -> int:
     if payload.timestamp is not None:
         if payload.signature is None:
             raise ValueError("timestamped payloads require a signature tag")
-        if not 0 <= payload.timestamp < _TIMESTAMP_MOD:
+        if not 0 <= payload.timestamp < TIMESTAMP_MOD:
             raise ValueError("timestamp %r out of range" % (payload.timestamp,))
         if not 0 <= payload.signature < _SIGNATURE_MOD:
             raise ValueError("signature %r out of range" % (payload.signature,))
@@ -192,7 +196,7 @@ def _decode_cached(key: bytes, serial: int, ciphertext: bytes) -> Payload | None
     button_code = block >> 16 & 0xFF
     discrimination = block >> 24 & 0xFFFF
     flags = block >> 40 & 0xFF
-    ts_value = block >> 48 & (_TIMESTAMP_MOD - 1)
+    ts_value = block >> 48 & (TIMESTAMP_MOD - 1)
     sig_value = block >> 96 & (_SIGNATURE_MOD - 1)
 
     if discrimination != discrimination_for(key, serial):

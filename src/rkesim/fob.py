@@ -49,7 +49,14 @@ def press(fob: FobState, button: Instruction, now: int) -> tuple[FobState, Trans
         signature=signature,
     )
     transmission = encode(fob.key, fob.serial, payload, emitted_at=now)
-    return replace(fob, counter=counter), transmission
+    next_fob = FobState(
+        serial=fob.serial,
+        key=fob.key,
+        counter=counter,
+        clock_skew_ms=fob.clock_skew_ms,
+        emit_timestamps=fob.emit_timestamps,
+    )
+    return next_fob, transmission
 
 
 def replace_battery(fob: FobState, counter_loss: bool) -> FobState:

@@ -46,7 +46,7 @@ Policy files (header ``rkesim-policy v1``) hold ``name`` plus a single
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .codebook import Instruction
 from .receiver import (
@@ -70,6 +70,7 @@ from .sim import (
 
 SCENARIO_HEADER = "rkesim-scenario v1"
 POLICY_HEADER = "rkesim-policy v1"
+_BUTTONS = {button.value: button for button in Instruction}
 
 
 class ParseError(Exception):
@@ -80,8 +81,7 @@ class ParseError(Exception):
         self.message = message
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     text: str
     line: int
     column: int
@@ -345,9 +345,9 @@ def _parse_event_line(tokens: list[_Token]) -> ScenarioEvent:
         if len(rest) < 2:
             raise verb.fail("press takes '<serial> lock|unlock [flags]'")
         serial = rest[0].as_int()
-        if rest[1].text not in ("lock", "unlock"):
+        button = _BUTTONS.get(rest[1].text)
+        if button is None:
             raise rest[1].fail("button must be lock or unlock")
-        button = Instruction(rest[1].text)
         out_of_range = False
         in_attacker_range = True
         for flag in rest[2:]:

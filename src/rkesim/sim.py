@@ -26,7 +26,7 @@ from .attacks import (
     STRATEGY_KINDS,
 )
 from .channel import ATTACKER, VICTIM, ChannelState, subscribe, set_jamming, transmit
-from .codebook import Instruction, derive_key, master_from_seed
+from .codebook import TIMESTAMP_MOD, Instruction, derive_key, master_from_seed
 from .fob import FobState, press
 from .receiver import (
     ActionKind,
@@ -124,19 +124,33 @@ class TraceRecord:
         return self.fields.get(name, default)
 
     def render(self) -> str:
-        parts = ["t=%d" % self.at, "ev=%s" % self.kind]
-        parts.extend("%s=%s" % (key, _render_value(v)) for key, v in self.fields.items())
-        return " ".join(parts)
+        return " ".join(
+            ["t=%d" % self.at, "ev=%s" % self.kind]
+            + [key + "=" + render_value(value) for key, value in self.fields.items()]
+        )
 
 
-def _render_value(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, Enum):
-        return str(value.value)
-    if isinstance(value, bytes):
-        return value.hex()
-    return str(value)
+def render_value(value) -> str:
+    """Trace text of one field: bool as 1/0, Enum by value, bytes as hex, else str."""
+    render = _RENDERERS.get(type(value))
+    if render is None:
+        render = _RENDERERS[type(value)] = _renderer_for(type(value))
+    return render(value)
+
+
+def _renderer_for(cls: type):
+    if issubclass(cls, bool):
+        return ("0", "1").__getitem__
+    if issubclass(cls, Enum):
+        return lambda value: str(value._value_)  # ``.value`` is a slower property
+    if issubclass(cls, bytes):
+        return bytes.hex
+    return str
+
+
+# One renderer per field type, filled on first use; bounded by the
+# handful of value types a trace holds.
+_RENDERERS: dict[type, object] = {}
 
 
 class Trace:
@@ -149,7 +163,7 @@ class Trace:
         return record
 
     def render(self) -> str:
-        return "".join(record.render() + "\n" for record in self.records)
+        return "".join([record.render() + "\n" for record in self.records])
 
     def __iter__(self):
         return iter(self.records)
@@ -165,11 +179,11 @@ class _AttackerReplay:
 
 def validate_scenario(scenario: Scenario) -> None:
     problems = []
-    serials = set()
+    fobs: dict[int, FobDef] = {}
     for fob in scenario.fobs:
-        if fob.serial in serials:
+        if fob.serial in fobs:
             problems.append("duplicate fob serial %d" % fob.serial)
-        serials.add(fob.serial)
+        fobs[fob.serial] = fob
     previous = None
     for i, event in enumerate(scenario.events):
         if event.at < 0:
@@ -181,8 +195,15 @@ def validate_scenario(scenario: Scenario) -> None:
             )
         previous = event.at
         action = event.action
-        if isinstance(action, VictimPress) and action.fob_serial not in serials:
-            problems.append("event %d: unknown fob serial %d" % (i, action.fob_serial))
+        if isinstance(action, VictimPress):
+            fob = fobs.get(action.fob_serial)
+            if fob is None:
+                problems.append("event %d: unknown fob serial %d" % (i, action.fob_serial))
+            elif fob.emit_timestamps and not 0 <= event.at + fob.clock_skew_ms < TIMESTAMP_MOD:
+                problems.append(
+                    "event %d: fob %d clock %d out of timestamp range"
+                    % (i, fob.serial, event.at + fob.clock_skew_ms)
+                )
         if isinstance(action, AttackerPhase) and scenario.attacker is None:
             problems.append("event %d: attacker phase without an attacker" % i)
     if problems:

@@ -74,6 +74,23 @@ def test_simulate_parse_error_exit_code(capsys, tmp_path):
     assert "line 3" in err
 
 
+@pytest.mark.parametrize("skew", [-5000, (1 << 48) - 1000])
+def test_simulate_fob_clock_out_of_timestamp_range(capsys, tmp_path, skew):
+    scn = tmp_path / "skew.scn"
+    scn.write_text(
+        "rkesim-scenario v1\n"
+        "[fob]\nserial 7\ntimestamps on\nclock_skew_ms %d\n"
+        "[receiver]\n"
+        "[events]\n1000 press 7 unlock\n" % skew
+    )
+    code, out, err = run_cli(capsys, "simulate", str(scn))
+    assert code == 2
+    assert out == ""
+    assert err == "scenario error: event 0: fob 7 clock %d out of timestamp range\n" % (
+        1000 + skew
+    )
+
+
 def test_simulate_missing_file(capsys):
     code, _, err = run_cli(capsys, "simulate", "/nonexistent.scn")
     assert code == 2

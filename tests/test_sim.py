@@ -1,9 +1,11 @@
 import time
+from enum import Enum
 
 import pytest
 
-from rkesim.codebook import Instruction
-from rkesim.receiver import ActionKind, ReceiverPolicy, RollbackProfile, SequenceMode
+from rkesim.codebook import TIMESTAMP_MOD, Instruction
+from rkesim.receiver import ActionKind, Door, ReceiverPolicy, RollbackProfile, SequenceMode
+from rkesim.scenario import loads_scenario
 from rkesim.sim import (
     AdvanceClock,
     AttackerDef,
@@ -17,6 +19,7 @@ from rkesim.sim import (
     Trace,
     VictimPress,
     evaluate,
+    render_value,
     run,
 )
 
@@ -321,6 +324,58 @@ def test_validation_phase_without_attacker():
         run(scenario)
 
 
+@pytest.mark.parametrize(
+    "at, skew, timestamps, clock",
+    [
+        (1000, -5000, True, -4000),
+        (1000, TIMESTAMP_MOD - 1000, True, TIMESTAMP_MOD),
+        (1000, -1000, True, None),  # clock 0, the first valid timestamp
+        (1000, TIMESTAMP_MOD - 1001, True, None),  # the last valid timestamp
+        (1000, -5000, False, None),  # no timestamp is sent
+    ],
+)
+def test_validation_fob_clock_out_of_timestamp_range(at, skew, timestamps, clock):
+    scenario = Scenario(
+        name="skew",
+        seed=0,
+        fobs=(FobDef(serial=7, clock_skew_ms=skew, emit_timestamps=timestamps),),
+        policy=ReceiverPolicy(),
+        events=(press_event(at),),
+    )
+    if clock is None:
+        assert sum(r.kind == "tx" for r in run(scenario)) == 1
+        return
+    with pytest.raises(ScenarioError) as excinfo:
+        run(scenario)
+    assert excinfo.value.problems == [
+        "event 0: fob 7 clock %d out of timestamp range" % clock
+    ]
+
+
+class _Shade(Enum):
+    DARK = 2
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (True, "1"),  # bool before int
+        (False, "0"),
+        (1, "1"),
+        (-12, "-12"),
+        (Instruction.UNLOCK, "unlock"),  # str-Enum by value
+        (Door.LOCKED, "locked"),
+        (ActionKind.RESYNCED, "resynced"),
+        (_Shade.DARK, "2"),  # any Enum by value, not by name
+        (b"\x00\xab", "00ab"),
+        (None, "None"),
+        ("victim", "victim"),
+    ],
+)
+def test_render_value_rules(value, text):
+    assert render_value(value) == text
+
+
 def test_causality_replays_reference_prior_captures():
     trace = run(rollback_scenario())
     seen_frames = set()
@@ -398,3 +453,40 @@ def test_victim_evaluation_grows_linearly():
     # A ratio, not an absolute bound: doubling the trace must not
     # (nearly) quadruple the cost, whatever the host speed.
     assert best_of_five(20_000) / best_of_five(10_000) < 3
+
+
+def press_script(presses):
+    lines = [
+        "rkesim-scenario v1",
+        "seed 3",
+        "[fob]",
+        "serial 7",
+        "[receiver]",
+        "rollback 2 loose",
+        "[attacker]",
+        "strategy rollback",
+        "jam_first off",
+        "[events]",
+        "0 attacker deploy",
+    ]
+    for i in range(1, presses + 1):
+        lines.append("%d press 7 %s" % (i * 10_000, ("lock", "unlock")[i % 2]))
+    lines.append("%d attacker exploit indices=0,1" % ((presses + 1) * 10_000 + DAY_MS))
+    return "\n".join(lines) + "\n"
+
+
+def test_simulate_path_grows_linearly():
+    def best_of_three(presses):
+        text = press_script(presses)
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            trace = run(loads_scenario(text))
+            trace.render()
+            best = min(best, time.perf_counter() - start)
+        assert sum(r.kind == "tx" for r in trace) == presses + 2
+        return best
+
+    # Parse, engine run and render together; doubling the script must
+    # not (nearly) quadruple the cost, whatever the host speed.
+    assert best_of_three(4000) / best_of_three(2000) < 3
