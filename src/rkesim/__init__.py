@@ -24,13 +24,12 @@ from .receiver import (
     TimestampCheck,
     WindowClass,
     classify_window,
-    door_state,
     enter_learn_mode,
     new_receiver_state,
     receive,
     register_fob,
 )
-from .channel import CaptureLog, ChannelState, set_jamming, subscribe, transmit
+from .channel import ChannelState, set_jamming, subscribe, transmit
 from .attacks import AttackOutcome, ExploitSpec, execute_exploit
 from .analyzer import (
     ProbeBudget,

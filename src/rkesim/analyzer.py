@@ -26,13 +26,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .attacks import DirectTarget, ExploitSpec, execute_exploit
-from .channel import CaptureLog
-from .codebook import Instruction, derive_key, master_from_seed
+from .attacks import ExploitSpec, execute_exploit
+from .codebook import Instruction, Transmission, derive_key, master_from_seed
 from .fob import FobState, press
 from .receiver import (
     Door,
     ReceiverPolicy,
+    ReceiverState,
     SequenceMode,
     new_receiver_state,
     receive,
@@ -125,20 +125,20 @@ class _Probe:
         state = new_receiver_state(policy, master)
         register_fob(state, _PROBE_SERIAL, key, start_counter)
         self.policy = policy
-        self.captures = CaptureLog()
+        self.captures: list[Transmission] = []
         now = 0
         for _ in range(transcript_len):
             now += _PRESS_SPACING_MS
             fob, transmission = press(fob, Instruction.UNLOCK, now)
             receive(state, policy, transmission, now)
-            self.captures.append(transmission, now)
+            self.captures.append(transmission)
         self.base_state = state
         self.transcript_end = now
 
-    def fresh_target(self) -> DirectTarget:
+    def fresh_state(self) -> ReceiverState:
         state = self.base_state.clone()
         state.door = Door.LOCKED  # vehicle parked and locked before the replay
-        return DirectTarget(state, self.policy)
+        return state
 
 
 def classify(policy: ReceiverPolicy, budget: ProbeBudget = ProbeBudget()) -> VariantSignature:
@@ -157,21 +157,22 @@ def classify(policy: ReceiverPolicy, budget: ProbeBudget = ProbeBudget()) -> Var
     """
     gaps = budget.gap_probes_ms
     probe = _Probe(policy, transcript_len=2 * budget.max_signals)
-    first = probe.fresh_target()
+    first = probe.fresh_state()
     execute_exploit(
         ExploitSpec(signal_indices=(0,)),
         probe.captures,
         first,
+        policy,
         probe.transcript_end + _EXPLOIT_DELAY_MS,
     )
-    consecutive_targets = [DirectTarget(first.state.clone(), policy) for _ in gaps]
-    gapped_targets = [DirectTarget(first.state.clone(), policy) for _ in gaps]
+    consecutive_states = [first.clone() for _ in gaps]
+    gapped_states = [first.clone() for _ in gaps]
 
     for k in range(2, budget.max_signals + 1):
         consecutive = tuple(range(k))
         gapped = tuple(range(0, 2 * k, 2))
-        consecutive_pass = _replay_next(probe, consecutive_targets, gaps, consecutive)
-        gapped_pass = _replay_next(probe, gapped_targets, gaps, gapped)
+        consecutive_pass = _replay_next(probe, consecutive_states, gaps, consecutive)
+        gapped_pass = _replay_next(probe, gapped_states, gaps, gapped)
         if not consecutive_pass and not gapped_pass:
             continue
         sequence = SequenceMode.LOOSE if gapped_pass else SequenceMode.STRICT
@@ -193,13 +194,13 @@ def classify(policy: ReceiverPolicy, budget: ProbeBudget = ProbeBudget()) -> Var
 
 def _replay_next(
     probe: _Probe,
-    targets: list[DirectTarget],
+    states: list[ReceiverState],
     gaps: tuple[int, ...],
     run: tuple[int, ...],
 ) -> list[int]:
-    """Replay the last capture of ``run`` on each gap's target, in turn.
+    """Replay the last capture of ``run`` on each gap's receiver, in turn.
 
-    Every target already holds the rest of the run, replayed at its gap;
+    Every receiver already holds the rest of the run, replayed at its gap;
     returns the gaps whose door is unlocked after the whole run.  A
     one-frame replay has no gap to wait out, so one spec serves all gaps.
     """
@@ -207,11 +208,12 @@ def _replay_next(
     start = probe.transcript_end + _EXPLOIT_DELAY_MS
     return [
         gap
-        for gap, target in zip(gaps, targets)
+        for gap, state in zip(gaps, states)
         if execute_exploit(
             spec,
             probe.captures,
-            target,
+            state,
+            probe.policy,
             start + (len(run) - 1) * gap,
         ).success
     ]
@@ -286,13 +288,12 @@ def _probe_successes(
     """Unlocking index sequences of one probe, each with its passing gaps."""
     # Drives the receiver straight through receive(); deliberately does
     # not share the execute_exploit code path it is meant to check.
-    entries = probe.captures.entries
-    last = len(entries) - 1
+    captures = probe.captures
+    last = len(captures) - 1
     start = probe.transcript_end + _EXPLOIT_DELAY_MS
     success_gaps: dict[tuple[int, ...], set[int]] = {}
     for gap in gap_probes_ms:
-        root = probe.base_state.clone()
-        root.door = Door.LOCKED  # vehicle parked and locked before the replay
+        root = probe.fresh_state()
         # Prefixes still to extend: (indices, receiver state, next replay time).
         pending = [((), root, start)]
         while pending:
@@ -301,7 +302,7 @@ def _probe_successes(
                 # The last child is a leaf and the parent needs its state
                 # no longer, so it replays on that state instead of a copy.
                 child = state if idx == last else state.clone()
-                receive(child, probe.policy, entries[idx].transmission, now)
+                receive(child, probe.policy, captures[idx], now)
                 indices = prefix + (idx,)
                 if child.door is Door.UNLOCKED and (prefix or gap == gap_probes_ms[0]):
                     success_gaps.setdefault(indices, set()).add(gap)

@@ -23,15 +23,18 @@ Strategies:
                        jamming the first press to force consecutive
                        retries), then replay them as a sequence any
                        time later to roll the receiver counter back.
+
+Outside the event loop, ``execute_exploit`` replays an ``ExploitSpec``
+straight from a list of captured frames into a receiver state and
+policy, through ``receive()``, and reads the door afterwards.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .channel import CaptureLog
 from .codebook import Transmission
-from .receiver import Door, ReceiverAction, ReceiverPolicy, ReceiverState, receive
+from .receiver import Door, ReceiverPolicy, ReceiverState, receive
 
 DEPLOY = "deploy"
 EXPLOIT = "exploit"
@@ -192,18 +195,14 @@ class RollBack(AttackerStrategy):
             self.recon_indices = []
             return [SetJamming(True)] if self.jam_first else []
         if event.name == EXPLOIT:
-            spec = exploit_spec_from_params(event.params, default=self.recon_indices)
+            params = event.params
+            spec = ExploitSpec(
+                signal_indices=tuple(params.get("indices", self.recon_indices)),
+                inter_replay_gap_ms=params.get("gap_ms", 1000),
+                relock=params.get("relock", False),
+            )
             return schedule_exploit(spec, now)
         return []
-
-
-def exploit_spec_from_params(params: dict, default: list[int]) -> ExploitSpec:
-    indices = tuple(params.get("indices", default))
-    return ExploitSpec(
-        signal_indices=indices,
-        inter_replay_gap_ms=params.get("gap_ms", 1000),
-        relock=params.get("relock", False),
-    )
 
 
 def schedule_exploit(spec: ExploitSpec, now: int) -> list[ScheduleReplay]:
@@ -232,43 +231,33 @@ STRATEGY_KINDS = {
 
 # --- direct exploit execution (no event loop) -----------------------------
 
-@dataclass
-class DirectTarget:
-    """Bare receiver front for driving replays outside the engine."""
-
-    state: ReceiverState
-    policy: ReceiverPolicy
-
-    def deliver(self, transmission: Transmission, now: int) -> ReceiverAction:
-        return receive(self.state, self.policy, transmission, now)
-
-    @property
-    def door(self) -> Door:
-        return self.state.door
-
-
 def execute_exploit(
-    spec: ExploitSpec, captures: CaptureLog, target, now: int
+    spec: ExploitSpec,
+    captures: list[Transmission],
+    state: ReceiverState,
+    policy: ReceiverPolicy,
+    now: int,
 ) -> AttackOutcome:
-    """Replay the selected captures against a target, in capture order.
+    """Replay the selected captured frames into a receiver, in capture order.
 
-    Replays are spaced ``inter_replay_gap_ms`` apart.  With ``relock``
-    the capture following the last selected one is replayed afterwards,
-    re-locking the vehicle through the freshly resynced counter.
+    Each frame goes through ``receive(state, policy, ...)``, so ``state``
+    is left as the replays leave it.  Replays are spaced
+    ``inter_replay_gap_ms`` apart.  With ``relock`` the capture following
+    the last selected one is replayed afterwards, re-locking the vehicle
+    through the freshly resynced counter.
     """
-    entries = captures.entries
     selected = spec.signal_indices
     indices = (*selected, selected[-1] + 1) if spec.relock else selected
     for idx in indices:
-        if not 0 <= idx < len(entries):
+        if not 0 <= idx < len(captures):
             raise AttackConfigError("capture index %d out of range" % idx)
 
     gap = spec.inter_replay_gap_ms
     for position, idx in enumerate(selected):
-        target.deliver(entries[idx].transmission, now + position * gap)
-    door = target.door
+        receive(state, policy, captures[idx], now + position * gap)
+    door = state.door
     success = door is Door.UNLOCKED if selected else False
     if spec.relock:
-        target.deliver(entries[indices[-1]].transmission, now + len(selected) * gap)
-        door = target.door
+        receive(state, policy, captures[indices[-1]], now + len(selected) * gap)
+        door = state.door
     return AttackOutcome(success, door, len(indices))

@@ -2,8 +2,9 @@
 
 One shared broadcast channel per scenario.  Jamming is deterministic
 and perfect: while active, nothing reaches the receiver, but passive
-capture is unaffected.  Subscribers see ciphertext bytes only; replays
-are bit-identical to what was captured.
+capture is unaffected.  A capture is the overheard ``Transmission``
+itself: each subscriber gets a plain list of the frames it heard, in
+order, so replays are bit-identical to what was captured.
 """
 
 from __future__ import annotations
@@ -14,31 +15,6 @@ from .codebook import Transmission
 
 VICTIM = "victim"
 ATTACKER = "attacker"
-
-
-@dataclass(frozen=True)
-class CaptureEntry:
-    transmission: Transmission
-    captured_at: int
-
-
-class CaptureLog:
-    """Append-only log of frames an attacker overheard."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self) -> None:
-        self.entries: list[CaptureEntry] = []
-
-    def append(self, transmission: Transmission, captured_at: int) -> int:
-        self.entries.append(CaptureEntry(transmission, captured_at))
-        return len(self.entries) - 1
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, index: int) -> CaptureEntry:
-        return self.entries[index]
 
 
 @dataclass(frozen=True)
@@ -56,16 +32,12 @@ class ChannelState:
 
     def __init__(self) -> None:
         self.jamming_active = False
-        self.subscribers: dict[str, CaptureLog] = {}
+        self.subscribers: dict[str, list[Transmission]] = {}
 
 
-def subscribe(channel: ChannelState, attacker_id: str) -> CaptureLog:
-    """Attach a passive listener; returns its capture log."""
-    log = channel.subscribers.get(attacker_id)
-    if log is None:
-        log = CaptureLog()
-        channel.subscribers[attacker_id] = log
-    return log
+def subscribe(channel: ChannelState, attacker_id: str) -> list[Transmission]:
+    """Attach a passive listener; returns the list its captures land in."""
+    return channel.subscribers.setdefault(attacker_id, [])
 
 
 def set_jamming(channel: ChannelState, on: bool) -> None:
@@ -93,8 +65,8 @@ def transmit(
         sender == VICTIM and fob_in_attacker_range and bool(channel.subscribers)
     )
     if captured:
-        for log in channel.subscribers.values():
-            log.append(transmission, now)
+        for captures in channel.subscribers.values():
+            captures.append(transmission)
     return DeliveryRecord(
         transmission=transmission,
         at=now,

@@ -24,7 +24,9 @@ from functools import lru_cache
 
 COUNTER_MOD = 1 << 16          # 16-bit rolling counter
 TIMESTAMP_MOD = 1 << 48        # 48-bit millisecond timestamp
+SERIAL_MOD = 1 << 64           # serials travel as 8 big-endian bytes
 KEY_BYTES = 16
+MAX_KEY_BYTES = hashlib.blake2b.MAX_KEY_SIZE  # longest key a fob may carry
 BLOCK_BYTES = 16
 
 _ROUNDS = 4

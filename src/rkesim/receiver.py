@@ -136,12 +136,6 @@ class ReceiverAction:
     reason: str | None = None
     new_counter: int | None = None
 
-    @classmethod
-    def resynced(cls, new_counter: int, instruction: Instruction | None) -> "ReceiverAction":
-        return cls(
-            kind=ActionKind.RESYNCED, instruction=instruction, new_counter=new_counter
-        )
-
 
 # Discards and plain accepts carry no per-event data, so one frozen
 # instance per reason, or per instruction, is shared.
@@ -223,10 +217,6 @@ def register_fob(state: ReceiverState, serial: int, key: bytes, counter: int) ->
     state.fobs[serial] = FobRecord(key, counter)
 
 
-def door_state(state: ReceiverState) -> Door:
-    return state.door
-
-
 def enter_learn_mode(state: ReceiverState) -> None:
     """Arm the learn submachine; a no-op when already active."""
     if state.learn_phase is LearnPhase.INACTIVE:
@@ -287,7 +277,7 @@ def receive(
         buffered = record.resync
         if buffered is not None and c_k == (buffered[0] + 1) % COUNTER_MOD:
             _accept(state, record, policy, button, c_k)
-            return ReceiverAction.resynced(c_k, button)
+            return ReceiverAction(ActionKind.RESYNCED, button, new_counter=c_k)
         record.resync = (c_k, now)
         return _DISCARDS[AWAITING_RESYNC]
 
@@ -353,7 +343,7 @@ def _rollback_receive(
     buffer.append((c_k, button, now))
     if len(buffer) >= profile.signals_required:
         _accept(state, record, policy, button, c_k)
-        return ReceiverAction.resynced(c_k, button)
+        return ReceiverAction(ActionKind.RESYNCED, button, new_counter=c_k)
     return _DISCARDS[REPLAY]
 
 

@@ -10,13 +10,13 @@ Scenario file grammar (header ``rkesim-scenario v1``)::
     seed <int>
 
     [fob]                     # one section per fob
-    serial <int>
-    counter <int>             # initial fob counter, default 0
-    key <hex>                 # default: derived from the seed
+    serial <int>              # 0 .. 2^64-1
+    counter <int>             # initial fob counter 0 .. 2^16-1, default 0
+    key <hex>                 # at most 64 bytes; default: derived from the seed
     clock_skew_ms <int>       # default 0
     timestamps on|off         # embed timestamps, default off
     learned on|off            # receiver knows this fob, default on
-    receiver_counter <int>    # stored counter, default same as counter
+    receiver_counter <int>    # stored counter 0 .. 2^16-1, default same as counter
 
     [receiver]
     single_window <int>                    # default 16

@@ -26,7 +26,15 @@ from .attacks import (
     STRATEGY_KINDS,
 )
 from .channel import ATTACKER, VICTIM, ChannelState, subscribe, set_jamming, transmit
-from .codebook import TIMESTAMP_MOD, Instruction, derive_key, master_from_seed
+from .codebook import (
+    COUNTER_MOD,
+    MAX_KEY_BYTES,
+    SERIAL_MOD,
+    TIMESTAMP_MOD,
+    Instruction,
+    derive_key,
+    master_from_seed,
+)
 from .fob import FobState, press
 from .receiver import (
     ActionKind,
@@ -184,6 +192,21 @@ def validate_scenario(scenario: Scenario) -> None:
         if fob.serial in fobs:
             problems.append("duplicate fob serial %d" % fob.serial)
         fobs[fob.serial] = fob
+        if not 0 <= fob.serial < SERIAL_MOD:
+            problems.append("fob serial %d out of range [0, 2^64)" % fob.serial)
+        for name, counter in (
+            ("counter", fob.initial_counter),
+            ("receiver_counter", fob.receiver_counter),
+        ):
+            if counter is not None and not 0 <= counter < COUNTER_MOD:
+                problems.append(
+                    "fob %d: %s %d out of range [0, 2^16)" % (fob.serial, name, counter)
+                )
+        if fob.key is not None and len(fob.key) > MAX_KEY_BYTES:
+            problems.append(
+                "fob %d: key of %d bytes is longer than %d"
+                % (fob.serial, len(fob.key), MAX_KEY_BYTES)
+            )
     previous = None
     for i, event in enumerate(scenario.events):
         if event.at < 0:
@@ -320,21 +343,21 @@ class Engine:
             self._deliver(now, transmission, VICTIM)
 
     def _attacker_replay(self, now: int, action: _AttackerReplay) -> None:
-        entry = self.captures[action.capture_index]
-        record = transmit(self.channel, entry.transmission, now, sender=ATTACKER)
+        transmission = self.captures[action.capture_index]
+        record = transmit(self.channel, transmission, now, sender=ATTACKER)
         self.trace.add(
             now,
             "tx",
             src=ATTACKER,
-            serial=entry.transmission.serial,
+            serial=transmission.serial,
             idx=action.capture_index,
             jammed=record.jammed,
             delivered=record.delivered,
             captured=record.captured,
-            frame=entry.transmission.ciphertext,
+            frame=transmission.ciphertext,
         )
         if record.delivered:
-            self._deliver(now, entry.transmission, ATTACKER)
+            self._deliver(now, transmission, ATTACKER)
 
     def _deliver(self, now: int, transmission, sender: str) -> None:
         action = receive(self.receiver, self.policy, transmission, now)

@@ -15,8 +15,7 @@ from rkesim.analyzer import (
     exhaustive_search,
     signature_from_findings,
 )
-from rkesim.attacks import DirectTarget, ExploitSpec, execute_exploit
-from rkesim.channel import CaptureLog
+from rkesim.attacks import ExploitSpec, execute_exploit
 from rkesim.cli import main
 from rkesim.codebook import (
     COUNTER_MOD,
@@ -79,13 +78,13 @@ def _fob_receiver(policy, counter=0, emit_timestamps=False):
 
 
 def _captured_run(state, policy, fob, buttons, start_ms=0, spacing_ms=1000):
-    captures = CaptureLog()
+    captures = []
     now = start_ms
     for button in buttons:
         now += spacing_ms
         fob, frame = press(fob, button, now)
         receive(state, policy, frame, now)
-        captures.append(frame, now)
+        captures.append(frame)
     return fob, captures, now
 
 
@@ -125,13 +124,15 @@ def test_criterion_02_five_second_boundary():
     fast = execute_exploit(
         ExploitSpec(signal_indices=(0, 1), inter_replay_gap_ms=4000),
         captures,
-        DirectTarget(state.clone(), policy),
+        state.clone(),
+        policy,
         now + 60_000,
     )
     slow = execute_exploit(
         ExploitSpec(signal_indices=(0, 1), inter_replay_gap_ms=6000),
         captures,
-        DirectTarget(state.clone(), policy),
+        state.clone(),
+        policy,
         now + 60_000,
     )
     assert fast.success is True
@@ -338,16 +339,16 @@ def test_criterion_06_instruction_agnosticism_and_relock():
     state.door = Door.LOCKED
 
     at = now + 30 * DAY_MS
-    first = receive(state, policy, captures[0].transmission, at)        # lock@61
+    first = receive(state, policy, captures[0], at)        # lock@61
     assert first.kind is ActionKind.DISCARDED
-    second = receive(state, policy, captures[4].transmission, at + 1000)  # unlock@65
+    second = receive(state, policy, captures[4], at + 1000)  # unlock@65
     assert second.kind is ActionKind.RESYNCED
     assert second.instruction is UNLOCK
     assert second.new_counter == 65          # counter of the last replay
     assert state.fobs[SERIAL].counter == 65  # ROLLBACK-RESYNC
     assert state.door is Door.UNLOCKED
 
-    relock = receive(state, policy, captures[5].transmission, at + 2000)  # lock@66
+    relock = receive(state, policy, captures[5], at + 2000)  # lock@66
     assert relock.kind is ActionKind.EXECUTED  # single window, d == 1
     assert relock.instruction is LOCK
     assert state.door is Door.LOCKED
@@ -398,7 +399,8 @@ def test_criterion_07_mitigation_kill_tests():
         outcome = execute_exploit(
             ExploitSpec(signal_indices=tuple(range(signals)), inter_replay_gap_ms=1000),
             captures,
-            DirectTarget(state, policy),
+            state,
+            policy,
             now + 60_000,
         )
         assert not outcome.success
@@ -417,12 +419,13 @@ def test_criterion_07_mitigation_kill_tests():
     lock_resync = execute_exploit(
         ExploitSpec(signal_indices=(0, 1), inter_replay_gap_ms=1000),
         captures,
-        DirectTarget(state, policy),
+        state,
+        policy,
         now + 60_000,
     )
     assert not lock_resync.success          # executed a lock, not an unlock
     assert state.door is Door.LOCKED
-    stale_unlock = receive(state, policy, captures[2].transmission, now + 120_000)
+    stale_unlock = receive(state, policy, captures[2], now + 120_000)
     assert stale_unlock.kind is ActionKind.DISCARDED
     assert state.door is Door.LOCKED
     _passed(7, "timestamp and per-instruction mitigations kill the attacks")

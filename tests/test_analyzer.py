@@ -280,7 +280,7 @@ def _brute_force_search(pol, counter_bits, transcript_len, gaps=DEFAULT_GAP_PROB
     success = {}
     for start_counter in range(1 << counter_bits):
         probe = analyzer._Probe(pol, transcript_len, start_counter=start_counter)
-        entries = probe.captures.entries
+        captures = probe.captures
         for length in range(1, transcript_len + 1):
             for indices in itertools.combinations(range(transcript_len), length):
                 for gap in gaps if length > 1 else gaps[:1]:
@@ -288,7 +288,7 @@ def _brute_force_search(pol, counter_bits, transcript_len, gaps=DEFAULT_GAP_PROB
                     state.door = Door.LOCKED
                     now = probe.transcript_end + analyzer._EXPLOIT_DELAY_MS
                     for idx in indices:
-                        receive(state, pol, entries[idx].transmission, now)
+                        receive(state, pol, captures[idx], now)
                         now += gap
                     if state.door is Door.UNLOCKED:
                         success.setdefault(indices, set()).add(gap)
@@ -349,7 +349,7 @@ def _fresh_replay_classify(pol, budget):
 
     def passes(indices, gap):
         spec = ExploitSpec(signal_indices=indices, inter_replay_gap_ms=gap)
-        return execute_exploit(spec, probe.captures, probe.fresh_target(), start).success
+        return execute_exploit(spec, probe.captures, probe.fresh_state(), pol, start).success
 
     for k in range(2, budget.max_signals + 1):
         consecutive = tuple(range(k))

@@ -3,7 +3,6 @@ import pytest
 from rkesim.attacks import (
     AttackConfigError,
     CaptureObserved,
-    DirectTarget,
     ExploitSpec,
     PhaseTrigger,
     RollBack,
@@ -12,7 +11,6 @@ from rkesim.attacks import (
     SetJamming,
     execute_exploit,
 )
-from rkesim.channel import CaptureLog
 from rkesim.codebook import Instruction, derive_key, master_from_seed
 from rkesim.fob import FobState, press
 from rkesim.receiver import (
@@ -37,14 +35,14 @@ def synced_pair(policy, presses, buttons=None):
     state = new_receiver_state(policy, MASTER)
     register_fob(state, SERIAL, KEY, 0)
     fob = FobState(serial=SERIAL, key=KEY, counter=0)
-    captures = CaptureLog()
+    captures = []
     now = 0
     for i in range(presses):
         button = buttons[i] if buttons else UNLOCK
         now += 1000
         fob, frame = press(fob, button, now)
         receive(state, policy, frame, now)
-        captures.append(frame, now)
+        captures.append(frame)
     state.door = Door.LOCKED
     return state, captures, now
 
@@ -113,7 +111,8 @@ def test_execute_exploit_loose_pair_succeeds():
     outcome = execute_exploit(
         ExploitSpec(signal_indices=(0, 3), inter_replay_gap_ms=1000),
         captures,
-        DirectTarget(state, policy),
+        state,
+        policy,
         now + 10_000,
     )
     assert outcome.success
@@ -130,7 +129,8 @@ def test_execute_exploit_gap_boundary():
     fast = execute_exploit(
         ExploitSpec(signal_indices=(0, 1), inter_replay_gap_ms=4000),
         captures,
-        DirectTarget(state.clone(), policy),
+        state.clone(),
+        policy,
         now + 10_000,
     )
     assert fast.success
@@ -138,7 +138,8 @@ def test_execute_exploit_gap_boundary():
     slow = execute_exploit(
         ExploitSpec(signal_indices=(0, 1), inter_replay_gap_ms=6000),
         captures,
-        DirectTarget(state.clone(), policy),
+        state.clone(),
+        policy,
         now + 10_000,
     )
     assert not slow.success
@@ -152,7 +153,8 @@ def test_execute_exploit_relock_replays_following_capture():
     outcome = execute_exploit(
         ExploitSpec(signal_indices=(0, 1), inter_replay_gap_ms=1000, relock=True),
         captures,
-        DirectTarget(state, policy),
+        state,
+        policy,
         now + 10_000,
     )
     assert outcome.success             # unlocked after the main sequence
@@ -166,7 +168,8 @@ def test_execute_exploit_secure_policy_fails():
     outcome = execute_exploit(
         ExploitSpec(signal_indices=(0, 1), inter_replay_gap_ms=1000),
         captures,
-        DirectTarget(state, policy),
+        state,
+        policy,
         now + 10_000,
     )
     assert not outcome.success
@@ -180,7 +183,8 @@ def test_execute_exploit_index_out_of_range():
         execute_exploit(
             ExploitSpec(signal_indices=(0, 9)),
             captures,
-            DirectTarget(state, policy),
+            state,
+            policy,
             now,
         )
     with pytest.raises(AttackConfigError):
@@ -188,7 +192,8 @@ def test_execute_exploit_index_out_of_range():
         execute_exploit(
             ExploitSpec(signal_indices=(0, 1), relock=True),
             captures,
-            DirectTarget(state, policy),
+            state,
+            policy,
             now,
         )
 
@@ -196,14 +201,14 @@ def test_execute_exploit_index_out_of_range():
 def test_exploit_repeatable_many_times():
     policy = ReceiverPolicy(rollback=RollbackProfile(2, SequenceMode.LOOSE))
     state, captures, now = synced_pair(policy, presses=6)
-    target = DirectTarget(state, policy)
     at = now + 1_000_000
     for _ in range(4):
         state.door = Door.LOCKED
         outcome = execute_exploit(
             ExploitSpec(signal_indices=(0, 1), inter_replay_gap_ms=1000),
             captures,
-            target,
+            state,
+            policy,
             at,
         )
         assert outcome.success

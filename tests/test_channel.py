@@ -57,7 +57,7 @@ def test_capture_completeness_in_range():
     set_jamming(channel, False)
     for frame in frames[2:]:
         records.append(transmit(channel, frame, 0))
-    assert [entry.transmission for entry in log.entries] == frames
+    assert log == frames
     assert [record.transmission for record in records] == frames
 
 
@@ -89,6 +89,6 @@ def test_byte_transparency():
     log = subscribe(channel, "attacker")
     frame = make_frame()
     transmit(channel, frame, 0, sender=VICTIM)
-    captured = log[0].transmission
+    captured = log[0]
     assert captured.ciphertext == frame.ciphertext
     assert captured is frame

@@ -91,6 +91,30 @@ def test_simulate_fob_clock_out_of_timestamp_range(capsys, tmp_path, skew):
     )
 
 
+@pytest.mark.parametrize(
+    "fob_lines, problem",
+    [
+        ("serial -3\n", "fob serial -3 out of range [0, 2^64)"),
+        ("serial 18446744073709551616\n", "fob serial 18446744073709551616 out of range [0, 2^64)"),
+        ("serial 7\ncounter 70000\n", "fob 7: counter 70000 out of range [0, 2^16)"),
+        ("serial 7\nreceiver_counter -1\n", "fob 7: receiver_counter -1 out of range [0, 2^16)"),
+        ("serial 7\nkey %s\n" % ("ab" * 65), "fob 7: key of 65 bytes is longer than 64"),
+    ],
+    ids=["serial-negative", "serial-too-big", "counter", "receiver-counter", "key-65-bytes"],
+)
+def test_simulate_fob_fields_out_of_range(capsys, tmp_path, fob_lines, problem):
+    scn = tmp_path / "fob.scn"
+    scn.write_text(
+        "rkesim-scenario v1\n"
+        "[fob]\n" + fob_lines + "[receiver]\n"
+        "[events]\n1000 press 7 unlock\n"
+    )
+    code, out, err = run_cli(capsys, "simulate", str(scn))
+    assert code == 2
+    assert out == ""
+    assert "scenario error: %s\n" % problem in err
+
+
 def test_simulate_missing_file(capsys):
     code, _, err = run_cli(capsys, "simulate", "/nonexistent.scn")
     assert code == 2

@@ -2,7 +2,8 @@
 
 Round-trip tests pass for any keyed permutation and any trace format,
 so they cannot catch a cipher or renderer change that alters output
-bytes.  These tests pin the exact bytes instead.
+bytes.  These tests pin the exact bytes instead: the cipher's frames,
+every shipped scenario's trace and the classifier's ``matrix --json``.
 """
 
 import hashlib
@@ -75,6 +76,20 @@ def test_scenario_trace_bytes(name):
     trace = sim.run(load_scenario(os.path.join(SCENARIOS, name + ".scn")))
     digest = lambda text: hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert (digest(trace.render()), digest(cli._pretty_trace(trace))) == TRACE_DIGESTS[name]
+
+
+# sha256 of the stdout of ``rkesim matrix <dir> --json`` per shipped policy dir.
+MATRIX_DIGESTS = {
+    "policies": "5c2fd71924febf7c64b86eefd83aff670a2b4475eca71200f83397e2d74b70f2",
+    "policies/extra": "2fca71b61175af4ec3ff89231770349a975b2ff05752928d3abb1e43132c3bec",
+}
+
+
+@pytest.mark.parametrize("directory", sorted(MATRIX_DIGESTS))
+def test_matrix_json_bytes(capsys, directory):
+    assert cli.main(["matrix", os.path.join(REPO, directory), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == MATRIX_DIGESTS[directory]
 
 
 KAT_KEY = bytes(range(16))

@@ -15,7 +15,6 @@ from rkesim.receiver import (
     TimestampCheck,
     WindowClass,
     classify_window,
-    door_state,
     enter_learn_mode,
     new_receiver_state,
     receive,
@@ -118,7 +117,7 @@ def test_single_window_executes_and_resyncs():
     assert action.kind is ActionKind.EXECUTED
     assert action.instruction is UNLOCK
     assert state.fobs[SERIAL].counter == 101
-    assert door_state(state) is Door.UNLOCKED
+    assert state.door is Door.UNLOCKED
 
 
 def test_single_window_invalidates_skipped_codes():
@@ -145,14 +144,14 @@ def test_double_window_needs_two_consecutive():
     action = receive(state, policy, first, 0)
     assert action.kind is ActionKind.DISCARDED
     assert action.reason == "awaiting_resync"
-    assert door_state(state) is Door.LOCKED  # first frame never acts
+    assert state.door is Door.LOCKED  # first frame never acts
     fob, second = emit(fob, UNLOCK, now=1000)
     action = receive(state, policy, second, 1000)
     assert action.kind is ActionKind.RESYNCED
     assert action.new_counter == 302
     assert action.instruction is UNLOCK
     assert state.fobs[SERIAL].counter == 302
-    assert door_state(state) is Door.UNLOCKED
+    assert state.door is Door.UNLOCKED
 
 
 def test_double_window_nonconsecutive_replaces_buffer():
