@@ -1,7 +1,12 @@
 """Attacker strategies.
 
-Each strategy is an event-driven state machine.  It observes capture
-events and phase triggers and answers with commands: toggle the jammer
+A strategy is a small state machine behind two callbacks.  The engine
+calls ``on_capture(index, delivered, now)`` each time the attacker
+overhears a victim frame: ``index`` is its position in the capture list
+and ``delivered`` says whether the receiver got it too.  It calls
+``on_phase(phase, captured, now)`` when the scenario moves the attacker
+into a phase (``deploy`` or ``exploit``), with ``captured`` the number
+of frames heard so far.  Both answer with commands: toggle the jammer
 or schedule the replay of a captured frame.  Attackers never see keys
 or receiver internals; everything they send is a byte-identical copy
 of something they captured.
@@ -24,9 +29,10 @@ Strategies:
                        retries), then replay them as a sequence any
                        time later to roll the receiver counter back.
 
-Outside the event loop, ``execute_exploit`` replays an ``ExploitSpec``
-straight from a list of captured frames into a receiver state and
-policy, through ``receive()``, and reads the door afterwards.
+An ``ExploitSpec`` is a replay plan.  ``schedule_exploit`` turns it into
+replay commands for the engine; ``execute_exploit`` replays the same
+frames at the same times straight into a receiver state and policy,
+through ``receive()``, and reads the door afterwards.
 """
 
 from __future__ import annotations
@@ -44,17 +50,10 @@ class AttackConfigError(Exception):
     """Exploit parameters reference captures that do not exist."""
 
 
-# --- events the simulation feeds to a strategy ---------------------------
-
 @dataclass(frozen=True)
-class CaptureObserved:
-    index: int
-    transmission: Transmission
-    delivered: bool
+class AttackerPhase:
+    """A scenario event that moves the attacker into ``deploy`` or ``exploit``."""
 
-
-@dataclass(frozen=True)
-class PhaseTrigger:
     name: str
     params: dict = field(default_factory=dict)
 
@@ -89,113 +88,98 @@ class AttackOutcome:
 
 
 class AttackerStrategy:
-    """Base: passive capture bookkeeping shared by all strategies."""
+    """Base: answers every capture and every phase with no command.
 
-    def __init__(self) -> None:
-        self.capture_indices: list[int] = []
+    Capture indices run 0, 1, 2, ... in capture order, so ``captured``
+    names every capture made so far; both callbacks return commands.
+    """
 
-    def on_event(self, event, now: int) -> list:
-        if isinstance(event, CaptureObserved):
-            self.capture_indices.append(event.index)
-            return self._on_capture(event, now)
-        if isinstance(event, PhaseTrigger):
-            return self._on_phase(event, now)
+    def on_capture(self, index: int, delivered: bool, now: int) -> list:
         return []
 
-    def _on_capture(self, event: CaptureObserved, now: int) -> list:
-        return []
-
-    def _on_phase(self, event: PhaseTrigger, now: int) -> list:
+    def on_phase(self, phase: AttackerPhase, captured: int, now: int) -> list:
         return []
 
 
 class NaiveReplay(AttackerStrategy):
-    def _on_phase(self, event, now):
-        if event.name == EXPLOIT and self.capture_indices:
-            return [ScheduleReplay(now, self.capture_indices[-1])]
+    def on_phase(self, phase, captured, now):
+        if phase.name == EXPLOIT and captured:
+            return [ScheduleReplay(now, captured - 1)]
         return []
 
 
 class JamAndReplayLock(AttackerStrategy):
-    def _on_phase(self, event, now):
-        if event.name == DEPLOY:
+    def on_phase(self, phase, captured, now):
+        if phase.name == DEPLOY:
             return [SetJamming(True)]
-        if event.name == EXPLOIT and self.capture_indices:
-            return [SetJamming(False), ScheduleReplay(now, self.capture_indices[-1])]
+        if phase.name == EXPLOIT and captured:
+            return [SetJamming(False), ScheduleReplay(now, captured - 1)]
         return []
 
 
 class FutureCode(AttackerStrategy):
-    def _on_phase(self, event, now):
-        if event.name != EXPLOIT:
+    def on_phase(self, phase, captured, now):
+        if phase.name != EXPLOIT:
             return []
-        gap = event.params.get("gap_ms", 500)
-        return [
-            ScheduleReplay(now + i * gap, idx)
-            for i, idx in enumerate(self.capture_indices)
-        ]
+        spec = ExploitSpec(tuple(range(captured)), phase.params.get("gap_ms", 500))
+        return schedule_exploit(spec, now)
 
 
 class RollJam(AttackerStrategy):
     def __init__(self) -> None:
-        super().__init__()
-        self.armed = False
+        self.armed_at: int | None = None  # captures made before the jammer went on
         self.recon_done = False
         self.held_index: int | None = None
         self.held_invalidated = False
-        self._first_armed = 0
 
-    def _on_capture(self, event, now):
-        if self.armed:
-            jammed_run = [i for i in self.capture_indices if i >= self._first_armed]
-            if len(jammed_run) >= 2:
-                first, second = jammed_run[0], jammed_run[1]
-                self.armed = False
+    def on_capture(self, index, delivered, now):
+        if self.armed_at is not None:
+            if index > self.armed_at:
+                first = self.armed_at
+                self.armed_at = None
                 self.recon_done = True
-                self.held_index = second
+                self.held_index = index
                 # Drop the jammer and push out the first captured press in
                 # the same step; the vehicle obeys and the victim moves on.
                 return [SetJamming(False), ScheduleReplay(now, first)]
             return []
-        if self.recon_done and event.delivered:
+        if self.recon_done and delivered:
             self.held_invalidated = True
         return []
 
-    def _on_phase(self, event, now):
-        if event.name == DEPLOY:
-            self.armed = True
-            self._first_armed = len(self.capture_indices)
+    def on_phase(self, phase, captured, now):
+        if phase.name == DEPLOY:
+            self.armed_at = captured
             return [SetJamming(True)]
-        if event.name == EXPLOIT and self.held_index is not None:
+        if phase.name == EXPLOIT and self.held_index is not None:
             return [ScheduleReplay(now, self.held_index)]
         return []
 
 
 class RollBack(AttackerStrategy):
     def __init__(self, jam_first: bool = True, signals_to_capture: int = 2) -> None:
-        super().__init__()
         self.jam_first = jam_first
         self.signals_to_capture = signals_to_capture
         self.armed = False
         self.recon_indices: list[int] = []
 
-    def _on_capture(self, event, now):
+    def on_capture(self, index, delivered, now):
         if not self.armed:
             return []
-        self.recon_indices.append(event.index)
+        self.recon_indices.append(index)
         if len(self.recon_indices) >= self.signals_to_capture:
             self.armed = False
         if self.jam_first and len(self.recon_indices) == 1:
             return [SetJamming(False)]
         return []
 
-    def _on_phase(self, event, now):
-        if event.name == DEPLOY:
+    def on_phase(self, phase, captured, now):
+        if phase.name == DEPLOY:
             self.armed = True
             self.recon_indices = []
             return [SetJamming(True)] if self.jam_first else []
-        if event.name == EXPLOIT:
-            params = event.params
+        if phase.name == EXPLOIT:
+            params = phase.params
             spec = ExploitSpec(
                 signal_indices=tuple(params.get("indices", self.recon_indices)),
                 inter_replay_gap_ms=params.get("gap_ms", 1000),
@@ -205,19 +189,21 @@ class RollBack(AttackerStrategy):
         return []
 
 
+def _replay_indices(spec: ExploitSpec) -> tuple[int, ...]:
+    """Captures a spec replays, in order; relock adds the one after the last."""
+    selected = spec.signal_indices
+    if spec.relock and selected:
+        return (*selected, selected[-1] + 1)
+    return selected
+
+
 def schedule_exploit(spec: ExploitSpec, now: int) -> list[ScheduleReplay]:
-    commands = [
-        ScheduleReplay(now + i * spec.inter_replay_gap_ms, idx)
-        for i, idx in enumerate(spec.signal_indices)
+    """The spec's replays as engine commands, ``inter_replay_gap_ms`` apart."""
+    gap = spec.inter_replay_gap_ms
+    return [
+        ScheduleReplay(now + position * gap, idx)
+        for position, idx in enumerate(_replay_indices(spec))
     ]
-    if spec.relock and spec.signal_indices:
-        commands.append(
-            ScheduleReplay(
-                now + len(spec.signal_indices) * spec.inter_replay_gap_ms,
-                spec.signal_indices[-1] + 1,
-            )
-        )
-    return commands
 
 
 STRATEGY_KINDS = {
@@ -238,26 +224,26 @@ def execute_exploit(
     policy: ReceiverPolicy,
     now: int,
 ) -> AttackOutcome:
-    """Replay the selected captured frames into a receiver, in capture order.
+    """Replay a spec's frames into a receiver, at ``schedule_exploit``'s times.
 
     Each frame goes through ``receive(state, policy, ...)``, so ``state``
-    is left as the replays leave it.  Replays are spaced
-    ``inter_replay_gap_ms`` apart.  With ``relock`` the capture following
-    the last selected one is replayed afterwards, re-locking the vehicle
-    through the freshly resynced counter.
+    is left as the replays leave it.  The attack succeeds if the door is
+    unlocked after the last selected frame, before any relock replay.
     """
-    selected = spec.signal_indices
-    indices = (*selected, selected[-1] + 1) if spec.relock else selected
+    indices = _replay_indices(spec)
+    count = len(captures)
     for idx in indices:
-        if not 0 <= idx < len(captures):
+        if not 0 <= idx < count:
             raise AttackConfigError("capture index %d out of range" % idx)
 
     gap = spec.inter_replay_gap_ms
-    for position, idx in enumerate(selected):
-        receive(state, policy, captures[idx], now + position * gap)
-    door = state.door
-    success = door is Door.UNLOCKED if selected else False
-    if spec.relock:
-        receive(state, policy, captures[indices[-1]], now + len(selected) * gap)
-        door = state.door
-    return AttackOutcome(success, door, len(indices))
+    unjudged = len(spec.signal_indices)  # selected frames still to replay
+    success = False
+    at = now
+    for idx in indices:
+        receive(state, policy, captures[idx], at)
+        at += gap
+        unjudged -= 1
+        if not unjudged:
+            success = state.door is Door.UNLOCKED
+    return AttackOutcome(success, state.door, len(indices))

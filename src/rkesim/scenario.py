@@ -35,8 +35,9 @@ Scenario file grammar (header ``rkesim-scenario v1``)::
 
     [events]
     <at_ms> press <serial> lock|unlock [out_of_range] [no_capture]
-    <at_ms> attacker deploy
+    <at_ms> attacker deploy   # the phase is deploy or exploit, nothing else
     <at_ms> attacker exploit [indices=<i,j,...>] [gap_ms=<int>] [relock]
+                              # indices: capture numbers, each >= 0
     <at_ms> learn_mode
     <at_ms> advance
 
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .attacks import DEPLOY, EXPLOIT
 from .codebook import Instruction
 from .receiver import (
     LearnBehavior,
@@ -366,6 +368,8 @@ def _parse_event_line(tokens: list[_Token]) -> ScenarioEvent:
     elif verb.text == "attacker":
         if not rest:
             raise verb.fail("attacker event needs a phase name")
+        if rest[0].text not in (DEPLOY, EXPLOIT):
+            raise rest[0].fail("attacker phase must be deploy or exploit")
         params: dict = {}
         for token in rest[1:]:
             if token.text == "relock":
@@ -374,9 +378,12 @@ def _parse_event_line(tokens: list[_Token]) -> ScenarioEvent:
                 name, _, value = token.text.partition("=")
                 if name == "indices":
                     try:
-                        params["indices"] = [int(x) for x in value.split(",")]
+                        indices = [int(x) for x in value.split(",")]
                     except ValueError:
                         raise token.fail("indices must be comma-separated integers")
+                    if min(indices) < 0:
+                        raise token.fail("indices must be non-negative")
+                    params["indices"] = indices
                 elif name == "gap_ms":
                     try:
                         params["gap_ms"] = int(value)

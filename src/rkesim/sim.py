@@ -14,17 +14,11 @@ from __future__ import annotations
 
 import heapq
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from . import attacks
-from .attacks import (
-    CaptureObserved,
-    PhaseTrigger,
-    ScheduleReplay,
-    SetJamming,
-    STRATEGY_KINDS,
-)
+from .attacks import AttackerPhase, ScheduleReplay, SetJamming, STRATEGY_KINDS
 from .channel import ATTACKER, VICTIM, ChannelState, subscribe, set_jamming, transmit
 from .codebook import (
     COUNTER_MOD,
@@ -75,12 +69,6 @@ class VictimPress:
     button: Instruction
     out_of_range: bool = False
     fob_in_attacker_range: bool = True
-
-
-@dataclass(frozen=True)
-class AttackerPhase:
-    name: str
-    params: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -178,11 +166,6 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.records)
-
-
-@dataclass(frozen=True)
-class _AttackerReplay:
-    capture_index: int
 
 
 def validate_scenario(scenario: Scenario) -> None:
@@ -296,11 +279,11 @@ class Engine:
     def _dispatch(self, now: int, action: object) -> None:
         if isinstance(action, VictimPress):
             self._victim_press(now, action)
-        elif isinstance(action, _AttackerReplay):
-            self._attacker_replay(now, action)
+        elif isinstance(action, ScheduleReplay):
+            self._attacker_replay(now, action.capture_index)
         elif isinstance(action, AttackerPhase):
             self.trace.add(now, "phase", name=action.name)
-            self._run_strategy(PhaseTrigger(action.name, action.params), now)
+            self._apply(self.strategy.on_phase(action, len(self.captures), now), now)
         elif isinstance(action, LearnModeEntry):
             enter_learn_mode(self.receiver)
             self.trace.add(now, "learn_mode", state=self.receiver.learn_phase)
@@ -334,23 +317,27 @@ class Engine:
             captured=record.captured,
             frame=transmission.ciphertext,
         )
-        if record.captured and self.strategy is not None:
+        if record.captured:
             index = len(self.captures) - 1
-            self._run_strategy(
-                CaptureObserved(index, transmission, record.delivered), now
-            )
+            self._apply(self.strategy.on_capture(index, record.delivered, now), now)
         if record.delivered:
             self._deliver(now, transmission, VICTIM)
 
-    def _attacker_replay(self, now: int, action: _AttackerReplay) -> None:
-        transmission = self.captures[action.capture_index]
+    def _attacker_replay(self, now: int, index: int) -> None:
+        # Checked when the replay fires: a capture made after the replay
+        # was scheduled (a relock's ``last + 1``) counts.
+        captured = len(self.captures)
+        if not 0 <= index < captured:
+            problem = "attacker replay of capture %d, but only %d captured" % (index, captured)
+            raise ScenarioError([problem])
+        transmission = self.captures[index]
         record = transmit(self.channel, transmission, now, sender=ATTACKER)
         self.trace.add(
             now,
             "tx",
             src=ATTACKER,
             serial=transmission.serial,
-            idx=action.capture_index,
+            idx=index,
             jammed=record.jammed,
             delivered=record.delivered,
             captured=record.captured,
@@ -378,10 +365,8 @@ class Engine:
             self._door_seen = self.receiver.door
             self.trace.add(now, "door", state=self.receiver.door)
 
-    def _run_strategy(self, event, now: int) -> None:
-        if self.strategy is None:
-            return
-        for command in self.strategy.on_event(event, now):
+    def _apply(self, commands: list, now: int) -> None:
+        for command in commands:
             if isinstance(command, SetJamming):
                 set_jamming(self.channel, command.on)
                 self.trace.add(
@@ -395,7 +380,7 @@ class Engine:
                     idx=command.capture_index,
                     due=command.at,
                 )
-                self._push(command.at, _AttackerReplay(command.capture_index))
+                self._push(command.at, command)
             else:
                 raise ScenarioError(["unsupported attacker command %r" % (command,)])
 

@@ -2,14 +2,15 @@ import pytest
 
 from rkesim.attacks import (
     AttackConfigError,
-    CaptureObserved,
+    AttackOutcome,
+    AttackerPhase,
     ExploitSpec,
-    PhaseTrigger,
     RollBack,
     RollJam,
     ScheduleReplay,
     SetJamming,
     execute_exploit,
+    schedule_exploit,
 )
 from rkesim.codebook import Instruction, derive_key, master_from_seed
 from rkesim.fob import FobState, press
@@ -49,55 +50,50 @@ def synced_pair(policy, presses, buttons=None):
 
 def test_rolljam_state_machine_sequence():
     strategy = RollJam()
-    assert strategy.on_event(PhaseTrigger("deploy"), 0) == [SetJamming(True)]
-    frame = object()
-    assert strategy.on_event(CaptureObserved(0, frame, delivered=False), 10) == []
-    commands = strategy.on_event(CaptureObserved(1, frame, delivered=False), 20)
+    assert strategy.on_phase(AttackerPhase("deploy"), 0, 0) == [SetJamming(True)]
+    assert strategy.on_capture(0, False, 10) == []
+    commands = strategy.on_capture(1, False, 20)
     assert commands == [SetJamming(False), ScheduleReplay(20, 0)]
     assert strategy.held_index == 1
     assert not strategy.held_invalidated
     # Exploit replays the held capture.
-    assert strategy.on_event(PhaseTrigger("exploit"), 500) == [ScheduleReplay(500, 1)]
+    assert strategy.on_phase(AttackerPhase("exploit"), 2, 500) == [ScheduleReplay(500, 1)]
 
 
 def test_rolljam_flags_invalidation_on_later_delivered_press():
     strategy = RollJam()
-    strategy.on_event(PhaseTrigger("deploy"), 0)
-    frame = object()
-    strategy.on_event(CaptureObserved(0, frame, delivered=False), 10)
-    strategy.on_event(CaptureObserved(1, frame, delivered=False), 20)
-    strategy.on_event(CaptureObserved(2, frame, delivered=True), 30)
+    strategy.on_phase(AttackerPhase("deploy"), 0, 0)
+    strategy.on_capture(0, False, 10)
+    strategy.on_capture(1, False, 20)
+    strategy.on_capture(2, True, 30)
     assert strategy.held_invalidated
 
 
 def test_rollback_recon_jams_only_first():
     strategy = RollBack(jam_first=True, signals_to_capture=3)
-    assert strategy.on_event(PhaseTrigger("deploy"), 0) == [SetJamming(True)]
-    frame = object()
-    commands = strategy.on_event(CaptureObserved(0, frame, delivered=False), 10)
+    assert strategy.on_phase(AttackerPhase("deploy"), 0, 0) == [SetJamming(True)]
+    commands = strategy.on_capture(0, False, 10)
     assert commands == [SetJamming(False)]
-    assert strategy.on_event(CaptureObserved(1, frame, delivered=True), 20) == []
-    assert strategy.on_event(CaptureObserved(2, frame, delivered=True), 30) == []
+    assert strategy.on_capture(1, True, 20) == []
+    assert strategy.on_capture(2, True, 30) == []
     assert not strategy.armed
     assert strategy.recon_indices == [0, 1, 2]
 
 
 def test_rollback_recon_passive_never_jams():
     strategy = RollBack(jam_first=False, signals_to_capture=2)
-    assert strategy.on_event(PhaseTrigger("deploy"), 0) == []
-    frame = object()
-    assert strategy.on_event(CaptureObserved(0, frame, delivered=True), 10) == []
-    assert strategy.on_event(CaptureObserved(1, frame, delivered=True), 20) == []
+    assert strategy.on_phase(AttackerPhase("deploy"), 0, 0) == []
+    assert strategy.on_capture(0, True, 10) == []
+    assert strategy.on_capture(1, True, 20) == []
 
 
 def test_rollback_exploit_schedules_replays_with_gaps():
     strategy = RollBack(jam_first=False, signals_to_capture=2)
-    strategy.on_event(PhaseTrigger("deploy"), 0)
-    frame = object()
-    strategy.on_event(CaptureObserved(0, frame, delivered=True), 10)
-    strategy.on_event(CaptureObserved(1, frame, delivered=True), 20)
-    commands = strategy.on_event(
-        PhaseTrigger("exploit", {"gap_ms": 4000}), 1_000_000
+    strategy.on_phase(AttackerPhase("deploy"), 0, 0)
+    strategy.on_capture(0, True, 10)
+    strategy.on_capture(1, True, 20)
+    commands = strategy.on_phase(
+        AttackerPhase("exploit", {"gap_ms": 4000}), 2, 1_000_000
     )
     assert commands == [
         ScheduleReplay(1_000_000, 0),
@@ -196,6 +192,16 @@ def test_execute_exploit_index_out_of_range():
             policy,
             now,
         )
+
+
+def test_execute_exploit_relock_without_selection_replays_nothing():
+    # Both paths share one plan: no selection means no relock target either.
+    policy = ReceiverPolicy(rollback=RollbackProfile(2, SequenceMode.LOOSE))
+    state, captures, now = synced_pair(policy, presses=3)
+    spec = ExploitSpec(signal_indices=(), relock=True)
+    outcome = execute_exploit(spec, captures, state, policy, now + 10_000)
+    assert outcome == AttackOutcome(False, Door.LOCKED, 0)
+    assert schedule_exploit(spec, now + 10_000) == []
 
 
 def test_exploit_repeatable_many_times():

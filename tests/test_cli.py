@@ -115,6 +115,38 @@ def test_simulate_fob_fields_out_of_range(capsys, tmp_path, fob_lines, problem):
     assert "scenario error: %s\n" % problem in err
 
 
+@pytest.mark.parametrize(
+    "attacker_event, error",
+    [
+        (
+            "attacker exploit indices=0,9",
+            "scenario error: attacker replay of capture 9, but only 5 captured\n",
+        ),
+        (
+            "attacker exploit indices=-1,0",
+            "parse error: line 16, column 23: indices must be non-negative\n",
+        ),
+        (
+            "attacker deplyo",
+            "parse error: line 16, column 15: attacker phase must be deploy or exploit\n",
+        ),
+    ],
+    ids=["missing-capture", "negative-index", "unknown-phase"],
+)
+def test_simulate_bad_attacker_event(capsys, tmp_path, attacker_event, error):
+    presses = "".join("%d press 7 unlock\n" % (1000 * i) for i in range(1, 6))
+    scn = tmp_path / "attacker.scn"
+    scn.write_text(
+        "rkesim-scenario v1\n[fob]\nserial 7\n[receiver]\nrollback 2 loose\n"
+        "[attacker]\nstrategy rollback\njam_first off\n[events]\n"
+        "0 attacker deploy\n" + presses + "9000 " + attacker_event + "\n"
+    )
+    code, out, err = run_cli(capsys, "simulate", str(scn))
+    assert code == 2
+    assert out == ""
+    assert err == error
+
+
 def test_simulate_missing_file(capsys):
     code, _, err = run_cli(capsys, "simulate", "/nonexistent.scn")
     assert code == 2

@@ -4,6 +4,8 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from rkesim import attacks
+from rkesim.attacks import ExploitSpec, execute_exploit, schedule_exploit
 from rkesim.codebook import (
     COUNTER_MOD,
     Instruction,
@@ -220,3 +222,41 @@ def test_replayed_frames_always_equal_captured_bytes():
             fob, frame = press(fob, rng.choice(list(Instruction)), now)
             captured.append(frame)
             receive(state, policy, frame, now)
+
+
+def _loose2_session(presses):
+    policy = ReceiverPolicy(rollback=RollbackProfile(2, SequenceMode.LOOSE))
+    state, fob = fresh(policy)
+    captures = []
+    for i in range(presses):
+        fob, frame = press(fob, Instruction.UNLOCK, 1000 * (i + 1))
+        captures.append(frame)
+    return state, policy, captures
+
+
+@given(
+    indices=st.lists(st.integers(0, 8), unique=True, max_size=6).map(sorted),
+    gap=st.integers(1, 10_000),
+    relock=st.booleans(),
+    now=st.integers(10_000, 10**9),
+)
+@settings(max_examples=200, deadline=None)
+def test_execute_exploit_delivers_the_schedule_exploit_plan(indices, gap, relock, now):
+    # The scenario engine replays what schedule_exploit plans; the direct
+    # path must hand receive() the same frames at the same times.
+    state, policy, captures = _loose2_session(10)
+    spec = ExploitSpec(tuple(indices), gap, relock)
+    delivered = []
+
+    def recording_receive(state, policy, frame, at):
+        delivered.append((at, frame))
+        return receive(state, policy, frame, at)
+
+    attacks.receive = recording_receive
+    try:
+        outcome = execute_exploit(spec, captures, state, policy, now)
+    finally:
+        attacks.receive = receive
+    plan = schedule_exploit(spec, now)
+    assert delivered == [(c.at, captures[c.capture_index]) for c in plan]
+    assert outcome.signals_replayed == len(plan)

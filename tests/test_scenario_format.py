@@ -132,6 +132,23 @@ def test_event_errors():
         loads_scenario(base + "x press 1 unlock\n")
 
 
+@pytest.mark.parametrize(
+    "event, column, message",
+    [
+        ("100 attacker deplyo", 14, "attacker phase must be deploy or exploit"),
+        ("100 attacker rollback gap_ms=5", 14, "attacker phase must be deploy or exploit"),
+        ("100 attacker exploit indices=-1,0", 22, "indices must be non-negative"),
+        ("100 attacker exploit gap_ms=5 indices=0,-2", 31, "indices must be non-negative"),
+    ],
+)
+def test_attacker_event_errors_report_the_token(event, column, message):
+    base = "rkesim-scenario v1\n[fob]\nserial 1\n[receiver]\nsingle_window 16\n[events]\n"
+    with pytest.raises(ParseError) as excinfo:
+        loads_scenario(base + event + "\n")
+    assert (excinfo.value.line, excinfo.value.column) == (7, column)
+    assert excinfo.value.message == message
+
+
 def test_missing_sections():
     with pytest.raises(ParseError):
         loads_scenario("rkesim-scenario v1\n[receiver]\nsingle_window 16\n")

@@ -413,6 +413,46 @@ def test_render_value_rules(value, text):
     assert render_value(value) == text
 
 
+@pytest.mark.parametrize(
+    "indices, relock, late_press, problem",
+    [
+        ([0, 9], False, False, "attacker replay of capture 9, but only 2 captured"),
+        ([-1, 0], False, False, "attacker replay of capture -1, but only 2 captured"),
+        ([0, 1], True, False, "attacker replay of capture 2, but only 2 captured"),
+        ([0, 1], True, True, None),
+    ],
+    ids=["past-the-end", "negative", "relock-target-missing", "relock-target-captured-late"],
+)
+def test_replay_of_missing_capture_is_scenario_error(indices, relock, late_press, problem):
+    # The capture count is checked when a replay fires, so a relock target
+    # captured after the exploit was scheduled still counts.
+    params = {"indices": indices, "gap_ms": 1000, "relock": relock}
+    events = [
+        ScenarioEvent(0, AttackerPhase("deploy")),
+        press_event(1000),
+        press_event(2000),
+        ScenarioEvent(3000, AttackerPhase("exploit", params)),
+    ]
+    if late_press:
+        events.append(press_event(4500))
+    scenario = Scenario(
+        name="missing",
+        seed=1,
+        fobs=(FobDef(serial=7),),
+        policy=loose2_policy(),
+        attacker=AttackerDef(kind="rollback", jam_first=False),
+        events=tuple(events),
+    )
+    if problem is None:
+        trace = run(scenario)
+        replayed = [r.get("idx") for r in trace if r.kind == "tx" and r.get("src") == "attacker"]
+        assert replayed == [0, 1, 2]
+        return
+    with pytest.raises(ScenarioError) as excinfo:
+        run(scenario)
+    assert excinfo.value.problems == [problem]
+
+
 def test_causality_replays_reference_prior_captures():
     trace = run(rollback_scenario())
     seen_frames = set()
