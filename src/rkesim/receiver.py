@@ -111,6 +111,10 @@ class LearnBehavior:
 class TimestampCheck:
     tolerance_ms: int
 
+    def __post_init__(self) -> None:
+        if self.tolerance_ms < 0:
+            raise ValueError("timestamp tolerance must be non-negative")
+
 
 @dataclass(frozen=True)
 class ReceiverPolicy:

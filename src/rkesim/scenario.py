@@ -21,9 +21,9 @@ Scenario file grammar (header ``rkesim-scenario v1``)::
     [receiver]
     single_window <int>                    # default 16
     double_window_limit <int>              # default 32768
-    rollback <n> strict|loose [<ms>]       # default: absent
+    rollback <n> strict|loose [<ms>]       # default: absent; n >= 2, ms > 0
     per_instruction_counters on|off        # default off
-    timestamp_tolerance_ms <int>           # default: no timestamp check
+    timestamp_tolerance_ms <int>           # >= 0; default: no timestamp check
     learn_entry explicit|auto              # default explicit
     learn_exit on|off                      # exit after success, default on
     learn_readd overwrite|ignore           # default overwrite
@@ -38,6 +38,7 @@ Scenario file grammar (header ``rkesim-scenario v1``)::
     <at_ms> attacker deploy   # the phase is deploy or exploit, nothing else
     <at_ms> attacker exploit [indices=<i,j,...>] [gap_ms=<int>] [relock]
                               # indices: capture numbers, each >= 0
+                              # gap_ms: >= 0; parameters follow only exploit
     <at_ms> learn_mode
     <at_ms> advance
 
@@ -163,83 +164,130 @@ def _single(values: list[_Token], key: _Token) -> _Token:
     return values[0]
 
 
-def parse_policy_section(block: list[list[_Token]]) -> ReceiverPolicy:
-    single_window = 16
-    double_limit = 1 << 15
-    rollback = None
-    per_instruction = False
-    timestamp_check = None
-    learn_entry_explicit = True
-    learn_exit = True
-    learn_readd = ReaddMode.OVERWRITE
-    for key, values in _key_values(block):
-        if key.text == "single_window":
-            single_window = _single(values, key).as_int()
-        elif key.text == "double_window_limit":
-            double_limit = _single(values, key).as_int()
-        elif key.text == "rollback":
-            if len(values) not in (2, 3):
-                raise key.fail("rollback takes '<signals> strict|loose [<ms>]'")
-            signals = values[0].as_int()
-            if values[1].text not in ("strict", "loose"):
-                raise values[1].fail("sequence must be strict or loose")
-            timeframe = values[2].as_int() if len(values) == 3 else None
-            rollback = RollbackProfile(
-                signals_required=signals,
-                sequence=SequenceMode(values[1].text),
-                timeframe_ms=timeframe,
-            )
-        elif key.text == "per_instruction_counters":
-            per_instruction = _single(values, key).as_flag()
-        elif key.text == "timestamp_tolerance_ms":
-            timestamp_check = TimestampCheck(_single(values, key).as_int())
-        elif key.text == "learn_entry":
-            mode = _single(values, key)
-            if mode.text not in ("explicit", "auto"):
-                raise mode.fail("learn_entry must be explicit or auto")
-            learn_entry_explicit = mode.text == "explicit"
-        elif key.text == "learn_exit":
-            learn_exit = _single(values, key).as_flag()
-        elif key.text == "learn_readd":
-            mode = _single(values, key)
-            if mode.text not in ("overwrite", "ignore"):
-                raise mode.fail("learn_readd must be overwrite or ignore")
-            learn_readd = ReaddMode(mode.text)
-        else:
-            raise key.fail("unknown receiver key %r" % key.text)
+def _block_start(block: list[list[_Token]]) -> _Token:
+    return block[0][0] if block else _Token("", 1, 1)
+
+
+# Value readers.  Each takes a key token and its value tokens and returns
+# the value of the key's field.
+
+
+def _int(key: _Token, values: list[_Token]) -> int:
+    return _single(values, key).as_int()
+
+
+def _flag(key: _Token, values: list[_Token]) -> bool:
+    return _single(values, key).as_flag()
+
+
+def _text(key: _Token, values: list[_Token]) -> str:
+    return _single(values, key).text
+
+
+def _hex(key: _Token, values: list[_Token]) -> bytes:
+    token = _single(values, key)
     try:
-        return ReceiverPolicy(
-            single_window=single_window,
-            double_window_limit=double_limit,
-            rollback=rollback,
-            learn=LearnBehavior(
-                explicit_entry_required=learn_entry_explicit,
-                exit_after_success=learn_exit,
-                readd_known_fob=learn_readd,
-            ),
-            per_instruction_counters=per_instruction,
-            timestamp_check=timestamp_check,
-        )
+        return bytes.fromhex(token.text)
+    except ValueError:
+        raise token.fail("key must be hex")
+
+
+def _choice(options: dict):
+    def read(key: _Token, values: list[_Token]):
+        token = _single(values, key)
+        if token.text not in options:
+            raise token.fail("%s must be %s" % (key.text, " or ".join(options)))
+        return options[token.text]
+
+    return read
+
+
+def _rollback(key: _Token, values: list[_Token]) -> RollbackProfile:
+    if len(values) not in (2, 3):
+        raise key.fail("rollback takes '<signals> strict|loose [<ms>]'")
+    signals = values[0].as_int()
+    if values[1].text not in ("strict", "loose"):
+        raise values[1].fail("sequence must be strict or loose")
+    timeframe = values[2].as_int() if len(values) == 3 else None
+    return RollbackProfile(signals, SequenceMode(values[1].text), timeframe)
+
+
+# Key tables: each accepted key maps to (field name, value reader).
+_LEARN_KEYS = {
+    "learn_entry": ("explicit_entry_required", _choice({"explicit": True, "auto": False})),
+    "learn_exit": ("exit_after_success", _flag),
+    # Option order is message order: "overwrite or ignore", not enum order.
+    "learn_readd": ("readd_known_fob", _choice({"overwrite": ReaddMode.OVERWRITE,
+                                                 "ignore": ReaddMode.IGNORE})),
+}
+_RECEIVER_KEYS = {
+    "single_window": ("single_window", _int),
+    "double_window_limit": ("double_window_limit", _int),
+    "rollback": ("rollback", _rollback),
+    "per_instruction_counters": ("per_instruction_counters", _flag),
+    "timestamp_tolerance_ms": ("timestamp_check", lambda k, v: TimestampCheck(_int(k, v))),
+    **_LEARN_KEYS,
+}
+_FOB_KEYS = {
+    "serial": ("serial", _int),
+    "counter": ("initial_counter", _int),
+    "key": ("key", _hex),
+    "clock_skew_ms": ("clock_skew_ms", _int),
+    "timestamps": ("emit_timestamps", _flag),
+    "learned": ("learned", _flag),
+    "receiver_counter": ("receiver_counter", _int),
+}
+_ATTACKER_KEYS = {
+    "strategy": ("kind", _text),
+    "jam_first": ("jam_first", _flag),
+    "signals_to_capture": ("signals_to_capture", _int),
+}
+_POLICY_TOP_KEYS = {"name": ("name", _text)}
+_SCENARIO_TOP_KEYS = {**_POLICY_TOP_KEYS, "seed": ("seed", _int)}
+
+
+def _read_keys(block: list[list[_Token]], table: dict, section: str,
+               required: str | None = None) -> dict:
+    """Reads a block's ``key value`` lines into ``{field: value}``.
+
+    Only the keys present appear, so a model constructor called with the
+    result keeps its own defaults.  A ``ValueError`` from a value reader
+    (the model rejecting the value) is reported at the key.
+    """
+    fields = {}
+    for key, values in _key_values(block):
+        entry = table.get(key.text)
+        if entry is None:
+            raise key.fail("unknown %s key %r" % (section, key.text))
+        field, read = entry
+        try:
+            fields[field] = read(key, values)
+        except ValueError as exc:
+            raise key.fail(str(exc))
+    if required is not None and table[required][0] not in fields:
+        raise _block_start(block).fail("%s section needs a %s" % (section, required))
+    return fields
+
+
+def parse_policy_section(block: list[list[_Token]]) -> ReceiverPolicy:
+    fields = _read_keys(block, _RECEIVER_KEYS, "receiver")
+    learn = {name: fields.pop(name) for name, _ in _LEARN_KEYS.values() if name in fields}
+    try:
+        return ReceiverPolicy(learn=LearnBehavior(**learn), **fields)
     except ValueError as exc:
-        first = block[0][0] if block else _Token("", 1, 1)
-        raise ParseError(first.line, first.column, str(exc))
+        raise _block_start(block).fail(str(exc))
 
 
 def loads_policy(text: str, default_name: str = "policy") -> tuple[str, ReceiverPolicy]:
     reader = _SectionReader(text, POLICY_HEADER)
-    name = default_name
-    for key, values in _key_values(reader.preamble):
-        if key.text == "name":
-            name = _single(values, key).text
-        else:
-            raise key.fail("unknown top-level key %r" % key.text)
+    top = _read_keys(reader.preamble, _POLICY_TOP_KEYS, "top-level")
     receiver_blocks = [blk for tok, blk in reader.sections if tok.text == "[receiver]"]
     for token, _ in reader.sections:
         if token.text != "[receiver]":
             raise token.fail("policy files allow only a [receiver] section")
     if len(receiver_blocks) != 1:
         raise ParseError(1, 1, "policy file needs exactly one [receiver] section")
-    return name, parse_policy_section(receiver_blocks[0])
+    return top.get("name", default_name), parse_policy_section(receiver_blocks[0])
 
 
 def load_policy(path) -> tuple[str, ReceiverPolicy]:
@@ -275,68 +323,6 @@ def render_policy(name: str, policy: ReceiverPolicy) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_fob_section(block: list[list[_Token]]) -> FobDef:
-    serial = None
-    counter = 0
-    key_bytes = None
-    skew = 0
-    timestamps = False
-    learned = True
-    receiver_counter = None
-    for key, values in _key_values(block):
-        if key.text == "serial":
-            serial = _single(values, key).as_int()
-        elif key.text == "counter":
-            counter = _single(values, key).as_int()
-        elif key.text == "key":
-            token = _single(values, key)
-            try:
-                key_bytes = bytes.fromhex(token.text)
-            except ValueError:
-                raise token.fail("key must be hex")
-        elif key.text == "clock_skew_ms":
-            skew = _single(values, key).as_int()
-        elif key.text == "timestamps":
-            timestamps = _single(values, key).as_flag()
-        elif key.text == "learned":
-            learned = _single(values, key).as_flag()
-        elif key.text == "receiver_counter":
-            receiver_counter = _single(values, key).as_int()
-        else:
-            raise key.fail("unknown fob key %r" % key.text)
-    if serial is None:
-        first = block[0][0] if block else _Token("", 1, 1)
-        raise ParseError(first.line, first.column, "fob section needs a serial")
-    return FobDef(
-        serial=serial,
-        initial_counter=counter,
-        key=key_bytes,
-        clock_skew_ms=skew,
-        emit_timestamps=timestamps,
-        learned=learned,
-        receiver_counter=receiver_counter,
-    )
-
-
-def _parse_attacker_section(block: list[list[_Token]]) -> AttackerDef:
-    kind = None
-    jam_first = True
-    signals = 2
-    for key, values in _key_values(block):
-        if key.text == "strategy":
-            kind = _single(values, key).text
-        elif key.text == "jam_first":
-            jam_first = _single(values, key).as_flag()
-        elif key.text == "signals_to_capture":
-            signals = _single(values, key).as_int()
-        else:
-            raise key.fail("unknown attacker key %r" % key.text)
-    if kind is None:
-        first = block[0][0] if block else _Token("", 1, 1)
-        raise ParseError(first.line, first.column, "attacker section needs a strategy")
-    return AttackerDef(kind=kind, jam_first=jam_first, signals_to_capture=signals)
-
-
 def _parse_event_line(tokens: list[_Token]) -> ScenarioEvent:
     at = tokens[0].as_int()
     if len(tokens) < 2:
@@ -370,6 +356,8 @@ def _parse_event_line(tokens: list[_Token]) -> ScenarioEvent:
             raise verb.fail("attacker event needs a phase name")
         if rest[0].text not in (DEPLOY, EXPLOIT):
             raise rest[0].fail("attacker phase must be deploy or exploit")
+        if rest[0].text == DEPLOY and len(rest) > 1:
+            raise rest[1].fail("attacker deploy takes no parameters")
         params: dict = {}
         for token in rest[1:]:
             if token.text == "relock":
@@ -389,6 +377,8 @@ def _parse_event_line(tokens: list[_Token]) -> ScenarioEvent:
                         params["gap_ms"] = int(value)
                     except ValueError:
                         raise token.fail("gap_ms must be an integer")
+                    if params["gap_ms"] < 0:
+                        raise token.fail("gap_ms must be non-negative")
                 else:
                     raise token.fail("unknown exploit parameter %r" % name)
             else:
@@ -405,15 +395,7 @@ def _parse_event_line(tokens: list[_Token]) -> ScenarioEvent:
 
 def loads_scenario(text: str, default_name: str = "scenario") -> Scenario:
     reader = _SectionReader(text, SCENARIO_HEADER)
-    name = default_name
-    seed = 0
-    for key, values in _key_values(reader.preamble):
-        if key.text == "name":
-            name = _single(values, key).text
-        elif key.text == "seed":
-            seed = _single(values, key).as_int()
-        else:
-            raise key.fail("unknown top-level key %r" % key.text)
+    top = _read_keys(reader.preamble, _SCENARIO_TOP_KEYS, "top-level")
 
     fobs: list[FobDef] = []
     policy = None
@@ -421,7 +403,7 @@ def loads_scenario(text: str, default_name: str = "scenario") -> Scenario:
     events: list[ScenarioEvent] = []
     for token, block in reader.sections:
         if token.text == "[fob]":
-            fobs.append(_parse_fob_section(block))
+            fobs.append(FobDef(**_read_keys(block, _FOB_KEYS, "fob", "serial")))
         elif token.text == "[receiver]":
             if policy is not None:
                 raise token.fail("duplicate [receiver] section")
@@ -429,7 +411,8 @@ def loads_scenario(text: str, default_name: str = "scenario") -> Scenario:
         elif token.text == "[attacker]":
             if attacker is not None:
                 raise token.fail("duplicate [attacker] section")
-            attacker = _parse_attacker_section(block)
+            fields = _read_keys(block, _ATTACKER_KEYS, "attacker", "strategy")
+            attacker = AttackerDef(**fields)
         elif token.text == "[events]":
             for tokens in block:
                 events.append(_parse_event_line(tokens))
@@ -440,8 +423,8 @@ def loads_scenario(text: str, default_name: str = "scenario") -> Scenario:
     if not fobs:
         raise ParseError(1, 1, "scenario needs at least one [fob] section")
     return Scenario(
-        name=name,
-        seed=seed,
+        name=top.get("name", default_name),
+        seed=top.get("seed", 0),
         fobs=tuple(fobs),
         policy=policy,
         attacker=attacker,

@@ -74,6 +74,31 @@ def test_simulate_parse_error_exit_code(capsys, tmp_path):
     assert "line 3" in err
 
 
+@pytest.mark.parametrize(
+    "receiver_line, message",
+    [
+        ("rollback 1 strict", "rollback requires at least 2 signals"),
+        ("rollback 2 strict 0", "timeframe_ms must be positive when set"),
+        ("timestamp_tolerance_ms -5", "timestamp tolerance must be non-negative"),
+    ],
+    ids=["rollback-one-signal", "rollback-zero-timeframe", "negative-tolerance"],
+)
+def test_rejected_receiver_value_exit_code(capsys, tmp_path, receiver_line, message):
+    scn = tmp_path / "value.scn"
+    scn.write_text(
+        "rkesim-scenario v1\n[fob]\nserial 7\n[receiver]\n" + receiver_line + "\n"
+        "[events]\n1000 press 7 unlock\n"
+    )
+    code, out, err = run_cli(capsys, "simulate", str(scn))
+    assert (code, out) == (2, "")
+    assert err == "parse error: line 5, column 1: %s\n" % message
+    pol = tmp_path / "value.pol"
+    pol.write_text("rkesim-policy v1\n[receiver]\n" + receiver_line + "\n")
+    code, out, err = run_cli(capsys, "classify", str(pol))
+    assert (code, out) == (2, "")
+    assert err == "parse error: line 3, column 1: %s\n" % message
+
+
 @pytest.mark.parametrize("skew", [-5000, (1 << 48) - 1000])
 def test_simulate_fob_clock_out_of_timestamp_range(capsys, tmp_path, skew):
     scn = tmp_path / "skew.scn"
@@ -130,8 +155,16 @@ def test_simulate_fob_fields_out_of_range(capsys, tmp_path, fob_lines, problem):
             "attacker deplyo",
             "parse error: line 16, column 15: attacker phase must be deploy or exploit\n",
         ),
+        (
+            "attacker exploit indices=0,1 gap_ms=-5000",
+            "parse error: line 16, column 35: gap_ms must be non-negative\n",
+        ),
+        (
+            "attacker deploy indices=3 relock",
+            "parse error: line 16, column 22: attacker deploy takes no parameters\n",
+        ),
     ],
-    ids=["missing-capture", "negative-index", "unknown-phase"],
+    ids=["missing-capture", "negative-index", "unknown-phase", "negative-gap", "deploy-params"],
 )
 def test_simulate_bad_attacker_event(capsys, tmp_path, attacker_event, error):
     presses = "".join("%d press 7 unlock\n" % (1000 * i) for i in range(1, 6))
@@ -250,6 +283,15 @@ def test_matrix_mixed_invalid_files(capsys, tmp_path):
     assert code == 1
     assert "RollBack^Loose_⊗(2)" in out
     assert "ERROR" in out
+
+
+def test_matrix_row_reports_rejected_value_position(capsys, tmp_path):
+    (tmp_path / "one.pol").write_text("rkesim-policy v1\n[receiver]\nrollback 1 strict\n")
+    code, out, _ = run_cli(capsys, "matrix", str(tmp_path), "--json")
+    assert code == 1
+    assert json.loads(out)["policies"] == [
+        {"name": "one.pol", "error": "line 3, column 1: rollback requires at least 2 signals"}
+    ]
 
 
 def test_trace_dir_environment_variable(capsys, tmp_path, monkeypatch):

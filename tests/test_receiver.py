@@ -408,6 +408,12 @@ def test_per_instruction_counters_normal_use():
         assert action.kind is ActionKind.EXECUTED, "press %d" % i
 
 
+def test_timestamp_check_rejects_negative_tolerance():
+    assert TimestampCheck(0).tolerance_ms == 0
+    with pytest.raises(ValueError, match="timestamp tolerance must be non-negative"):
+        TimestampCheck(-5)
+
+
 def test_timestamp_check_discards_stale():
     policy = ReceiverPolicy(timestamp_check=TimestampCheck(tolerance_ms=1000))
     state, fob = build(policy, fob_counter=0, stored=0, emit_timestamps=True)

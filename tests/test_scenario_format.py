@@ -139,6 +139,10 @@ def test_event_errors():
         ("100 attacker rollback gap_ms=5", 14, "attacker phase must be deploy or exploit"),
         ("100 attacker exploit indices=-1,0", 22, "indices must be non-negative"),
         ("100 attacker exploit gap_ms=5 indices=0,-2", 31, "indices must be non-negative"),
+        ("100 attacker exploit indices=0,1 gap_ms=-5000", 34, "gap_ms must be non-negative"),
+        ("100 attacker deploy indices=3 relock", 21, "attacker deploy takes no parameters"),
+        ("100 attacker deploy relock", 21, "attacker deploy takes no parameters"),
+        ("100 attacker deploy gap_ms=5", 21, "attacker deploy takes no parameters"),
     ],
 )
 def test_attacker_event_errors_report_the_token(event, column, message):
@@ -191,3 +195,121 @@ def test_repo_fixture_files_parse():
         for name in files:
             policy_name, policy = load_policy(os.path.join(root, name))
             assert policy_name
+
+
+_FOB = "[fob]\nserial 1\n"
+_RX = "[receiver]\nsingle_window 16\n"
+_SCN = "rkesim-scenario v1\n"
+
+
+@pytest.mark.parametrize(
+    "text, line, column, message",
+    [
+        (_SCN + _FOB + "[receiver]\nbogus 5\n", 5, 1, "unknown receiver key 'bogus'"),
+        (_SCN + "[fob]\nserial 1\n  bogus 5\n" + _RX, 4, 3, "unknown fob key 'bogus'"),
+        (
+            _SCN + _FOB + _RX + "[attacker]\nstrategy rollback\nspeed 9\n",
+            8, 1, "unknown attacker key 'speed'",
+        ),
+        (_SCN + "seed 1\ncolour red\n" + _FOB + _RX, 3, 1, "unknown top-level key 'colour'"),
+        ("rkesim-policy v1\nseed 1\n[receiver]\n", 2, 1, "unknown top-level key 'seed'"),
+        (
+            _SCN + _FOB + "[receiver]\nsingle_window 16 32\n",
+            5, 18, "unexpected extra value after 'single_window'",
+        ),
+        (_SCN + "[fob]\nserial 1\ncounter ten\n" + _RX, 4, 9, "expected an integer, got 'ten'"),
+        (
+            _SCN + "[fob]\nserial 1\ntimestamps maybe\n" + _RX,
+            4, 12, "expected on or off, got 'maybe'",
+        ),
+        (_SCN + "[fob]\nserial 1\nkey 0xzz\n" + _RX, 4, 5, "key must be hex"),
+        (
+            _SCN + _FOB + "[receiver]\nlearn_entry manual\n",
+            5, 13, "learn_entry must be explicit or auto",
+        ),
+        (
+            _SCN + _FOB + "[receiver]\nlearn_readd replace\n",
+            5, 13, "learn_readd must be overwrite or ignore",
+        ),
+        (
+            _SCN + _FOB + "[receiver]\nrollback 2 sloppy\n",
+            5, 12, "sequence must be strict or loose",
+        ),
+        (
+            _SCN + _FOB + "[receiver]\n  rollback 2\n",
+            5, 3, "rollback takes '<signals> strict|loose [<ms>]'",
+        ),
+        (_SCN + "[fob]\ncounter 5\n" + _RX, 3, 1, "fob section needs a serial"),
+        (_SCN + "[fob]\n" + _RX, 1, 1, "fob section needs a serial"),
+        (
+            _SCN + _FOB + _RX + "[attacker]\njam_first off\n",
+            7, 1, "attacker section needs a strategy",
+        ),
+        (
+            _SCN + _FOB + "[receiver]\nlearn_exit off\nsingle_window 40000\n",
+            5, 1,
+            "window bounds must satisfy 0 < single_window < double_window_limit <= 2^15",
+        ),
+        (
+            _SCN + _FOB + "[receiver]\nbogus 5\nsingle_window\n",
+            6, 1, "expected 'key value...'",
+        ),
+    ],
+    ids=[
+        "receiver-unknown-key",
+        "fob-unknown-key",
+        "attacker-unknown-key",
+        "top-level-unknown-key",
+        "policy-top-level-unknown-key",
+        "extra-value",
+        "bad-integer",
+        "bad-flag",
+        "bad-hex",
+        "bad-learn-entry",
+        "bad-learn-readd",
+        "bad-rollback-sequence",
+        "rollback-arity",
+        "missing-serial",
+        "missing-serial-empty-section",
+        "missing-strategy",
+        "window-bound",
+        "line-shape-before-key",
+    ],
+)
+def test_section_errors_report_line_column_message(text, line, column, message):
+    loads = loads_policy if text.startswith("rkesim-policy") else loads_scenario
+    with pytest.raises(ParseError) as excinfo:
+        loads(text)
+    assert (excinfo.value.line, excinfo.value.column, excinfo.value.message) == (
+        line,
+        column,
+        message,
+    )
+
+
+@pytest.mark.parametrize(
+    "receiver_line, message",
+    [
+        ("rollback 1 strict", "rollback requires at least 2 signals"),
+        ("rollback 2 strict 0", "timeframe_ms must be positive when set"),
+        ("timestamp_tolerance_ms -5", "timestamp tolerance must be non-negative"),
+    ],
+    ids=["rollback-one-signal", "rollback-zero-timeframe", "negative-tolerance"],
+)
+def test_rejected_values_are_parse_errors_at_the_key(receiver_line, message):
+    policy = "rkesim-policy v1\nname p\n[receiver]\n  " + receiver_line + "\n"
+    with pytest.raises(ParseError) as excinfo:
+        loads_policy(policy)
+    assert (excinfo.value.line, excinfo.value.column, excinfo.value.message) == (
+        4,
+        3,
+        message,
+    )
+    scenario = _SCN + _FOB + "[receiver]\n" + receiver_line + "\n"
+    with pytest.raises(ParseError) as excinfo:
+        loads_scenario(scenario)
+    assert (excinfo.value.line, excinfo.value.column, excinfo.value.message) == (
+        5,
+        1,
+        message,
+    )
