@@ -92,7 +92,14 @@ class AttackerStrategy:
 
     Capture indices run 0, 1, 2, ... in capture order, so ``captured``
     names every capture made so far; both callbacks return commands.
+    ``options`` names the keyword arguments the constructor takes (the
+    scenario's ``[attacker]`` keys) and ``exploit_params`` the
+    ``exploit`` phase parameters ``on_phase`` reads; a scenario that
+    gives any other is rejected.
     """
+
+    options: tuple[str, ...] = ()
+    exploit_params: tuple[str, ...] = ()
 
     def on_capture(self, index: int, delivered: bool, now: int) -> list:
         return []
@@ -118,6 +125,8 @@ class JamAndReplayLock(AttackerStrategy):
 
 
 class FutureCode(AttackerStrategy):
+    exploit_params = ("gap_ms",)
+
     def on_phase(self, phase, captured, now):
         if phase.name != EXPLOIT:
             return []
@@ -157,6 +166,9 @@ class RollJam(AttackerStrategy):
 
 
 class RollBack(AttackerStrategy):
+    options = ("jam_first", "signals_to_capture")
+    exploit_params = ("indices", "gap_ms", "relock")
+
     def __init__(self, jam_first: bool = True, signals_to_capture: int = 2) -> None:
         self.jam_first = jam_first
         self.signals_to_capture = signals_to_capture

@@ -3,13 +3,13 @@
 One shared broadcast channel per scenario.  Jamming is deterministic
 and perfect: while active, nothing reaches the receiver, but passive
 capture is unaffected.  A capture is the overheard ``Transmission``
-itself: each subscriber gets a plain list of the frames it heard, in
+itself: the one listener gets a plain list of the frames it heard, in
 order, so replays are bit-identical to what was captured.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .codebook import Transmission
 
@@ -17,27 +17,25 @@ VICTIM = "victim"
 ATTACKER = "attacker"
 
 
-@dataclass(frozen=True)
-class DeliveryRecord:
-    transmission: Transmission
-    at: int
-    sender: str
+class DeliveryRecord(NamedTuple):
     delivered: bool
     jammed: bool
     captured: bool
 
 
 class ChannelState:
-    __slots__ = ("jamming_active", "subscribers")
+    __slots__ = ("jamming_active", "captures")
 
     def __init__(self) -> None:
         self.jamming_active = False
-        self.subscribers: dict[str, list[Transmission]] = {}
+        self.captures: list[Transmission] | None = None  # None: nobody listens
 
 
-def subscribe(channel: ChannelState, attacker_id: str) -> list[Transmission]:
-    """Attach a passive listener; returns the list its captures land in."""
-    return channel.subscribers.setdefault(attacker_id, [])
+def subscribe(channel: ChannelState) -> list[Transmission]:
+    """Attach the passive listener; returns the list its captures land in."""
+    if channel.captures is None:
+        channel.captures = []
+    return channel.captures
 
 
 def set_jamming(channel: ChannelState, on: bool) -> None:
@@ -53,25 +51,15 @@ def transmit(
     out_of_range: bool = False,
     fob_in_attacker_range: bool = True,
 ) -> DeliveryRecord:
-    """Put a frame on the air.
+    """Put a frame on the air at ``now``.
 
-    Capture happens for every victim emission the attacker can hear,
+    Capture happens for every victim emission the listener can hear,
     jammed or not; attacker replays are not re-captured.  Delivery to
     the receiver requires the fob in range and the band clear.
     """
     jammed = channel.jamming_active
-    delivered = not jammed and not out_of_range
-    captured = (
-        sender == VICTIM and fob_in_attacker_range and bool(channel.subscribers)
-    )
+    captures = channel.captures
+    captured = sender == VICTIM and fob_in_attacker_range and captures is not None
     if captured:
-        for captures in channel.subscribers.values():
-            captures.append(transmission)
-    return DeliveryRecord(
-        transmission=transmission,
-        at=now,
-        sender=sender,
-        delivered=delivered,
-        jammed=jammed,
-        captured=captured,
-    )
+        captures.append(transmission)
+    return DeliveryRecord(not jammed and not out_of_range, jammed, captured)

@@ -22,20 +22,17 @@ from dataclasses import dataclass
 from . import analyzer, sim
 from .receiver import ReceiverPolicy
 from .scenario import ParseError, load_policy, load_scenario
-from .sim import Goal, ScenarioError, Trace
+from .sim import ScenarioError, Trace
 
 TRACE_DIR_ENV = "RKESIM_TRACE_DIR"
 
 
-@dataclass
-class RunReport:
+@dataclass(frozen=True)
+class RunReport(sim.Summary):
+    """A run's ``Summary`` with the scenario name and where the trace went."""
+
     scenario_name: str
-    goals: dict[Goal, bool]
     trace_path: str | None
-    presses: int
-    captures: int
-    replays: int
-    resyncs: int
 
     def render(self) -> str:
         lines = ["scenario: %s" % self.scenario_name]
@@ -51,16 +48,7 @@ class RunReport:
 
 
 def report_from_trace(name: str, trace: Trace, trace_path: str | None) -> RunReport:
-    summary = sim.summarize(trace)
-    return RunReport(
-        scenario_name=name,
-        goals=summary.goals,
-        trace_path=trace_path,
-        presses=summary.presses,
-        captures=summary.captures,
-        replays=summary.replays,
-        resyncs=summary.resyncs,
-    )
+    return RunReport(**vars(sim.summarize(trace)), scenario_name=name, trace_path=trace_path)
 
 
 def _pretty_trace(trace: Trace) -> str:

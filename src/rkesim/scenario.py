@@ -30,8 +30,8 @@ Scenario file grammar (header ``rkesim-scenario v1``)::
 
     [attacker]                # optional
     strategy naive_replay|jam_replay_lock|future_code|rolljam|rollback
-    jam_first on|off          # rollback recon, default on
-    signals_to_capture <int>  # rollback recon, default 2
+    jam_first on|off          # rollback only, default on
+    signals_to_capture <int>  # rollback only, default 2
 
     [events]
     <at_ms> press <serial> lock|unlock [out_of_range] [no_capture]
@@ -39,8 +39,13 @@ Scenario file grammar (header ``rkesim-scenario v1``)::
     <at_ms> attacker exploit [indices=<i,j,...>] [gap_ms=<int>] [relock]
                               # indices: capture numbers, each >= 0
                               # gap_ms: >= 0; parameters follow only exploit
+                              # rollback reads all three, future_code only
+                              # gap_ms, the other strategies none
     <at_ms> learn_mode
     <at_ms> advance
+
+An ``[attacker]`` key or exploit parameter that the chosen strategy
+does not read is a scenario error when the scenario is run.
 
 Policy files (header ``rkesim-policy v1``) hold ``name`` plus a single
 ``[receiver]`` section with the same keys.
@@ -411,8 +416,8 @@ def loads_scenario(text: str, default_name: str = "scenario") -> Scenario:
         elif token.text == "[attacker]":
             if attacker is not None:
                 raise token.fail("duplicate [attacker] section")
-            fields = _read_keys(block, _ATTACKER_KEYS, "attacker", "strategy")
-            attacker = AttackerDef(**fields)
+            options = _read_keys(block, _ATTACKER_KEYS, "attacker", "strategy")
+            attacker = AttackerDef(options.pop("kind"), options)
         elif token.text == "[events]":
             for tokens in block:
                 events.append(_parse_event_line(tokens))

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import heapq
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
-from . import attacks
-from .attacks import AttackerPhase, ScheduleReplay, SetJamming, STRATEGY_KINDS
+from .attacks import DEPLOY, EXPLOIT, STRATEGY_KINDS, AttackerPhase, ScheduleReplay, SetJamming
 from .channel import ATTACKER, VICTIM, ChannelState, subscribe, set_jamming, transmit
 from .codebook import (
     COUNTER_MOD,
@@ -90,8 +89,7 @@ class ScenarioEvent:
 @dataclass(frozen=True)
 class AttackerDef:
     kind: str
-    jam_first: bool = True
-    signals_to_capture: int = 2
+    options: dict = field(default_factory=dict)  # the [attacker] keys given
 
 
 @dataclass(frozen=True)
@@ -153,10 +151,8 @@ class Trace:
     def __init__(self) -> None:
         self.records: list[TraceRecord] = []
 
-    def add(self, at: int, kind: str, **fields) -> TraceRecord:
-        record = TraceRecord(at=at, kind=kind, fields=fields)
-        self.records.append(record)
-        return record
+    def add(self, at: int, kind: str, **fields) -> None:
+        self.records.append(TraceRecord(at=at, kind=kind, fields=fields))
 
     def render(self) -> str:
         return "".join([record.render() + "\n" for record in self.records])
@@ -170,6 +166,18 @@ class Trace:
 
 def validate_scenario(scenario: Scenario) -> None:
     problems = []
+    attacker = scenario.attacker
+    strategy = None
+    if attacker is not None:
+        strategy = STRATEGY_KINDS.get(attacker.kind)
+        if strategy is None:
+            problems.append("unknown attacker strategy %r" % attacker.kind)
+        else:
+            problems += [
+                "attacker: strategy %s does not take %s" % (attacker.kind, key)
+                for key in attacker.options
+                if key not in strategy.options
+            ]
     fobs: dict[int, FobDef] = {}
     for fob in scenario.fobs:
         if fob.serial in fobs:
@@ -210,8 +218,21 @@ def validate_scenario(scenario: Scenario) -> None:
                     "event %d: fob %d clock %d out of timestamp range"
                     % (i, fob.serial, event.at + fob.clock_skew_ms)
                 )
-        if isinstance(action, AttackerPhase) and scenario.attacker is None:
-            problems.append("event %d: attacker phase without an attacker" % i)
+        if isinstance(action, AttackerPhase):
+            if attacker is None:
+                problems.append("event %d: attacker phase without an attacker" % i)
+            if action.name not in (DEPLOY, EXPLOIT):
+                problems.append(
+                    "event %d: attacker phase %r is not deploy or exploit" % (i, action.name)
+                )
+            elif action.name == DEPLOY and action.params:
+                problems.append("event %d: attacker deploy takes no parameters" % i)
+            elif strategy is not None:
+                problems += [
+                    "event %d: strategy %s does not read %s" % (i, attacker.kind, name)
+                    for name in action.params
+                    if name not in strategy.exploit_params
+                ]
     if problems:
         raise ScenarioError(problems)
 
@@ -246,8 +267,8 @@ class Engine:
         self.strategy = None
         self.captures = None
         if scenario.attacker is not None:
-            self.captures = subscribe(self.channel, ATTACKER)
-            self.strategy = _build_strategy(scenario.attacker)
+            self.captures = subscribe(self.channel)
+            self.strategy = STRATEGY_KINDS[scenario.attacker.kind](**scenario.attacker.options)
         self.trace = Trace()
         self._queue: list[tuple[int, int, object]] = []
         self._seq = 0
@@ -293,25 +314,35 @@ class Engine:
             raise ScenarioError(["unsupported event action %r" % (action,)])
 
     def _victim_press(self, now: int, event: VictimPress) -> None:
-        fob = self.fobs[event.fob_serial]
-        new_fob, transmission = press(fob, event.button, now)
+        new_fob, transmission = press(self.fobs[event.fob_serial], event.button, now)
         self.fobs[event.fob_serial] = new_fob
+        out_of_range = event.out_of_range
+        fields = {"ctr": new_fob.counter, "btn": event.button, "out_of_range": out_of_range}
+        self._send(now, transmission, VICTIM, fields, out_of_range, event.fob_in_attacker_range)
+
+    def _attacker_replay(self, now: int, index: int) -> None:
+        # Checked when the replay fires: a capture made after the replay
+        # was scheduled (a relock's ``last + 1``) counts.
+        captured = len(self.captures)
+        if not 0 <= index < captured:
+            problem = "attacker replay of capture %d, but only %d captured" % (index, captured)
+            raise ScenarioError([problem])
+        self._send(now, self.captures[index], ATTACKER, {"idx": index})
+
+    def _send(
+        self, now, transmission, sender, fields, out_of_range=False, in_attacker_range=True
+    ):
+        """Puts a frame on the air: one ``tx`` record with the sender's own
+        ``fields``, the capture callback, then delivery to the receiver."""
         record = transmit(
-            self.channel,
-            transmission,
-            now,
-            sender=VICTIM,
-            out_of_range=event.out_of_range,
-            fob_in_attacker_range=event.fob_in_attacker_range,
+            self.channel, transmission, now, sender, out_of_range, in_attacker_range
         )
         self.trace.add(
             now,
             "tx",
-            src=VICTIM,
+            src=sender,
             serial=transmission.serial,
-            ctr=new_fob.counter,
-            btn=event.button,
-            out_of_range=event.out_of_range,
+            **fields,
             jammed=record.jammed,
             delivered=record.delivered,
             captured=record.captured,
@@ -321,30 +352,7 @@ class Engine:
             index = len(self.captures) - 1
             self._apply(self.strategy.on_capture(index, record.delivered, now), now)
         if record.delivered:
-            self._deliver(now, transmission, VICTIM)
-
-    def _attacker_replay(self, now: int, index: int) -> None:
-        # Checked when the replay fires: a capture made after the replay
-        # was scheduled (a relock's ``last + 1``) counts.
-        captured = len(self.captures)
-        if not 0 <= index < captured:
-            problem = "attacker replay of capture %d, but only %d captured" % (index, captured)
-            raise ScenarioError([problem])
-        transmission = self.captures[index]
-        record = transmit(self.channel, transmission, now, sender=ATTACKER)
-        self.trace.add(
-            now,
-            "tx",
-            src=ATTACKER,
-            serial=transmission.serial,
-            idx=index,
-            jammed=record.jammed,
-            delivered=record.delivered,
-            captured=record.captured,
-            frame=transmission.ciphertext,
-        )
-        if record.delivered:
-            self._deliver(now, transmission, ATTACKER)
+            self._deliver(now, transmission, sender)
 
     def _deliver(self, now: int, transmission, sender: str) -> None:
         action = receive(self.receiver, self.policy, transmission, now)
@@ -396,19 +404,6 @@ class Engine:
             door=self.receiver.door,
             captures=len(self.captures) if self.captures is not None else 0,
         )
-
-
-def _build_strategy(definition: AttackerDef):
-    try:
-        cls = STRATEGY_KINDS[definition.kind]
-    except KeyError:
-        raise ScenarioError(["unknown attacker strategy %r" % definition.kind])
-    if cls is attacks.RollBack:
-        return cls(
-            jam_first=definition.jam_first,
-            signals_to_capture=definition.signals_to_capture,
-        )
-    return cls()
 
 
 def run(scenario: Scenario) -> Trace:

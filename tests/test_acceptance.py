@@ -179,7 +179,7 @@ def _time_agnostic_scenario(signals, sequence):
         fobs=(FobDef(serial=SERIAL, initial_counter=400),),
         policy=policy,
         attacker=AttackerDef(
-            kind="rollback", jam_first=True, signals_to_capture=signals
+            kind="rollback", options={"jam_first": True, "signals_to_capture": signals}
         ),
         events=tuple(events),
     )

@@ -214,7 +214,9 @@ def test_classify_witness_is_sound_in_simulation():
         seed=77,
         fobs=(FobDef(serial=7, initial_counter=200),),
         policy=pol,
-        attacker=AttackerDef(kind="rollback", jam_first=False, signals_to_capture=8),
+        attacker=AttackerDef(
+            kind="rollback", options={"jam_first": False, "signals_to_capture": 8}
+        ),
         events=(
             ScenarioEvent(0, AttackerPhase("deploy")),
             *presses,

@@ -20,7 +20,7 @@ def make_frame(counter=1, now=0):
 
 def test_jamming_blocks_delivery_but_not_capture():
     channel = ChannelState()
-    log = subscribe(channel, "attacker")
+    log = subscribe(channel)
     set_jamming(channel, True)
     record = transmit(channel, make_frame(), 100)
     assert not record.delivered and record.jammed and record.captured
@@ -29,7 +29,7 @@ def test_jamming_blocks_delivery_but_not_capture():
 
 def test_passive_capture_with_jamming_off():
     channel = ChannelState()
-    log = subscribe(channel, "attacker")
+    log = subscribe(channel)
     record = transmit(channel, make_frame(), 100)
     assert record.delivered and not record.jammed and record.captured
     assert len(log) == 1
@@ -37,7 +37,7 @@ def test_passive_capture_with_jamming_off():
 
 def test_toggle_consistency():
     channel = ChannelState()
-    subscribe(channel, "attacker")
+    subscribe(channel)
     for was_jammed in (False, True, False, True, True, False):
         set_jamming(channel, was_jammed)
         record = transmit(channel, make_frame(), 0)
@@ -48,7 +48,7 @@ def test_toggle_consistency():
 
 def test_capture_completeness_in_range():
     channel = ChannelState()
-    log = subscribe(channel, "attacker")
+    log = subscribe(channel)
     frames = [make_frame(counter=i + 1) for i in range(5)]
     records = []
     set_jamming(channel, True)
@@ -58,12 +58,12 @@ def test_capture_completeness_in_range():
     for frame in frames[2:]:
         records.append(transmit(channel, frame, 0))
     assert log == frames
-    assert [record.transmission for record in records] == frames
+    assert [record.jammed for record in records] == [True, True, False, False, False]
 
 
 def test_out_of_range_suppresses_delivery():
     channel = ChannelState()
-    log = subscribe(channel, "attacker")
+    log = subscribe(channel)
     record = transmit(channel, make_frame(), 0, out_of_range=True)
     assert not record.delivered and record.captured
     record = transmit(
@@ -75,7 +75,7 @@ def test_out_of_range_suppresses_delivery():
 
 def test_attacker_replay_not_recaptured():
     channel = ChannelState()
-    log = subscribe(channel, "attacker")
+    log = subscribe(channel)
     frame = make_frame()
     transmit(channel, frame, 0)
     record = transmit(channel, frame, 50, sender=ATTACKER)
@@ -86,7 +86,7 @@ def test_attacker_replay_not_recaptured():
 def test_byte_transparency():
     # A replayed frame is the captured object itself, bit for bit.
     channel = ChannelState()
-    log = subscribe(channel, "attacker")
+    log = subscribe(channel)
     frame = make_frame()
     transmit(channel, frame, 0, sender=VICTIM)
     captured = log[0]

@@ -180,6 +180,57 @@ def test_simulate_bad_attacker_event(capsys, tmp_path, attacker_event, error):
     assert err == error
 
 
+@pytest.mark.parametrize(
+    "attacker_lines, problems",
+    [
+        (
+            "strategy naive_replay\njam_first off\nsignals_to_capture 9\n",
+            [
+                "attacker: strategy naive_replay does not take jam_first",
+                "attacker: strategy naive_replay does not take signals_to_capture",
+                "event 2: strategy naive_replay does not read indices",
+                "event 2: strategy naive_replay does not read gap_ms",
+                "event 2: strategy naive_replay does not read relock",
+            ],
+        ),
+        (
+            "strategy future_code\n",
+            [
+                "event 2: strategy future_code does not read indices",
+                "event 2: strategy future_code does not read relock",
+            ],
+        ),
+    ],
+    ids=["naive-replay", "future-code"],
+)
+def test_simulate_rejects_options_the_strategy_ignores(capsys, tmp_path, attacker_lines, problems):
+    scn = tmp_path / "ignored.scn"
+    scn.write_text(
+        "rkesim-scenario v1\n[fob]\nserial 7\n[receiver]\n[attacker]\n" + attacker_lines
+        + "[events]\n1000 press 7 unlock\n2000 press 7 unlock\n"
+        "9000 attacker exploit indices=0 gap_ms=5 relock\n"
+    )
+    code, out, err = run_cli(capsys, "simulate", str(scn))
+    assert code == 2
+    assert out == ""
+    assert err == "".join("scenario error: %s\n" % problem for problem in problems)
+
+
+def test_simulate_unknown_strategy_reported_with_other_problems(capsys, tmp_path):
+    scn = tmp_path / "bogus.scn"
+    scn.write_text(
+        "rkesim-scenario v1\n[fob]\nserial 7\n[receiver]\n[attacker]\nstrategy bogus\n"
+        "[events]\n-5 press 7 unlock\n"
+    )
+    code, out, err = run_cli(capsys, "simulate", str(scn))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "scenario error: unknown attacker strategy 'bogus'\n"
+        "scenario error: event 0: negative time -5\n"
+    )
+
+
 def test_simulate_missing_file(capsys):
     code, _, err = run_cli(capsys, "simulate", "/nonexistent.scn")
     assert code == 2

@@ -76,8 +76,8 @@ def test_parse_full_scenario():
     assert not policy.learn.exit_after_success
     assert policy.learn.readd_known_fob is ReaddMode.IGNORE
     assert scenario.attacker.kind == "rollback"
-    assert not scenario.attacker.jam_first
-    assert scenario.attacker.signals_to_capture == 3
+    assert not scenario.attacker.options["jam_first"]
+    assert scenario.attacker.options["signals_to_capture"] == 3
     assert len(scenario.events) == 6
     press = scenario.events[1].action
     assert isinstance(press, VictimPress) and press.fob_serial == 7

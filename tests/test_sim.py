@@ -52,7 +52,9 @@ def rollback_scenario(exploit_at=2 * DAY_MS, gap_ms=1000, extra_events=(), name=
         seed=1,
         fobs=(FobDef(serial=7, initial_counter=100),),
         policy=loose2_policy(),
-        attacker=AttackerDef(kind="rollback", jam_first=True, signals_to_capture=2),
+        attacker=AttackerDef(
+            kind="rollback", options={"jam_first": True, "signals_to_capture": 2}
+        ),
         events=tuple(events),
     )
 
@@ -169,7 +171,9 @@ def test_relock_scenario_all_goals():
         seed=6,
         fobs=(FobDef(serial=7, initial_counter=10),),
         policy=loose2_policy(),
-        attacker=AttackerDef(kind="rollback", jam_first=False, signals_to_capture=2),
+        attacker=AttackerDef(
+            kind="rollback", options={"jam_first": False, "signals_to_capture": 2}
+        ),
         events=(
             ScenarioEvent(0, AttackerPhase("deploy")),
             *presses,
@@ -249,6 +253,23 @@ def test_out_of_range_press_not_captured_when_flagged():
     assert final.get("captures") == 0
 
 
+def test_attacker_replay_while_jamming_is_not_delivered():
+    # jam_first turns the jammer on at deploy and off only at the next
+    # capture; with no press after deploy, the replays go out jammed.
+    trace = run(loads_scenario(
+        "rkesim-scenario v1\nseed 4\n[fob]\nserial 7\n[receiver]\nrollback 2 loose\n"
+        "[attacker]\nstrategy rollback\njam_first on\n[events]\n"
+        "1000 press 7 unlock\n2000 press 7 lock\n3000 attacker deploy\n"
+        "4000 attacker exploit indices=0,1\n"
+    ))
+    replays = [r for r in trace if r.kind == "tx" and r.get("src") == "attacker"]
+    assert [r.get("idx") for r in replays] == [0, 1]
+    assert all(r.get("jammed") and not r.get("delivered") for r in replays)
+    assert all(" jammed=1 delivered=0 " in r.render() for r in replays)
+    assert not [r for r in trace if r.kind == "rx" and r.at >= 3000]
+    assert not evaluate(trace, Goal.UNLOCK_WITHOUT_AUTHORIZATION)
+
+
 def test_learn_mode_event_registers_new_fob():
     scenario = Scenario(
         name="learn",
@@ -311,6 +332,28 @@ def test_validation_unsorted_events():
     with pytest.raises(ScenarioError) as excinfo:
         run(scenario)
     assert any("before previous" in p for p in excinfo.value.problems)
+
+
+@pytest.mark.parametrize(
+    "phase, problem",
+    [
+        (AttackerPhase("exployt"), "event 0: attacker phase 'exployt' is not deploy or exploit"),
+        (AttackerPhase("deploy", {"indices": [0]}), "event 0: attacker deploy takes no parameters"),
+    ],
+    ids=["unknown-phase", "deploy-params"],
+)
+def test_validation_bad_attacker_phase(phase, problem):
+    scenario = Scenario(
+        name="bad",
+        seed=0,
+        fobs=(FobDef(serial=7),),
+        policy=ReceiverPolicy(),
+        attacker=AttackerDef(kind="rollback"),
+        events=(ScenarioEvent(0, phase),),
+    )
+    with pytest.raises(ScenarioError) as excinfo:
+        run(scenario)
+    assert excinfo.value.problems == [problem]
 
 
 def test_validation_phase_without_attacker():
@@ -440,7 +483,7 @@ def test_replay_of_missing_capture_is_scenario_error(indices, relock, late_press
         seed=1,
         fobs=(FobDef(serial=7),),
         policy=loose2_policy(),
-        attacker=AttackerDef(kind="rollback", jam_first=False),
+        attacker=AttackerDef(kind="rollback", options={"jam_first": False}),
         events=tuple(events),
     )
     if problem is None:
@@ -519,14 +562,19 @@ def doubling_ratio(measure, size, rounds):
 
     The two sizes alternate inside one best-of loop, so host-speed
     drift during the test slows both alike.  Each sample starts from a
-    full collection: otherwise a generation-2 pass left pending by
-    earlier tests lands in the larger, more allocating sample only.
+    full collection and runs with the collector off: otherwise a
+    collection, pending from earlier tests or triggered by the sample's
+    own allocations, lands in the larger, more allocating sample only.
     """
     best = {size: float("inf"), 2 * size: float("inf")}
     for _ in range(rounds):
         for n in best:
             gc.collect()
-            best[n] = min(best[n], measure(n))
+            gc.disable()
+            try:
+                best[n] = min(best[n], measure(n))
+            finally:
+                gc.enable()
     return best[2 * size] / best[size]
 
 
@@ -545,7 +593,7 @@ def test_victim_evaluation_grows_linearly():
 
     # A ratio, not an absolute bound: doubling the trace must not
     # (nearly) quadruple the cost, whatever the host speed.
-    assert doubling_ratio(measure, 10_000, rounds=5) < 3
+    assert doubling_ratio(measure, 10_000, rounds=15) < 3
 
 
 def press_script(presses):
