@@ -16,9 +16,11 @@ tries every ascending subsequence of the transcript at every probe gap
 and every starting counter, driving the receiver directly, and returns
 the subset-minimal successful sequences.  The two must agree.  The
 subsequences form a tree in which each node extends its parent's
-prefix by one later capture, so the oracle walks that tree depth-first
-and replays one frame per node on a copy of the state its parent left,
-instead of replaying every subsequence from the start.
+prefix by one later capture.  The oracle walks that tree one depth at
+a time, replaying one frame per node on a copy of the state its parent
+left, and merges the nodes of a depth that reach an equal receiver
+state with the same last capture: their subtrees are identical, so
+each is replayed once on behalf of every prefix that reaches it.
 """
 
 from __future__ import annotations
@@ -244,14 +246,17 @@ def exhaustive_search(
     """Try every replay subsequence over every starting counter.
 
     For each of the ``2^counter_bits`` starting counters and each probe
-    gap, walks the tree of ascending index sequences depth-first: a node
-    replays one more capture on a copy of the receiver its parent prefix
-    left, so a walk costs ``2^transcript_len - 1`` receive() calls.  A
-    single replay has no gap and is recorded at the first probe only.
+    gap, walks the tree of ascending index sequences one depth at a
+    time: a node replays one more capture on a copy of the receiver its
+    parent prefix left, and nodes with an equal receiver state and last
+    index are merged, so a walk costs one receive() call per distinct
+    node, at most ``2^transcript_len - 1``.  A single replay has no gap
+    and is recorded at the first probe only.
 
     Returns the subset-minimal successful sequences (by capture index),
-    each with the full set of passing probe gaps.  Success must be
-    identical for every starting counter; results are merged by union.
+    each with the full set of passing probe gaps.  The successes of all
+    starting counters are merged by union: a sequence counts if it
+    unlocks at any start, at the union of the gaps where it does.
     """
     if counter_bits < 0:
         raise ValueError("counter_bits must not be negative")
@@ -293,21 +298,33 @@ def _probe_successes(
     start = probe.transcript_end + _EXPLOIT_DELAY_MS
     success_gaps: dict[tuple[int, ...], set[int]] = {}
     for gap in gap_probes_ms:
-        root = probe.fresh_state()
-        # Prefixes still to extend: (indices, receiver state, next replay time).
-        pending = [((), root, start)]
-        while pending:
-            prefix, state, now = pending.pop()
-            for idx in range(prefix[-1] + 1 if prefix else 0, last + 1):
-                # The last child is a leaf and the parent needs its state
-                # no longer, so it replays on that state instead of a copy.
-                child = state if idx == last else state.clone()
-                receive(child, probe.policy, captures[idx], now)
-                indices = prefix + (idx,)
-                if child.door is Door.UNLOCKED and (prefix or gap == gap_probes_ms[0]):
-                    success_gaps.setdefault(indices, set()).add(gap)
-                if idx != last:
-                    pending.append((indices, child, now + gap))
+        # One depth at a time: every node at depth d replays at
+        # start + d*gap, and receive() is deterministic, so nodes with an
+        # equal receiver state and last index have equal subtrees.  Each
+        # such node is replayed once, with every prefix that reaches it.
+        # Frontier nodes: (receiver state, last index, prefixes).
+        frontier = [(probe.fresh_state(), -1, [()])]
+        now = start
+        while frontier:
+            # A single replay has no gap: it is recorded at the first only.
+            judged = now != start or gap == gap_probes_ms[0]
+            merged: dict[tuple, tuple[ReceiverState, int, list]] = {}
+            for state, prev, prefixes in frontier:
+                for idx in range(prev + 1, last + 1):
+                    # The last child is a leaf and the parent needs its state
+                    # no longer, so it replays on that state instead of a copy.
+                    child = state if idx == last else state.clone()
+                    receive(child, probe.policy, captures[idx], now)
+                    if judged and child.door is Door.UNLOCKED:
+                        for prefix in prefixes:
+                            success_gaps.setdefault(prefix + (idx,), set()).add(gap)
+                    if idx != last:
+                        extended = [prefix + (idx,) for prefix in prefixes]
+                        node = merged.setdefault((child.key(), idx), (child, idx, extended))
+                        if node[0] is not child:
+                            node[2].extend(extended)
+            frontier = list(merged.values())
+            now += gap
     return success_gaps
 
 

@@ -46,12 +46,11 @@ def set_jamming(channel: ChannelState, on: bool) -> None:
 def transmit(
     channel: ChannelState,
     transmission: Transmission,
-    now: int,
     sender: str = VICTIM,
     out_of_range: bool = False,
     fob_in_attacker_range: bool = True,
 ) -> DeliveryRecord:
-    """Put a frame on the air at ``now``.
+    """Put a frame on the air.
 
     Capture happens for every victim emission the listener can hear,
     jammed or not; attacker replays are not re-captured.  Delivery to

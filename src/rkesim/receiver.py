@@ -205,6 +205,29 @@ class ReceiverState:
         other.clock = self.clock
         return other
 
+    def key(self) -> tuple:
+        """Hashable value of every slot ``clone`` copies, each fob record's
+        included: states with equal keys answer every later frame alike."""
+        return (
+            self.master,
+            tuple([
+                (
+                    serial,
+                    rec.key,
+                    rec.counter,
+                    None if rec.button_counters is None
+                    else tuple(sorted(rec.button_counters.items())),
+                    rec.resync,
+                    tuple(rec.rollback),
+                )
+                for serial, rec in self.fobs.items()
+            ]),
+            self.door,
+            self.learn_phase,
+            self.learn_buffer,
+            self.clock,
+        )
+
 
 def new_receiver_state(policy: ReceiverPolicy, master: bytes) -> ReceiverState:
     """Fresh receiver; starts inside learn mode when entry is not explicit."""

@@ -334,9 +334,7 @@ class Engine:
     ):
         """Puts a frame on the air: one ``tx`` record with the sender's own
         ``fields``, the capture callback, then delivery to the receiver."""
-        record = transmit(
-            self.channel, transmission, now, sender, out_of_range, in_attacker_range
-        )
+        record = transmit(self.channel, transmission, sender, out_of_range, in_attacker_range)
         self.trace.add(
             now,
             "tx",

@@ -317,7 +317,39 @@ def test_oracle_matches_brute_force_reference(transcript_len):
         assert found == _brute_force_search(pol, 2, transcript_len), pol
 
 
-def test_oracle_receive_count_is_one_per_tree_node(monkeypatch):
+def _tree_walk_successes(probe, gap_probes_ms):
+    """Reference walk: the subset tree depth-first, one receive per node."""
+    captures = probe.captures
+    last = len(captures) - 1
+    start = probe.transcript_end + analyzer._EXPLOIT_DELAY_MS
+    success_gaps = {}
+    for gap in gap_probes_ms:
+        # Prefixes still to extend: (indices, receiver state, next replay time).
+        pending = [((), probe.fresh_state(), start)]
+        while pending:
+            prefix, state, now = pending.pop()
+            for idx in range(prefix[-1] + 1 if prefix else 0, last + 1):
+                child = state if idx == last else state.clone()
+                receive(child, probe.policy, captures[idx], now)
+                indices = prefix + (idx,)
+                if child.door is Door.UNLOCKED and (prefix or gap == gap_probes_ms[0]):
+                    success_gaps.setdefault(indices, set()).add(gap)
+                if idx != last:
+                    pending.append((indices, child, now + gap))
+    return success_gaps
+
+
+@pytest.mark.parametrize("start_counter", [0, 65533])
+def test_probe_successes_match_tree_walk_reference(start_counter):
+    # The merged walk returns the very success dict of the tree walk: the
+    # same index sequences, each with the same passing gaps.
+    for pol in EQUIVALENCE_GRID + CRITERION_8_GRID:
+        probe = analyzer._Probe(pol, 8, start_counter=start_counter)
+        merged = analyzer._probe_successes(probe, DEFAULT_GAP_PROBES_MS)
+        assert merged == _tree_walk_successes(probe, DEFAULT_GAP_PROBES_MS), pol
+
+
+def test_oracle_receive_count_is_one_per_merged_node(monkeypatch):
     calls = []
     original = analyzer.receive
 
@@ -327,9 +359,13 @@ def test_oracle_receive_count_is_one_per_tree_node(monkeypatch):
 
     monkeypatch.setattr(analyzer, "receive", counting_receive)
     exhaustive_search(policy(2, SequenceMode.LOOSE), counter_bits=1, transcript_len=8)
-    # Per start: 8 transcript presses, then one receive per node of the
-    # 255-node subset tree at each probe gap.
-    assert len(calls) == 2 * (8 + len(DEFAULT_GAP_PROBES_MS) * (2**8 - 1)) == 5626
+    # Per start: 8 transcript presses, then at each probe gap 8 single
+    # replays and 28 pairs.  Every pair unlocks, and every accept after
+    # it too, leaving a state set by the last index alone, so each depth
+    # from 2 on holds one node per last index: C(8, 3) = 56 more replays.
+    tree_nodes = 2 * (8 + len(DEFAULT_GAP_PROBES_MS) * (2**8 - 1))
+    assert len(calls) == 2 * (8 + len(DEFAULT_GAP_PROBES_MS) * (8 + 28 + 56)) == 2040
+    assert len(calls) < tree_nodes == 5626
 
 
 def test_oracle_success_sets_invariant_across_counter_wrap():

@@ -22,7 +22,7 @@ def test_jamming_blocks_delivery_but_not_capture():
     channel = ChannelState()
     log = subscribe(channel)
     set_jamming(channel, True)
-    record = transmit(channel, make_frame(), 100)
+    record = transmit(channel, make_frame())
     assert not record.delivered and record.jammed and record.captured
     assert len(log) == 1
 
@@ -30,7 +30,7 @@ def test_jamming_blocks_delivery_but_not_capture():
 def test_passive_capture_with_jamming_off():
     channel = ChannelState()
     log = subscribe(channel)
-    record = transmit(channel, make_frame(), 100)
+    record = transmit(channel, make_frame())
     assert record.delivered and not record.jammed and record.captured
     assert len(log) == 1
 
@@ -40,7 +40,7 @@ def test_toggle_consistency():
     subscribe(channel)
     for was_jammed in (False, True, False, True, True, False):
         set_jamming(channel, was_jammed)
-        record = transmit(channel, make_frame(), 0)
+        record = transmit(channel, make_frame())
         assert record.jammed == was_jammed
         assert record.delivered == (not was_jammed)
         assert not (record.delivered and record.jammed)
@@ -53,10 +53,10 @@ def test_capture_completeness_in_range():
     records = []
     set_jamming(channel, True)
     for frame in frames[:2]:
-        records.append(transmit(channel, frame, 0))
+        records.append(transmit(channel, frame))
     set_jamming(channel, False)
     for frame in frames[2:]:
-        records.append(transmit(channel, frame, 0))
+        records.append(transmit(channel, frame))
     assert log == frames
     assert [record.jammed for record in records] == [True, True, False, False, False]
 
@@ -64,10 +64,10 @@ def test_capture_completeness_in_range():
 def test_out_of_range_suppresses_delivery():
     channel = ChannelState()
     log = subscribe(channel)
-    record = transmit(channel, make_frame(), 0, out_of_range=True)
+    record = transmit(channel, make_frame(), out_of_range=True)
     assert not record.delivered and record.captured
     record = transmit(
-        channel, make_frame(counter=2), 0, out_of_range=True, fob_in_attacker_range=False
+        channel, make_frame(counter=2), out_of_range=True, fob_in_attacker_range=False
     )
     assert not record.delivered and not record.captured
     assert len(log) == 1
@@ -77,8 +77,8 @@ def test_attacker_replay_not_recaptured():
     channel = ChannelState()
     log = subscribe(channel)
     frame = make_frame()
-    transmit(channel, frame, 0)
-    record = transmit(channel, frame, 50, sender=ATTACKER)
+    transmit(channel, frame)
+    record = transmit(channel, frame, sender=ATTACKER)
     assert record.delivered and not record.captured
     assert len(log) == 1
 
@@ -88,7 +88,7 @@ def test_byte_transparency():
     channel = ChannelState()
     log = subscribe(channel)
     frame = make_frame()
-    transmit(channel, frame, 0, sender=VICTIM)
+    transmit(channel, frame, sender=VICTIM)
     captured = log[0]
     assert captured.ciphertext == frame.ciphertext
     assert captured is frame

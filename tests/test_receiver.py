@@ -628,6 +628,51 @@ def test_clone_mutations_leave_the_original_untouched():
     assert snapshot() == before
 
 
+def _state_with_every_slot_set():
+    policy = ReceiverPolicy(
+        rollback=RollbackProfile(3, SequenceMode.LOOSE),
+        per_instruction_counters=True,
+    )
+    state, fob = build(policy, fob_counter=0, stored=0)
+    fob, frames, now = capture_run(state, policy, fob, [LOCK, UNLOCK, LOCK, UNLOCK])
+    receive(state, policy, frames[1], now)  # stale unlock: buffered for rollback
+    state.fobs[SERIAL].resync = (500, now)
+    state.door = Door.LOCKED
+    state.learn_buffer = (SERIAL, 3)
+    return state
+
+
+KEY_MUTATIONS = {
+    "master": lambda s: setattr(s, "master", master_from_seed(43)),
+    "fobs": lambda s: register_fob(s, SERIAL + 1, KEY, 0),
+    "door": lambda s: setattr(s, "door", Door.UNLOCKED),
+    "learn_phase": lambda s: setattr(s, "learn_phase", LearnPhase.AWAIT_FIRST),
+    "learn_buffer": lambda s: setattr(s, "learn_buffer", None),
+    "clock": lambda s: setattr(s, "clock", s.clock + 1),
+    "fob.key": lambda s: setattr(s.fobs[SERIAL], "key", derive_key(MASTER, SERIAL + 1)),
+    "fob.counter": lambda s: setattr(s.fobs[SERIAL], "counter", 9),
+    "fob.button_counters": lambda s: s.fobs[SERIAL].button_counters.__setitem__(UNLOCK, 9),
+    "fob.resync": lambda s: setattr(s.fobs[SERIAL], "resync", None),
+    "fob.rollback": lambda s: s.fobs[SERIAL].rollback.append((9, UNLOCK, 0)),
+}
+
+
+def test_clone_has_an_equal_hashable_key():
+    state = _state_with_every_slot_set()
+    assert state.fobs[SERIAL].rollback and state.fobs[SERIAL].button_counters
+    assert state.clone().key() == state.key()
+    assert hash(state.clone().key()) == hash(state.key())
+
+
+@pytest.mark.parametrize("slot", KEY_MUTATIONS)
+def test_key_changes_with_every_slot(slot):
+    state = _state_with_every_slot_set()
+    copy = state.clone()
+    KEY_MUTATIONS[slot](copy)
+    assert copy.key() != state.key()
+    assert state.clone().key() == state.key()  # the original is untouched
+
+
 def test_accepts_return_equal_executed_actions():
     policy = ReceiverPolicy()
     state, fob = build(policy)
