@@ -10,7 +10,7 @@ from .codebook import (
     encode,
     master_from_seed,
 )
-from .fob import FobState, press, replace_battery
+from .fob import FobState, press
 from .receiver import (
     ActionKind,
     Door,

@@ -7,9 +7,10 @@ run and an ascending run with gaps) and a grid of inter-replay gaps.
 The verdict is either NotVulnerable or the minimal working variant
 (#signals, sequence mode, timeframe).  The length-k run of a shape is
 its length-(k-1) run plus one capture, so each (shape, gap) probe keeps
-one receiver and replays one more capture per length step.  Both shapes
-open with the same single replay, so it is replayed once and the probes
-are cloned after it.
+one receiver and replays one more capture per length step, straight
+through ``receive()``.  Both shapes open with the same single replay, so
+it is replayed once, through ``execute_exploit``, and the probes are
+cloned after it.
 
 ``exhaustive_search`` is the independent oracle: over small bounds it
 tries every ascending subsequence of the transcript at every probe gap
@@ -48,6 +49,7 @@ _PROBE_SEED = 0x5EED
 _PROBE_SERIAL = 101
 _PRESS_SPACING_MS = 10_000
 _EXPLOIT_DELAY_MS = 100 * 24 * 3600 * 1000  # replays start 100 days later
+_UNLOCKED = Door.UNLOCKED  # an enum member read is slow on 3.11; see receiver
 
 
 class SearchBoundsError(Exception):
@@ -155,7 +157,8 @@ def classify(policy: ReceiverPolicy, budget: ProbeBudget = ProbeBudget()) -> Var
     the same times a fresh length-k replay would deliver.  The search
     stops at the first passing length, so no probe carries a success
     forward.  Step 1, the single replay of capture 0 that opens both
-    shapes, is replayed once, unjudged, before the probes are cloned.
+    shapes, goes once through ``execute_exploit``, unjudged, before the
+    probes are cloned; the later steps call ``receive()`` directly.
     """
     gaps = budget.gap_probes_ms
     probe = _Probe(policy, transcript_len=2 * budget.max_signals)
@@ -202,23 +205,19 @@ def _replay_next(
 ) -> list[int]:
     """Replay the last capture of ``run`` on each gap's receiver, in turn.
 
-    Every receiver already holds the rest of the run, replayed at its gap;
-    returns the gaps whose door is unlocked after the whole run.  A
-    one-frame replay has no gap to wait out, so one spec serves all gaps.
+    Every receiver already holds the rest of the run, replayed at its gap,
+    so the last capture goes straight to ``receive()`` at the time a
+    whole-run replay at that gap delivers it.  Returns the gaps whose door
+    is unlocked after the whole run.
     """
-    spec = ExploitSpec(signal_indices=run[-1:])
+    frame = probe.captures[run[-1]]
     start = probe.transcript_end + _EXPLOIT_DELAY_MS
-    return [
-        gap
-        for gap, state in zip(gaps, states)
-        if execute_exploit(
-            spec,
-            probe.captures,
-            state,
-            probe.policy,
-            start + (len(run) - 1) * gap,
-        ).success
-    ]
+    passing = []
+    for gap, state in zip(gaps, states):
+        receive(state, probe.policy, frame, start + (len(run) - 1) * gap)
+        if state.door is _UNLOCKED:
+            passing.append(gap)
+    return passing
 
 
 def _timeframe_from_gaps(
@@ -315,7 +314,7 @@ def _probe_successes(
                     # no longer, so it replays on that state instead of a copy.
                     child = state if idx == last else state.clone()
                     receive(child, probe.policy, captures[idx], now)
-                    if judged and child.door is Door.UNLOCKED:
+                    if judged and child.door is _UNLOCKED:
                         for prefix in prefixes:
                             success_gaps.setdefault(prefix + (idx,), set()).add(gap)
                     if idx != last:

@@ -44,6 +44,7 @@ from .receiver import Door, ReceiverPolicy, ReceiverState, receive
 
 DEPLOY = "deploy"
 EXPLOIT = "exploit"
+_UNLOCKED = Door.UNLOCKED  # an enum member read is slow on 3.11; see receiver
 
 
 class AttackConfigError(Exception):
@@ -257,5 +258,5 @@ def execute_exploit(
         at += gap
         unjudged -= 1
         if not unjudged:
-            success = state.door is Door.UNLOCKED
+            success = state.door is _UNLOCKED
     return AttackOutcome(success, state.door, len(indices))

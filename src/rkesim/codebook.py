@@ -71,7 +71,6 @@ class Transmission:
 
     serial: int
     ciphertext: bytes
-    emitted_at: int
 
 
 def master_from_seed(seed: int) -> bytes:
@@ -159,18 +158,14 @@ def _pack(payload: Payload) -> int:
     )
 
 
-def encode(key: bytes, serial: int, payload: Payload, emitted_at: int = 0) -> Transmission:
+def encode(key: bytes, serial: int, payload: Payload) -> Transmission:
     """Encrypt a payload into a frame.
 
     Deterministic: the same (key, serial, payload) always yields the
     same ciphertext, and distinct payloads never share one.
     """
     block = _permute(key, _pack(payload))
-    return Transmission(
-        serial=serial,
-        ciphertext=block.to_bytes(BLOCK_BYTES, "big"),
-        emitted_at=emitted_at,
-    )
+    return Transmission(serial=serial, ciphertext=block.to_bytes(BLOCK_BYTES, "big"))
 
 
 def decode(key: bytes, transmission: Transmission) -> Payload:

@@ -7,7 +7,7 @@ consult the vehicle; the radio link is one-directional.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .codebook import (
     COUNTER_MOD,
@@ -48,7 +48,7 @@ def press(fob: FobState, button: Instruction, now: int) -> tuple[FobState, Trans
         timestamp=timestamp,
         signature=signature,
     )
-    transmission = encode(fob.key, fob.serial, payload, emitted_at=now)
+    transmission = encode(fob.key, fob.serial, payload)
     next_fob = FobState(
         serial=fob.serial,
         key=fob.key,
@@ -57,10 +57,3 @@ def press(fob: FobState, button: Instruction, now: int) -> tuple[FobState, Trans
         emit_timestamps=fob.emit_timestamps,
     )
     return next_fob, transmission
-
-
-def replace_battery(fob: FobState, counter_loss: bool) -> FobState:
-    """Swap the battery; with counter_loss the rolling counter resets to 0."""
-    if counter_loss:
-        return replace(fob, counter=0)
-    return fob

@@ -420,6 +420,13 @@ class Summary:
     resyncs: int
 
 
+# The enum members summarize reads per record, bound once: a member read
+# is slow on Python 3.11 (see receiver).
+_ACTED = (ActionKind.EXECUTED, ActionKind.RESYNCED)
+_RESYNCED = ActionKind.RESYNCED
+_UNLOCK = Instruction.UNLOCK
+
+
 def summarize(trace: Trace) -> Summary:
     """Compute every goal verdict and run counter in one pass over a trace.
 
@@ -454,10 +461,10 @@ def summarize(trace: Trace) -> Summary:
         elif record.kind == "rx":
             action = record.get("action")
             button = record.get("btn")
-            acted = action in (ActionKind.EXECUTED, ActionKind.RESYNCED)
-            if action is ActionKind.RESYNCED:
+            acted = action in _ACTED
+            if action is _RESYNCED:
                 resyncs += 1
-            if acted and record.get("src") == ATTACKER and button is Instruction.UNLOCK:
+            if acted and record.get("src") == ATTACKER and button is _UNLOCK:
                 unlocked = True
             for intended in pending.pop(record.get("serial"), ()):
                 if not (acted and button == intended):

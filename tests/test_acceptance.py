@@ -317,9 +317,7 @@ def test_criterion_05_soundness_properties():
         for _ in range(rng.randrange(1, 5)):
             now += 500
             serial = rng.choice((SERIAL, 99))
-            frame = Transmission(
-                serial=serial, ciphertext=rng.randbytes(16), emitted_at=now
-            )
+            frame = Transmission(serial=serial, ciphertext=rng.randbytes(16))
             action = receive(state, forge_policy, frame, now)
             assert action.kind is ActionKind.DISCARDED
             assert state.door is Door.LOCKED

@@ -455,3 +455,23 @@ def test_classify_receive_count(monkeypatch, pol, calls):
         monkeypatch.setattr(module, "receive", counting_receive)
     classify(pol)
     assert len(counted) == calls
+
+
+@pytest.mark.parametrize(
+    "pol",
+    [ReceiverPolicy(), policy(2, SequenceMode.LOOSE), policy(5)],
+    ids=["secure", "loose-2", "strict-5"],
+)
+def test_classify_calls_execute_exploit_once(monkeypatch, pol):
+    # Only the opening replay of capture 0 goes through the exploit API;
+    # the length steps hand each probe's next capture to receive().
+    specs = []
+    original = analyzer.execute_exploit
+
+    def counting_exploit(spec, *args):
+        specs.append(spec)
+        return original(spec, *args)
+
+    monkeypatch.setattr(analyzer, "execute_exploit", counting_exploit)
+    classify(pol)
+    assert specs == [ExploitSpec(signal_indices=(0,))]

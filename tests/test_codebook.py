@@ -73,7 +73,7 @@ def test_fuzzed_ciphertext_rejected():
     rng = random.Random(99)
     flukes = 0
     for _ in range(10_000):
-        frame = Transmission(serial=7, ciphertext=rng.randbytes(16), emitted_at=0)
+        frame = Transmission(serial=7, ciphertext=rng.randbytes(16))
         try:
             decode(KEY, frame)
             flukes += 1
@@ -84,7 +84,7 @@ def test_fuzzed_ciphertext_rejected():
 
 def test_truncated_ciphertext_rejected():
     with pytest.raises(AuthenticationError):
-        decode(KEY, Transmission(serial=7, ciphertext=b"\x00" * 5, emitted_at=0))
+        decode(KEY, Transmission(serial=7, ciphertext=b"\x00" * 5))
 
 
 def test_counter_out_of_range():

@@ -1,5 +1,5 @@
 from rkesim.codebook import Instruction, decode, derive_key, master_from_seed
-from rkesim.fob import FobState, press, replace_battery
+from rkesim.fob import FobState, press
 from rkesim.receiver import (
     ActionKind,
     ReceiverPolicy,
@@ -46,20 +46,12 @@ def test_press_is_pure_value_semantics():
     assert fob.counter == 5  # original untouched
 
 
-def test_replace_battery():
-    fob = make_fob(counter=500)
-    assert replace_battery(fob, counter_loss=True).counter == 0
-    assert replace_battery(fob, counter_loss=False).counter == 500
-    kept = replace_battery(fob, counter_loss=True)
-    assert kept.serial == fob.serial and kept.key == fob.key
-
-
 def test_battery_loss_desyncs_from_receiver():
     # After a counter reset the next press is stale for a synced receiver.
     policy = ReceiverPolicy()
     state = new_receiver_state(policy, MASTER)
     register_fob(state, 3, KEY, 500)
-    fob = replace_battery(make_fob(counter=500), counter_loss=True)
+    fob = FobState(serial=3, key=KEY, counter=0)
     fob, frame = press(fob, Instruction.UNLOCK, now=0)
     assert decode(KEY, frame).counter == 1
     action = receive(state, policy, frame, 0)
@@ -73,4 +65,3 @@ def test_timestamp_embedding_with_skew():
     payload = decode(KEY, frame)
     assert payload.timestamp == 10_250
     assert payload.signature is not None
-    assert frame.emitted_at == 10_000

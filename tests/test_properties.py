@@ -97,7 +97,7 @@ def test_no_forge_random_frames_never_move_door(frames):
         now += 500
         serial = [SERIAL, SERIAL, 99, 12345][serial_pick]
         action = receive(
-            state, policy, Transmission(serial=serial, ciphertext=blob, emitted_at=now), now
+            state, policy, Transmission(serial=serial, ciphertext=blob), now
         )
         assert action.kind is ActionKind.DISCARDED
         assert state.door is Door.LOCKED
@@ -213,9 +213,7 @@ def test_replayed_frames_always_equal_captured_bytes():
         now += 250
         if captured and rng.random() < 0.5:
             frame = rng.choice(captured)
-            replay = Transmission(
-                serial=frame.serial, ciphertext=frame.ciphertext, emitted_at=frame.emitted_at
-            )
+            replay = Transmission(serial=frame.serial, ciphertext=frame.ciphertext)
             assert replay.ciphertext == frame.ciphertext
             receive(state, policy, replay, now)
         else:

@@ -629,4 +629,4 @@ def test_simulate_path_grows_linearly():
 
     # Parse, engine run and render together; doubling the script must
     # not (nearly) quadruple the cost, whatever the host speed.
-    assert doubling_ratio(measure, 2000, rounds=3) < 3
+    assert doubling_ratio(measure, 2000, rounds=7) < 3
