@@ -80,6 +80,11 @@ class ExploitSpec:
     inter_replay_gap_ms: int = 1000
     relock: bool = False
 
+    def __post_init__(self) -> None:
+        # A negative gap would schedule replays back in time.
+        if self.inter_replay_gap_ms < 0:
+            raise ValueError("inter_replay_gap_ms must be non-negative")
+
 
 @dataclass(slots=True)
 class AttackOutcome:

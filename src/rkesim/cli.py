@@ -52,15 +52,10 @@ def report_from_trace(name: str, trace: Trace, trace_path: str | None) -> RunRep
 
 
 def _pretty_trace(trace: Trace) -> str:
-    lines = []
-    for record in trace:
-        seconds = record.at / 1000
-        detail = " ".join(
-            "%s=%s" % (key, sim.render_value(value))
-            for key, value in record.fields.items()
-        )
-        lines.append("[%12.3fs] %-10s %s" % (seconds, record.kind, detail))
-    return "\n".join(lines) + "\n"
+    return "".join([
+        "[%12.3fs] %-10s %s\n" % (record.at / 1000, record.kind, " ".join(record.field_texts()))
+        for record in trace
+    ])
 
 
 def cmd_simulate(args) -> int:

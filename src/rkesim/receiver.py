@@ -184,8 +184,8 @@ class FobRecord:
         self.key = key
         self.counter = counter
         self.button_counters: dict[Instruction, int] | None = None
-        self.resync: tuple[int, int] | None = None        # (counter, received_at)
-        self.rollback: list[tuple[int, Instruction, int]] = []  # (counter, button, at)
+        self.resync: int | None = None              # buffered double-window counter
+        self.rollback: list[tuple[int, int]] = []   # (counter, at) of stale frames
 
     def clone(self) -> "FobRecord":
         other = FobRecord(self.key, self.counter)
@@ -314,10 +314,10 @@ def receive(
 
     if window is _DOUBLE_WINDOW:
         buffered = record.resync
-        if buffered is not None and c_k == (buffered[0] + 1) % COUNTER_MOD:
+        if buffered is not None and c_k == (buffered + 1) % COUNTER_MOD:
             _accept(state, record, policy, button, c_k)
             return ReceiverAction(_RESYNCED, button, new_counter=c_k)
-        record.resync = (c_k, now)
+        record.resync = c_k
         return _DISCARDS[AWAITING_RESYNC]
 
     if window is _REPLAY_WINDOW:
@@ -344,18 +344,14 @@ def _accept(
     c_k: int,
 ) -> None:
     # Any accepted frame resynchronizes the counter and resets both
-    # pending buffers; skipped codes in between become invalid.
+    # pending buffers; skipped codes in between become invalid.  The
+    # per-button table exists: receive() built it via _counter_base.
     if policy.per_instruction_counters:
-        _counter_base(record, policy, button)  # ensure per-button table exists
         record.button_counters[button] = c_k
     else:
         record.counter = c_k
     record.resync = None
     record.rollback.clear()
-    _apply_instruction(state, button)
-
-
-def _apply_instruction(state: ReceiverState, button: Instruction) -> None:
     state.door = _UNLOCKED if button is _UNLOCK else _LOCKED
 
 
@@ -370,7 +366,7 @@ def _rollback_receive(
     profile = policy.rollback
     buffer = record.rollback
     if buffer:
-        last_counter, _, last_at = buffer[-1]
+        last_counter, last_at = buffer[-1]
         step = (c_k - last_counter) % COUNTER_MOD
         if profile.timeframe_ms is not None and now - last_at > profile.timeframe_ms:
             buffer.clear()
@@ -379,7 +375,7 @@ def _rollback_receive(
         elif not 0 < step < _HALF_RING:
             # Loose mode still demands strictly ascending counters.
             buffer.clear()
-    buffer.append((c_k, button, now))
+    buffer.append((c_k, now))
     if len(buffer) >= profile.signals_required:
         _accept(state, record, policy, button, c_k)
         return ReceiverAction(_RESYNCED, button, new_counter=c_k)

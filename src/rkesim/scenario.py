@@ -41,7 +41,7 @@ Scenario file grammar (header ``rkesim-scenario v1``)::
                               # gap_ms: >= 0; parameters follow only exploit
                               # rollback reads all three, future_code only
                               # gap_ms, the other strategies none
-    <at_ms> learn_mode
+    <at_ms> learn_mode        # learn_mode and advance take no parameters
     <at_ms> advance
 
 An ``[attacker]`` key or exploit parameter that the chosen strategy
@@ -302,32 +302,6 @@ def load_policy(path) -> tuple[str, ReceiverPolicy]:
     return loads_policy(text, default_name=stem)
 
 
-def render_policy(name: str, policy: ReceiverPolicy) -> str:
-    lines = [POLICY_HEADER, "name %s" % name, "", "[receiver]"]
-    lines.append("single_window %d" % policy.single_window)
-    lines.append("double_window_limit %d" % policy.double_window_limit)
-    if policy.rollback is not None:
-        entry = "rollback %d %s" % (
-            policy.rollback.signals_required,
-            policy.rollback.sequence.value,
-        )
-        if policy.rollback.timeframe_ms is not None:
-            entry += " %d" % policy.rollback.timeframe_ms
-        lines.append(entry)
-    if policy.per_instruction_counters:
-        lines.append("per_instruction_counters on")
-    if policy.timestamp_check is not None:
-        lines.append("timestamp_tolerance_ms %d" % policy.timestamp_check.tolerance_ms)
-    learn = policy.learn
-    if not learn.explicit_entry_required:
-        lines.append("learn_entry auto")
-    if not learn.exit_after_success:
-        lines.append("learn_exit off")
-    if learn.readd_known_fob is not ReaddMode.OVERWRITE:
-        lines.append("learn_readd %s" % learn.readd_known_fob.value)
-    return "\n".join(lines) + "\n"
-
-
 def _parse_event_line(tokens: list[_Token]) -> ScenarioEvent:
     at = tokens[0].as_int()
     if len(tokens) < 2:
@@ -389,10 +363,10 @@ def _parse_event_line(tokens: list[_Token]) -> ScenarioEvent:
             else:
                 raise token.fail("unknown attacker argument %r" % token.text)
         action = AttackerPhase(name=rest[0].text, params=params)
-    elif verb.text == "learn_mode":
-        action = LearnModeEntry()
-    elif verb.text == "advance":
-        action = AdvanceClock()
+    elif verb.text in ("learn_mode", "advance"):
+        if rest:
+            raise rest[0].fail("%s takes no parameters" % verb.text)
+        action = LearnModeEntry() if verb.text == "learn_mode" else AdvanceClock()
     else:
         raise verb.fail("unknown event verb %r" % verb.text)
     return ScenarioEvent(at=at, action=action)

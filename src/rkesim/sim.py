@@ -3,11 +3,11 @@
 A scenario is a script: fob definitions, one receiver policy, an
 optional attacker, and a time-ordered list of events (victim presses,
 attacker phases, learn-mode entry, clock markers).  Running it produces
-a trace that records every emission, delivery, receiver action,
-attacker action and door change.  Identical scenarios produce
-bit-identical traces.  ``summarize`` reads a finished trace once and
-returns the goal verdicts and run counters; ``evaluate`` looks up one
-goal in it.
+a trace: a list of ``(at, kind, fields)`` records of every emission,
+delivery, receiver action, attacker action and door change.  Identical
+scenarios produce bit-identical traces.  ``summarize`` reads a finished
+trace once and returns the goal verdicts and run counters; ``evaluate``
+looks up one goal in it.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import heapq
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .attacks import DEPLOY, EXPLOIT, STRATEGY_KINDS, AttackerPhase, ScheduleReplay, SetJamming
 from .channel import ATTACKER, VICTIM, ChannelState, subscribe, set_jamming, transmit
@@ -108,8 +109,9 @@ class Goal(str, Enum):
     RELOCKED_AFTER = "ReLockedAfter"
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
+    """One trace line: its time, its kind and its fields in order."""
+
     at: int
     kind: str
     fields: dict[str, object]
@@ -117,11 +119,12 @@ class TraceRecord:
     def get(self, name: str, default=None):
         return self.fields.get(name, default)
 
+    def field_texts(self) -> list[str]:
+        """The fields as ``key=value`` texts, the form every rendering uses."""
+        return [key + "=" + render_value(value) for key, value in self.fields.items()]
+
     def render(self) -> str:
-        return " ".join(
-            ["t=%d" % self.at, "ev=%s" % self.kind]
-            + [key + "=" + render_value(value) for key, value in self.fields.items()]
-        )
+        return " ".join(["t=%d" % self.at, "ev=%s" % self.kind, *self.field_texts()])
 
 
 def render_value(value) -> str:
@@ -147,21 +150,14 @@ def _renderer_for(cls: type):
 _RENDERERS: dict[type, object] = {}
 
 
-class Trace:
-    def __init__(self) -> None:
-        self.records: list[TraceRecord] = []
+class Trace(list):
+    """A run's ``TraceRecord``s in the order they happened."""
 
     def add(self, at: int, kind: str, **fields) -> None:
-        self.records.append(TraceRecord(at=at, kind=kind, fields=fields))
+        self.append(TraceRecord(at, kind, fields))
 
     def render(self) -> str:
-        return "".join([record.render() + "\n" for record in self.records])
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __len__(self) -> int:
-        return len(self.records)
+        return "".join([record.render() + "\n" for record in self])
 
 
 def validate_scenario(scenario: Scenario) -> None:
@@ -233,6 +229,8 @@ def validate_scenario(scenario: Scenario) -> None:
                     for name in action.params
                     if name not in strategy.exploit_params
                 ]
+            if action.params.get("gap_ms", 0) < 0:
+                problems.append("event %d: gap_ms must be non-negative" % i)
     if problems:
         raise ScenarioError(problems)
 
@@ -272,7 +270,6 @@ class Engine:
         self.trace = Trace()
         self._queue: list[tuple[int, int, object]] = []
         self._seq = 0
-        self._door_seen = self.receiver.door
 
     def _push(self, at: int, action: object) -> None:
         heapq.heappush(self._queue, (at, self._seq, action))
@@ -353,6 +350,7 @@ class Engine:
             self._deliver(now, transmission, sender)
 
     def _deliver(self, now: int, transmission, sender: str) -> None:
+        door = self.receiver.door
         action = receive(self.receiver, self.policy, transmission, now)
         fields = {
             "src": sender,
@@ -367,8 +365,7 @@ class Engine:
             fields["ctr"] = action.new_counter
         fields["door"] = self.receiver.door
         self.trace.add(now, "rx", **fields)
-        if self.receiver.door is not self._door_seen:
-            self._door_seen = self.receiver.door
+        if self.receiver.door is not door:
             self.trace.add(now, "door", state=self.receiver.door)
 
     def _apply(self, commands: list, now: int) -> None:

@@ -194,6 +194,12 @@ def test_execute_exploit_index_out_of_range():
         )
 
 
+def test_exploit_spec_rejects_negative_gap():
+    # A negative gap would send both replay paths back in time.
+    with pytest.raises(ValueError):
+        ExploitSpec(signal_indices=(0, 1), inter_replay_gap_ms=-5000)
+
+
 def test_execute_exploit_relock_without_selection_replays_nothing():
     # Both paths share one plan: no selection means no relock target either.
     policy = ReceiverPolicy(rollback=RollbackProfile(2, SequenceMode.LOOSE))

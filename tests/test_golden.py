@@ -3,7 +3,8 @@
 Round-trip tests pass for any keyed permutation and any trace format,
 so they cannot catch a cipher or renderer change that alters output
 bytes.  These tests pin the exact bytes instead: the cipher's frames,
-every shipped scenario's trace and the classifier's ``matrix --json``.
+every shipped scenario's trace, a record with no fields and the
+classifier's ``matrix --json``.
 """
 
 import hashlib
@@ -20,7 +21,7 @@ from rkesim.codebook import (
     encode,
     timestamp_tag,
 )
-from rkesim.scenario import load_scenario
+from rkesim.scenario import load_scenario, loads_scenario
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCENARIOS = os.path.join(REPO, "scenarios")
@@ -76,6 +77,45 @@ def test_scenario_trace_bytes(name):
     trace = sim.run(load_scenario(os.path.join(SCENARIOS, name + ".scn")))
     digest = lambda text: hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert (digest(trace.render()), digest(cli._pretty_trace(trace))) == TRACE_DIGESTS[name]
+
+
+# ``advance`` writes a ``tick``, the one record kind with no fields; no
+# shipped scenario has one, so its exact bytes are pinned here.
+TICK_SCENARIO = (
+    "rkesim-scenario v1\nname tick\nseed 1\n[fob]\nserial 7\n[receiver]\n"
+    "single_window 16\n[events]\n1000 press 7 unlock\n2500 advance\n"
+)
+
+
+def test_record_without_fields_bytes():
+    trace = sim.run(loads_scenario(TICK_SCENARIO))
+    tx = (
+        "src=victim serial=7 ctr=1 btn=unlock out_of_range=0 jammed=0 delivered=1 "
+        "captured=0 frame=9141bc7da1d970fccafa304ea8e902ee"
+    )
+    rx = "src=victim serial=7 action=executed btn=unlock door=unlocked"
+    assert trace.render() == (
+        "t=0 ev=scenario name=tick seed=1\n"
+        "t=0 ev=fob serial=7 ctr=0\n"
+        "t=0 ev=door state=locked\n"
+        "t=1000 ev=tx " + tx + "\n"
+        "t=1000 ev=rx " + rx + "\n"
+        "t=1000 ev=door state=unlocked\n"
+        "t=2500 ev=tick\n"
+        "t=1000 ev=final_fob serial=7 ctr=1 stored=1\n"
+        "t=1000 ev=final door=unlocked captures=0\n"
+    )
+    assert cli._pretty_trace(trace) == (
+        "[       0.000s] scenario   name=tick seed=1\n"
+        "[       0.000s] fob        serial=7 ctr=0\n"
+        "[       0.000s] door       state=locked\n"
+        "[       1.000s] tx         " + tx + "\n"
+        "[       1.000s] rx         " + rx + "\n"
+        "[       1.000s] door       state=unlocked\n"
+        "[       2.500s] tick       \n"
+        "[       1.000s] final_fob  serial=7 ctr=1 stored=1\n"
+        "[       1.000s] final      door=unlocked captures=0\n"
+    )
 
 
 # sha256 of the stdout of ``rkesim matrix <dir> --json`` per shipped policy dir.

@@ -605,7 +605,7 @@ def test_clone_mutations_leave_the_original_untouched():
     fob, frames, now = capture_run(state, policy, fob, [LOCK, UNLOCK, LOCK, UNLOCK])
     receive(state, policy, frames[1], now)  # stale unlock: buffered for rollback
     record = state.fobs[SERIAL]
-    record.resync = (500, now)
+    record.resync = 500
     state.door = Door.LOCKED
 
     def snapshot():
@@ -620,7 +620,7 @@ def test_clone_mutations_leave_the_original_untouched():
     assert copied is not record and copied.key == record.key
     assert (copied.counter, copied.button_counters, copied.resync, copied.rollback) == (
         record.counter, record.button_counters, record.resync, record.rollback)
-    copied.rollback.append((9, UNLOCK, now))
+    copied.rollback.append((9, now))
     copied.button_counters[UNLOCK] = 9
     copied.resync = None
     copy.door = Door.UNLOCKED
@@ -636,7 +636,7 @@ def _state_with_every_slot_set():
     state, fob = build(policy, fob_counter=0, stored=0)
     fob, frames, now = capture_run(state, policy, fob, [LOCK, UNLOCK, LOCK, UNLOCK])
     receive(state, policy, frames[1], now)  # stale unlock: buffered for rollback
-    state.fobs[SERIAL].resync = (500, now)
+    state.fobs[SERIAL].resync = 500
     state.door = Door.LOCKED
     state.learn_buffer = (SERIAL, 3)
     return state
@@ -653,7 +653,7 @@ KEY_MUTATIONS = {
     "fob.counter": lambda s: setattr(s.fobs[SERIAL], "counter", 9),
     "fob.button_counters": lambda s: s.fobs[SERIAL].button_counters.__setitem__(UNLOCK, 9),
     "fob.resync": lambda s: setattr(s.fobs[SERIAL], "resync", None),
-    "fob.rollback": lambda s: s.fobs[SERIAL].rollback.append((9, UNLOCK, 0)),
+    "fob.rollback": lambda s: s.fobs[SERIAL].rollback.append((9, 0)),
 }
 
 

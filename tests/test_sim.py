@@ -339,8 +339,9 @@ def test_validation_unsorted_events():
     [
         (AttackerPhase("exployt"), "event 0: attacker phase 'exployt' is not deploy or exploit"),
         (AttackerPhase("deploy", {"indices": [0]}), "event 0: attacker deploy takes no parameters"),
+        (AttackerPhase("exploit", {"gap_ms": -5000}), "event 0: gap_ms must be non-negative"),
     ],
-    ids=["unknown-phase", "deploy-params"],
+    ids=["unknown-phase", "deploy-params", "negative-gap"],
 )
 def test_validation_bad_attacker_phase(phase, problem):
     scenario = Scenario(
