@@ -18,10 +18,12 @@ and every starting counter, driving the receiver directly, and returns
 the subset-minimal successful sequences.  The two must agree.  The
 subsequences form a tree in which each node extends its parent's
 prefix by one later capture.  The oracle walks that tree one depth at
-a time, replaying one frame per node on a copy of the state its parent
-left, and merges the nodes of a depth that reach an equal receiver
-state with the same last capture: their subtrees are identical, so
-each is replayed once on behalf of every prefix that reaches it.
+a time, keyed by receiver state alone: the prefixes of a depth that
+leave an equal state share it, grouped by their last capture, and the
+state replays each capture above their smallest last index once, on a
+copy, on behalf of every prefix that ends below that capture.  A
+single replay has no gap, so the singles are replayed once per start
+and every gap walk goes on from copies of the states they leave.
 """
 
 from __future__ import annotations
@@ -244,13 +246,16 @@ def exhaustive_search(
 ) -> list[OracleFinding]:
     """Try every replay subsequence over every starting counter.
 
-    For each of the ``2^counter_bits`` starting counters and each probe
-    gap, walks the tree of ascending index sequences one depth at a
-    time: a node replays one more capture on a copy of the receiver its
-    parent prefix left, and nodes with an equal receiver state and last
-    index are merged, so a walk costs one receive() call per distinct
-    node, at most ``2^transcript_len - 1``.  A single replay has no gap
-    and is recorded at the first probe only.
+    For each of the ``2^counter_bits`` starting counters, replays the
+    ``transcript_len`` single captures once, recorded at the first probe
+    only (a single replay has no gap).  Then, for each probe gap, walks
+    the tree of ascending index sequences one depth at a time from
+    copies of the states the singles left.  Each distinct receiver state
+    of a depth replays each capture above the smallest last index of
+    the prefixes that reach it once, for all of them, so a gap walk
+    makes at most ``2^transcript_len - 1 - transcript_len`` receive()
+    calls, and one per capture and depth where every replay leaves one
+    state.
 
     Returns the subset-minimal successful sequences (by capture index),
     each with the full set of passing probe gaps.  The successes of all
@@ -292,39 +297,55 @@ def _probe_successes(
     """Unlocking index sequences of one probe, each with its passing gaps."""
     # Drives the receiver straight through receive(); deliberately does
     # not share the execute_exploit code path it is meant to check.
-    captures = probe.captures
-    last = len(captures) - 1
     start = probe.transcript_end + _EXPLOIT_DELAY_MS
     success_gaps: dict[tuple[int, ...], set[int]] = {}
+    # A single replay has no gap: the singles are replayed once, at start,
+    # and recorded at the first gap only.  Every gap walk goes on from
+    # copies of the depth-1 frontier they leave.
+    root = [(probe.fresh_state(), {-1: [()]})]
+    singles = _expand(probe, root, start, gap_probes_ms[0], success_gaps)
     for gap in gap_probes_ms:
-        # One depth at a time: every node at depth d replays at
-        # start + d*gap, and receive() is deterministic, so nodes with an
-        # equal receiver state and last index have equal subtrees.  Each
-        # such node is replayed once, with every prefix that reaches it.
-        # Frontier nodes: (receiver state, last index, prefixes).
-        frontier = [(probe.fresh_state(), -1, [()])]
+        frontier = [(state.clone(), groups) for state, groups in singles]
         now = start
         while frontier:
-            # A single replay has no gap: it is recorded at the first only.
-            judged = now != start or gap == gap_probes_ms[0]
-            merged: dict[tuple, tuple[ReceiverState, int, list]] = {}
-            for state, prev, prefixes in frontier:
-                for idx in range(prev + 1, last + 1):
-                    # The last child is a leaf and the parent needs its state
-                    # no longer, so it replays on that state instead of a copy.
-                    child = state if idx == last else state.clone()
-                    receive(child, probe.policy, captures[idx], now)
-                    if judged and child.door is _UNLOCKED:
-                        for prefix in prefixes:
-                            success_gaps.setdefault(prefix + (idx,), set()).add(gap)
-                    if idx != last:
-                        extended = [prefix + (idx,) for prefix in prefixes]
-                        node = merged.setdefault((child.key(), idx), (child, idx, extended))
-                        if node[0] is not child:
-                            node[2].extend(extended)
-            frontier = list(merged.values())
             now += gap
+            frontier = _expand(probe, frontier, now, gap, success_gaps)
     return success_gaps
+
+
+def _expand(probe: _Probe, frontier: list, now: int, gap: int, success_gaps: dict) -> list:
+    """Replay one more capture on every frontier node, all at ``now``.
+
+    A node is one distinct receiver state with the prefixes that reach
+    it, grouped by last index.  Nodes of a depth replay at the same time
+    and states with equal keys answer every later frame alike, so each
+    state replays each capture above its smallest last index once, for
+    every prefix whose last index is below that capture.
+    """
+    captures, policy = probe.captures, probe.policy
+    last = len(captures) - 1
+    merged: dict[tuple, tuple[ReceiverState, dict[int, list]]] = {}
+    for state, groups in frontier:
+        usable = []  # references to the prefix groups this capture extends
+        for idx in range(min(groups) + 1, last + 1):
+            if idx - 1 in groups:
+                usable.append(groups[idx - 1])
+            # The last child is a leaf and the parent needs its state no
+            # longer, so it replays on that state instead of a copy.
+            child = state if idx == last else state.clone()
+            receive(child, policy, captures[idx], now)
+            unlocked = child.door is _UNLOCKED
+            if unlocked or idx != last:
+                extended = [prefix + (idx,) for group in usable for prefix in group]
+            if unlocked:
+                for indices in extended:
+                    success_gaps.setdefault(indices, set()).add(gap)
+            if idx != last:
+                child_groups = merged.setdefault(child.key(), (child, {}))[1]
+                group = child_groups.setdefault(idx, extended)
+                if group is not extended:
+                    group += extended
+    return list(merged.values())
 
 
 def _subset_minimal(sequences: list[tuple[int, ...]]) -> list[tuple[int, ...]]:

@@ -188,9 +188,13 @@ class FobRecord:
         self.rollback: list[tuple[int, int]] = []   # (counter, at) of stale frames
 
     def clone(self) -> "FobRecord":
-        other = FobRecord(self.key, self.counter)
-        if self.button_counters is not None:
-            other.button_counters = dict(self.button_counters)
+        # Both clones fill every slot themselves, with no round trip
+        # through __init__: the oracle makes ~10^5 clones per policy.
+        other = object.__new__(FobRecord)
+        other.key = self.key
+        other.counter = self.counter
+        counters = self.button_counters
+        other.button_counters = None if counters is None else dict(counters)
         other.resync = self.resync
         other.rollback = list(self.rollback)
         return other
@@ -210,9 +214,11 @@ class ReceiverState:
         self.clock = 0
 
     def clone(self) -> "ReceiverState":
-        other = ReceiverState(self.master, self.learn_phase)
+        other = object.__new__(ReceiverState)
+        other.master = self.master
         other.fobs = {serial: rec.clone() for serial, rec in self.fobs.items()}
         other.door = self.door
+        other.learn_phase = self.learn_phase
         other.learn_buffer = self.learn_buffer
         other.clock = self.clock
         return other

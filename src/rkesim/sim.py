@@ -288,10 +288,11 @@ class Engine:
         trace.add(0, "door", state=self.receiver.door)
         for event in self.scenario.events:
             self._push(event.at, event.action)
+        at = 0
         while self._queue:
             at, _, action = heapq.heappop(self._queue)
             self._dispatch(at, action)
-        self._footer()
+        self._footer(at)
         return trace
 
     def _dispatch(self, now: int, action: object) -> None:
@@ -387,8 +388,8 @@ class Engine:
             else:
                 raise ScenarioError(["unsupported attacker command %r" % (command,)])
 
-    def _footer(self) -> None:
-        at = self.receiver.clock
+    def _footer(self, at: int) -> None:
+        """Final records, stamped with the time of the last dispatched action."""
         for serial, fob in self.fobs.items():
             record = self.receiver.fobs.get(serial)
             stored = record.counter if record is not None else -1

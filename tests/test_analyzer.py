@@ -339,17 +339,31 @@ def _tree_walk_successes(probe, gap_probes_ms):
     return success_gaps
 
 
-@pytest.mark.parametrize("start_counter", [0, 65533])
-def test_probe_successes_match_tree_walk_reference(start_counter):
+@pytest.mark.parametrize(
+    ("start_counter", "gaps", "transcript_len"),
+    [
+        pytest.param(0, DEFAULT_GAP_PROBES_MS, 8, id="0"),
+        pytest.param(65533, DEFAULT_GAP_PROBES_MS, 8, id="65533"),
+        # One gap walk, and two, both going on from the shared singles.
+        pytest.param(0, (1000,), 8, id="gaps-1000"),
+        pytest.param(0, (2000, 5000), 8, id="gaps-2000-5000"),
+        # Where the root, the leaf and the singles meet: at length 1 the
+        # only single is a leaf replayed on the root state itself.
+        pytest.param(0, DEFAULT_GAP_PROBES_MS, 1, id="len-1"),
+        pytest.param(0, DEFAULT_GAP_PROBES_MS, 2, id="len-2"),
+        pytest.param(0, DEFAULT_GAP_PROBES_MS, 3, id="len-3"),
+    ],
+)
+def test_probe_successes_match_tree_walk_reference(start_counter, gaps, transcript_len):
     # The merged walk returns the very success dict of the tree walk: the
     # same index sequences, each with the same passing gaps.
     for pol in EQUIVALENCE_GRID + CRITERION_8_GRID:
-        probe = analyzer._Probe(pol, 8, start_counter=start_counter)
-        merged = analyzer._probe_successes(probe, DEFAULT_GAP_PROBES_MS)
-        assert merged == _tree_walk_successes(probe, DEFAULT_GAP_PROBES_MS), pol
+        probe = analyzer._Probe(pol, transcript_len, start_counter=start_counter)
+        merged = analyzer._probe_successes(probe, gaps)
+        assert merged == _tree_walk_successes(probe, gaps), pol
 
 
-def test_oracle_receive_count_is_one_per_merged_node(monkeypatch):
+def _count_oracle_receives(monkeypatch, pol, transcript_len):
     calls = []
     original = analyzer.receive
 
@@ -358,14 +372,31 @@ def test_oracle_receive_count_is_one_per_merged_node(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(analyzer, "receive", counting_receive)
-    exhaustive_search(policy(2, SequenceMode.LOOSE), counter_bits=1, transcript_len=8)
-    # Per start: 8 transcript presses, then at each probe gap 8 single
-    # replays and 28 pairs.  Every pair unlocks, and every accept after
-    # it too, leaving a state set by the last index alone, so each depth
-    # from 2 on holds one node per last index: C(8, 3) = 56 more replays.
+    exhaustive_search(pol, counter_bits=1, transcript_len=transcript_len)
+    return len(calls)
+
+
+def test_oracle_receive_count_is_one_per_state_and_capture(monkeypatch):
+    calls = _count_oracle_receives(monkeypatch, policy(2, SequenceMode.LOOSE), 8)
+    # Per start: 8 transcript presses and the 8 single replays, shared by
+    # every probe gap.  Then at each gap the 8 singles' distinct states
+    # replay the 28 pairs.  Every pair unlocks, and every accept after it
+    # too, leaving a state set by the last index alone, so each depth from
+    # 2 on holds one state per last index: C(8, 3) = 56 more replays.
     tree_nodes = 2 * (8 + len(DEFAULT_GAP_PROBES_MS) * (2**8 - 1))
-    assert len(calls) == 2 * (8 + len(DEFAULT_GAP_PROBES_MS) * (8 + 28 + 56)) == 2040
-    assert len(calls) < tree_nodes == 5626
+    assert calls == 2 * (8 + 8 + len(DEFAULT_GAP_PROBES_MS) * (28 + 56)) == 1880
+    assert calls < tree_nodes == 5626
+
+
+def test_oracle_receive_count_secure_policy_one_state_per_depth(monkeypatch):
+    calls = _count_oracle_receives(monkeypatch, ReceiverPolicy(), 8)
+    # Every replay is discarded and leaves the receiver as it was, so each
+    # depth holds one state, which replays each capture above the
+    # smallest last index once: 7 + 6 + ... + 1 = 28 per gap after the
+    # 8 shared singles.  A walk keyed on (state, last index) that replays
+    # the singles at every gap holds one node per last index at each
+    # depth instead: 2 * (8 + 11 * (8 + 28 + 56)) = 2040.
+    assert calls == 2 * (8 + 8 + len(DEFAULT_GAP_PROBES_MS) * 28) == 648
 
 
 def test_oracle_success_sets_invariant_across_counter_wrap():

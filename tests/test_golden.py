@@ -102,8 +102,8 @@ def test_record_without_fields_bytes():
         "t=1000 ev=rx " + rx + "\n"
         "t=1000 ev=door state=unlocked\n"
         "t=2500 ev=tick\n"
-        "t=1000 ev=final_fob serial=7 ctr=1 stored=1\n"
-        "t=1000 ev=final door=unlocked captures=0\n"
+        "t=2500 ev=final_fob serial=7 ctr=1 stored=1\n"
+        "t=2500 ev=final door=unlocked captures=0\n"
     )
     assert cli._pretty_trace(trace) == (
         "[       0.000s] scenario   name=tick seed=1\n"
@@ -113,8 +113,8 @@ def test_record_without_fields_bytes():
         "[       1.000s] rx         " + rx + "\n"
         "[       1.000s] door       state=unlocked\n"
         "[       2.500s] tick       \n"
-        "[       1.000s] final_fob  serial=7 ctr=1 stored=1\n"
-        "[       1.000s] final      door=unlocked captures=0\n"
+        "[       2.500s] final_fob  serial=7 ctr=1 stored=1\n"
+        "[       2.500s] final      door=unlocked captures=0\n"
     )
 
 

@@ -5,11 +5,13 @@ from rkesim.fob import FobState, press
 from rkesim.receiver import (
     ActionKind,
     Door,
+    FobRecord,
     LearnBehavior,
     LearnPhase,
     ReaddMode,
     ReceiverAction,
     ReceiverPolicy,
+    ReceiverState,
     RollbackProfile,
     SequenceMode,
     TimestampCheck,
@@ -655,6 +657,22 @@ KEY_MUTATIONS = {
     "fob.resync": lambda s: setattr(s.fobs[SERIAL], "resync", None),
     "fob.rollback": lambda s: s.fobs[SERIAL].rollback.append((9, 0)),
 }
+
+
+@pytest.mark.parametrize("used", [False, True], ids=["fresh", "used"])
+def test_clone_sets_every_slot(used):
+    # clone() fills the slots one by one, so a slot added later and not
+    # copied there is unset on the copy: getattr raises AttributeError.
+    state = _state_with_every_slot_set() if used else build(ReceiverPolicy())[0]
+    copy = state.clone()
+    for name in ReceiverState.__slots__:
+        if name != "fobs":
+            assert getattr(copy, name) == getattr(state, name), name
+    assert copy.fobs.keys() == state.fobs.keys() == {SERIAL}
+    record, copied = state.fobs[SERIAL], copy.fobs[SERIAL]
+    assert (record.button_counters is not None) is used
+    for name in FobRecord.__slots__:
+        assert getattr(copied, name) == getattr(record, name), name
 
 
 def test_clone_has_an_equal_hashable_key():

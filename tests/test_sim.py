@@ -76,9 +76,32 @@ def test_determinism_identical_traces():
 
 
 def test_trace_timestamps_monotonic():
-    trace = run(rollback_scenario())
-    times = [record.at for record in trace]
-    assert times == sorted(times)
+    def plain(*events):
+        return Scenario(
+            name="tail", seed=1, fobs=(FobDef(serial=7),), policy=ReceiverPolicy(),
+            events=(press_event(1000), *events),
+        )
+
+    scenarios = [
+        rollback_scenario(),
+        # The last events deliver nothing to the receiver, so its clock
+        # stays behind them: the footer must not go back to it.
+        plain(ScenarioEvent(2500, AdvanceClock())),
+        plain(press_event(3000, out_of_range=True)),
+        # Jammed from the start: no frame ever reaches the receiver.
+        Scenario(
+            name="jammed", seed=1, fobs=(FobDef(serial=7),), policy=loose2_policy(),
+            attacker=AttackerDef(kind="rollback", options={"jam_first": True}),
+            events=(ScenarioEvent(0, AttackerPhase("deploy")), press_event(1000)),
+        ),
+    ]
+    for scenario in scenarios:
+        trace = run(scenario)
+        times = [record.at for record in trace]
+        assert times == sorted(times), scenario.name
+        # The footer is stamped with the time of the last event.
+        body = [record for record in trace if record.kind not in ("final_fob", "final")]
+        assert trace[-1].kind == "final" and trace[-1].at == body[-1].at, scenario.name
 
 
 def test_canonical_rollback_scenario_unlocks():
