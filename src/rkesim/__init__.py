@@ -1,7 +1,6 @@
 """Deterministic simulator and analysis toolkit for rolling-code RKE systems."""
 
 from .codebook import (
-    AuthenticationError,
     Instruction,
     Payload,
     Transmission,
@@ -30,7 +29,7 @@ from .receiver import (
     register_fob,
 )
 from .channel import ChannelState, set_jamming, subscribe, transmit
-from .attacks import AttackOutcome, ExploitSpec, execute_exploit
+from .attacks import ExploitSpec, execute_exploit
 from .analyzer import (
     ProbeBudget,
     VariantSignature,

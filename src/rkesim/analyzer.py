@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 
 from .attacks import ExploitSpec, execute_exploit
-from .codebook import Instruction, Transmission, derive_key, master_from_seed
+from .codebook import COUNTER_MOD, Instruction, Transmission, derive_key, master_from_seed
 from .fob import FobState, press
 from .receiver import (
     Door,
@@ -58,19 +58,24 @@ class SearchBoundsError(Exception):
     """Requested exhaustive search exceeds the supported bounds."""
 
 
+# The probe transcript holds 2 * max_signals presses.  Past half the
+# counter ring the earliest captures are no longer behind the receiver
+# but ahead of it, so their "replays" would land as future codes.
+MAX_PROBE_SIGNALS = COUNTER_MOD // 4
+
+
 @dataclass(frozen=True)
 class ProbeBudget:
     max_signals: int = 6
     gap_probes_ms: tuple[int, ...] = DEFAULT_GAP_PROBES_MS
 
     def __post_init__(self) -> None:
-        if self.max_signals < 2:
-            raise ValueError("max_signals must be at least 2")
+        if not 2 <= self.max_signals <= MAX_PROBE_SIGNALS:
+            raise ValueError("max_signals must be between 2 and %d" % MAX_PROBE_SIGNALS)
         _check_gap_probes(self.gap_probes_ms)
 
 
 def _check_gap_probes(gap_probes_ms: tuple[int, ...]) -> None:
-    # The last probe is read as the unbounded sentinel, so order matters.
     if not gap_probes_ms:
         raise ValueError("at least one gap probe is required")
     if list(gap_probes_ms) != sorted(gap_probes_ms):
@@ -227,15 +232,14 @@ def _timeframe_from_gaps(
 ) -> tuple[int | None, bool]:
     """Reported timeframe: largest passing probe gap, or unbounded.
 
-    When every finite probe passes but the unbounded sentinel fails, the
-    true bound lies beyond the grid; the signature is flagged incomplete.
+    Only a pass at the ``UNBOUNDED_GAP_MS`` probe reads as unbounded.
+    When no failing probe lies above the largest passing one, the true
+    bound lies beyond the grid; the signature is flagged incomplete.
     """
-    if passing and passing[-1] == gaps[-1]:
+    if UNBOUNDED_GAP_MS in passing:
         return None, False
-    finite = [g for g in gaps if g != gaps[-1]]
     best = max(passing)
-    boundary_seen = any(g > best for g in finite)
-    return best, not boundary_seen
+    return best, not any(g > best and g != UNBOUNDED_GAP_MS for g in gaps)
 
 
 def exhaustive_search(

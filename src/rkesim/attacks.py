@@ -1,15 +1,14 @@
 """Attacker strategies.
 
 A strategy is a small state machine behind two callbacks.  The engine
-calls ``on_capture(index, delivered, now)`` each time the attacker
-overhears a victim frame: ``index`` is its position in the capture list
-and ``delivered`` says whether the receiver got it too.  It calls
-``on_phase(phase, captured, now)`` when the scenario moves the attacker
-into a phase (``deploy`` or ``exploit``), with ``captured`` the number
-of frames heard so far.  Both answer with commands: toggle the jammer
-or schedule the replay of a captured frame.  Attackers never see keys
-or receiver internals; everything they send is a byte-identical copy
-of something they captured.
+calls ``on_capture(index, now)`` each time the attacker overhears a
+victim frame, with ``index`` its position in the capture list.  It
+calls ``on_phase(phase, captured, now)`` when the scenario moves the
+attacker into a phase (``deploy`` or ``exploit``), with ``captured`` the
+number of frames heard so far.  Both answer with commands: toggle the
+jammer or schedule the replay of a captured frame.  Attackers never see
+keys or receiver internals; everything they send is a byte-identical
+copy of something they captured.
 
 Strategies:
 
@@ -29,10 +28,12 @@ Strategies:
                        retries), then replay them as a sequence any
                        time later to roll the receiver counter back.
 
-An ``ExploitSpec`` is a replay plan.  ``schedule_exploit`` turns it into
-replay commands for the engine; ``execute_exploit`` replays the same
-frames at the same times straight into a receiver state and policy,
-through ``receive()``, and reads the door afterwards.
+An ``ExploitSpec`` is a replay plan, and ``schedule_exploit`` is the one
+place that turns it into ``ScheduleReplay`` commands.  The engine runs
+those commands; ``execute_exploit`` delivers the same commands straight
+into a receiver state and policy, through ``receive()``, and answers
+whether the door was unlocked after the last selected frame, before any
+relock replay.
 """
 
 from __future__ import annotations
@@ -86,13 +87,6 @@ class ExploitSpec:
             raise ValueError("inter_replay_gap_ms must be non-negative")
 
 
-@dataclass(slots=True)
-class AttackOutcome:
-    success: bool
-    door_after: Door
-    signals_replayed: int
-
-
 class AttackerStrategy:
     """Base: answers every capture and every phase with no command.
 
@@ -107,7 +101,7 @@ class AttackerStrategy:
     options: tuple[str, ...] = ()
     exploit_params: tuple[str, ...] = ()
 
-    def on_capture(self, index: int, delivered: bool, now: int) -> list:
+    def on_capture(self, index: int, now: int) -> list:
         return []
 
     def on_phase(self, phase: AttackerPhase, captured: int, now: int) -> list:
@@ -143,23 +137,16 @@ class FutureCode(AttackerStrategy):
 class RollJam(AttackerStrategy):
     def __init__(self) -> None:
         self.armed_at: int | None = None  # captures made before the jammer went on
-        self.recon_done = False
         self.held_index: int | None = None
-        self.held_invalidated = False
 
-    def on_capture(self, index, delivered, now):
-        if self.armed_at is not None:
-            if index > self.armed_at:
-                first = self.armed_at
-                self.armed_at = None
-                self.recon_done = True
-                self.held_index = index
-                # Drop the jammer and push out the first captured press in
-                # the same step; the vehicle obeys and the victim moves on.
-                return [SetJamming(False), ScheduleReplay(now, first)]
-            return []
-        if self.recon_done and delivered:
-            self.held_invalidated = True
+    def on_capture(self, index, now):
+        if self.armed_at is not None and index > self.armed_at:
+            first = self.armed_at
+            self.armed_at = None
+            self.held_index = index
+            # Drop the jammer and push out the first captured press in
+            # the same step; the vehicle obeys and the victim moves on.
+            return [SetJamming(False), ScheduleReplay(now, first)]
         return []
 
     def on_phase(self, phase, captured, now):
@@ -181,7 +168,7 @@ class RollBack(AttackerStrategy):
         self.armed = False
         self.recon_indices: list[int] = []
 
-    def on_capture(self, index, delivered, now):
+    def on_capture(self, index, now):
         if not self.armed:
             return []
         self.recon_indices.append(index)
@@ -207,21 +194,15 @@ class RollBack(AttackerStrategy):
         return []
 
 
-def _replay_indices(spec: ExploitSpec) -> tuple[int, ...]:
-    """Captures a spec replays, in order; relock adds the one after the last."""
-    selected = spec.signal_indices
-    if spec.relock and selected:
-        return (*selected, selected[-1] + 1)
-    return selected
-
-
 def schedule_exploit(spec: ExploitSpec, now: int) -> list[ScheduleReplay]:
-    """The spec's replays as engine commands, ``inter_replay_gap_ms`` apart."""
+    """The spec's replays as commands, ``inter_replay_gap_ms`` apart from
+    ``now``: the selected captures in order, then, with relock, the one
+    after the last."""
+    indices = spec.signal_indices
+    if spec.relock and indices:
+        indices = (*indices, indices[-1] + 1)
     gap = spec.inter_replay_gap_ms
-    return [
-        ScheduleReplay(now + position * gap, idx)
-        for position, idx in enumerate(_replay_indices(spec))
-    ]
+    return [ScheduleReplay(now + pos * gap, idx) for pos, idx in enumerate(indices)]
 
 
 STRATEGY_KINDS = {
@@ -241,27 +222,23 @@ def execute_exploit(
     state: ReceiverState,
     policy: ReceiverPolicy,
     now: int,
-) -> AttackOutcome:
-    """Replay a spec's frames into a receiver, at ``schedule_exploit``'s times.
+) -> bool:
+    """Deliver ``schedule_exploit(spec, now)`` into a receiver.
 
-    Each frame goes through ``receive(state, policy, ...)``, so ``state``
-    is left as the replays leave it.  The attack succeeds if the door is
-    unlocked after the last selected frame, before any relock replay.
+    Each replay goes through ``receive(state, policy, ...)`` at its
+    scheduled time, so ``state`` is left as the replays leave it.
+    Answers whether the door was unlocked after the last selected frame,
+    before any relock replay.
     """
-    indices = _replay_indices(spec)
+    plan = schedule_exploit(spec, now)
     count = len(captures)
-    for idx in indices:
-        if not 0 <= idx < count:
-            raise AttackConfigError("capture index %d out of range" % idx)
-
-    gap = spec.inter_replay_gap_ms
-    unjudged = len(spec.signal_indices)  # selected frames still to replay
+    for replay in plan:
+        if not 0 <= replay.capture_index < count:
+            raise AttackConfigError("capture index %d out of range" % replay.capture_index)
+    selected = len(spec.signal_indices)
     success = False
-    at = now
-    for idx in indices:
-        receive(state, policy, captures[idx], at)
-        at += gap
-        unjudged -= 1
-        if not unjudged:
+    for position, replay in enumerate(plan, 1):
+        receive(state, policy, captures[replay.capture_index], replay.at)
+        if position == selected:
             success = state.door is _UNLOCKED
-    return AttackOutcome(success, state.door, len(indices))
+    return success

@@ -192,17 +192,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cls = sub.add_parser("classify", help="classify a policy file")
     p_cls.add_argument("policy", help="path to a .pol policy file")
-    p_cls.add_argument("--max-signals", type=int, default=6)
-    p_cls.add_argument("--gaps", help="comma-separated replay gap probes in ms")
+    _add_probe_options(p_cls)
     p_cls.set_defaults(func=cmd_classify)
 
     p_mat = sub.add_parser("matrix", help="classify every policy in a directory")
     p_mat.add_argument("policy_dir", help="directory of .pol files")
-    p_mat.add_argument("--max-signals", type=int, default=6)
-    p_mat.add_argument("--gaps", help="comma-separated replay gap probes in ms")
+    _add_probe_options(p_mat)
     p_mat.add_argument("--json", action="store_true", help="machine-readable output")
     p_mat.set_defaults(func=cmd_matrix)
     return parser
+
+
+def _add_probe_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--max-signals",
+        type=int,
+        default=6,
+        help="longest replay to try, 2 to %d (the 2N-press probe transcript "
+        "stays within half the counter ring)" % analyzer.MAX_PROBE_SIGNALS,
+    )
+    parser.add_argument(
+        "--gaps",
+        help="comma-separated replay gap probes in ms, ascending; only a pass "
+        "at %d ms reads as unbounded" % analyzer.UNBOUNDED_GAP_MS,
+    )
 
 
 def main(argv: list[str] | None = None) -> int:

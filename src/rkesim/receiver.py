@@ -335,10 +335,8 @@ def receive(
 
 
 def _counter_base(record: FobRecord, policy: ReceiverPolicy, button: Instruction) -> int:
-    if not policy.per_instruction_counters:
+    if not policy.per_instruction_counters or record.button_counters is None:
         return record.counter
-    if record.button_counters is None:
-        record.button_counters = {instr: record.counter for instr in Instruction}
     return record.button_counters[button]
 
 
@@ -350,9 +348,11 @@ def _accept(
     c_k: int,
 ) -> None:
     # Any accepted frame resynchronizes the counter and resets both
-    # pending buffers; skipped codes in between become invalid.  The
-    # per-button table exists: receive() built it via _counter_base.
+    # pending buffers; skipped codes in between become invalid.  Each
+    # button's counter starts at the shared one, until its first accept.
     if policy.per_instruction_counters:
+        if record.button_counters is None:
+            record.button_counters = {instr: record.counter for instr in Instruction}
         record.button_counters[button] = c_k
     else:
         record.counter = c_k

@@ -345,8 +345,7 @@ class Engine:
             frame=transmission.ciphertext,
         )
         if record.captured:
-            index = len(self.captures) - 1
-            self._apply(self.strategy.on_capture(index, record.delivered, now), now)
+            self._apply(self.strategy.on_capture(len(self.captures) - 1, now), now)
         if record.delivered:
             self._deliver(now, transmission, sender)
 

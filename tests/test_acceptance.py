@@ -128,16 +128,17 @@ def test_criterion_02_five_second_boundary():
         policy,
         now + 60_000,
     )
+    slow_state = state.clone()
     slow = execute_exploit(
         ExploitSpec(signal_indices=(0, 1), inter_replay_gap_ms=6000),
         captures,
-        state.clone(),
+        slow_state,
         policy,
         now + 60_000,
     )
-    assert fast.success is True
-    assert slow.success is False
-    assert slow.door_after is Door.LOCKED
+    assert fast is True
+    assert slow is False
+    assert slow_state.door is Door.LOCKED
     _passed(2, "five-second timeframe boundary is exact")
 
 
@@ -394,15 +395,15 @@ def test_criterion_07_mitigation_kill_tests():
         state, fob = _fob_receiver(policy, counter=0, emit_timestamps=True)
         fob, captures, now = _captured_run(state, policy, fob, [UNLOCK] * (signals + 1))
         state.door = Door.LOCKED
-        outcome = execute_exploit(
+        success = execute_exploit(
             ExploitSpec(signal_indices=tuple(range(signals)), inter_replay_gap_ms=1000),
             captures,
             state,
             policy,
             now + 60_000,
         )
-        assert not outcome.success
-        assert outcome.door_after is Door.LOCKED
+        assert not success
+        assert state.door is Door.LOCKED
 
     # Per-instruction counters: lock-only rollback leaves unlock intact.
     policy = ReceiverPolicy(
@@ -421,7 +422,7 @@ def test_criterion_07_mitigation_kill_tests():
         policy,
         now + 60_000,
     )
-    assert not lock_resync.success          # executed a lock, not an unlock
+    assert not lock_resync          # executed a lock, not an unlock
     assert state.door is Door.LOCKED
     stale_unlock = receive(state, policy, captures[2], now + 120_000)
     assert stale_unlock.kind is ActionKind.DISCARDED

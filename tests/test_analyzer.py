@@ -86,6 +86,30 @@ def test_classify_timeframe_beyond_grid_flagged_incomplete():
     assert signature.incomplete
 
 
+@pytest.mark.parametrize(
+    ("gaps", "timeframe_ms", "incomplete"),
+    [
+        ((1000, 2000, 3000), 3000, True),
+        ((1000, 2000, 3000, 4000, 5000, 6000), 5000, False),
+    ],
+    ids=["below-bound", "past-bound"],
+)
+def test_classify_custom_grid_reads_only_the_sentinel_as_unbounded(
+    gaps, timeframe_ms, incomplete
+):
+    # The last probe of a custom grid is a finite gap like the others.
+    signature = classify(policy(2, SequenceMode.STRICT, 5000), ProbeBudget(gap_probes_ms=gaps))
+    assert (signature.timeframe_ms, signature.incomplete) == (timeframe_ms, incomplete)
+
+
+def test_probe_budget_keeps_the_transcript_within_half_the_counter_ring():
+    # The probe transcript holds 2 * max_signals presses; past half the
+    # 2^16 ring its earliest captures would replay as future codes.
+    assert ProbeBudget(max_signals=16384).max_signals == 16384
+    with pytest.raises(ValueError):
+        ProbeBudget(max_signals=16385)
+
+
 def test_classify_minimality():
     signature = classify(policy(4))
     assert signature.signals == 4
@@ -418,7 +442,7 @@ def _fresh_replay_classify(pol, budget):
 
     def passes(indices, gap):
         spec = ExploitSpec(signal_indices=indices, inter_replay_gap_ms=gap)
-        return execute_exploit(spec, probe.captures, probe.fresh_state(), pol, start).success
+        return execute_exploit(spec, probe.captures, probe.fresh_state(), pol, start)
 
     for k in range(2, budget.max_signals + 1):
         consecutive = tuple(range(k))

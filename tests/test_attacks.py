@@ -2,7 +2,6 @@ import pytest
 
 from rkesim.attacks import (
     AttackConfigError,
-    AttackOutcome,
     AttackerPhase,
     ExploitSpec,
     RollBack,
@@ -51,31 +50,33 @@ def synced_pair(policy, presses, buttons=None):
 def test_rolljam_state_machine_sequence():
     strategy = RollJam()
     assert strategy.on_phase(AttackerPhase("deploy"), 0, 0) == [SetJamming(True)]
-    assert strategy.on_capture(0, False, 10) == []
-    commands = strategy.on_capture(1, False, 20)
+    assert strategy.on_capture(0, 10) == []
+    commands = strategy.on_capture(1, 20)
     assert commands == [SetJamming(False), ScheduleReplay(20, 0)]
     assert strategy.held_index == 1
-    assert not strategy.held_invalidated
     # Exploit replays the held capture.
     assert strategy.on_phase(AttackerPhase("exploit"), 2, 500) == [ScheduleReplay(500, 1)]
 
 
-def test_rolljam_flags_invalidation_on_later_delivered_press():
+def test_rolljam_keeps_held_code_through_later_captures():
+    # The strategy does not track whether a later press invalidated its
+    # held code; the receiver decides that when the code is replayed
+    # (tests/test_sim.py::test_rolljam_fragile_after_intervening_press).
     strategy = RollJam()
     strategy.on_phase(AttackerPhase("deploy"), 0, 0)
-    strategy.on_capture(0, False, 10)
-    strategy.on_capture(1, False, 20)
-    strategy.on_capture(2, True, 30)
-    assert strategy.held_invalidated
+    strategy.on_capture(0, 10)
+    strategy.on_capture(1, 20)
+    assert strategy.on_capture(2, 30) == []
+    assert strategy.on_phase(AttackerPhase("exploit"), 3, 500) == [ScheduleReplay(500, 1)]
 
 
 def test_rollback_recon_jams_only_first():
     strategy = RollBack(jam_first=True, signals_to_capture=3)
     assert strategy.on_phase(AttackerPhase("deploy"), 0, 0) == [SetJamming(True)]
-    commands = strategy.on_capture(0, False, 10)
+    commands = strategy.on_capture(0, 10)
     assert commands == [SetJamming(False)]
-    assert strategy.on_capture(1, True, 20) == []
-    assert strategy.on_capture(2, True, 30) == []
+    assert strategy.on_capture(1, 20) == []
+    assert strategy.on_capture(2, 30) == []
     assert not strategy.armed
     assert strategy.recon_indices == [0, 1, 2]
 
@@ -83,15 +84,15 @@ def test_rollback_recon_jams_only_first():
 def test_rollback_recon_passive_never_jams():
     strategy = RollBack(jam_first=False, signals_to_capture=2)
     assert strategy.on_phase(AttackerPhase("deploy"), 0, 0) == []
-    assert strategy.on_capture(0, True, 10) == []
-    assert strategy.on_capture(1, True, 20) == []
+    assert strategy.on_capture(0, 10) == []
+    assert strategy.on_capture(1, 20) == []
 
 
 def test_rollback_exploit_schedules_replays_with_gaps():
     strategy = RollBack(jam_first=False, signals_to_capture=2)
     strategy.on_phase(AttackerPhase("deploy"), 0, 0)
-    strategy.on_capture(0, True, 10)
-    strategy.on_capture(1, True, 20)
+    strategy.on_capture(0, 10)
+    strategy.on_capture(1, 20)
     commands = strategy.on_phase(
         AttackerPhase("exploit", {"gap_ms": 4000}), 2, 1_000_000
     )
@@ -104,16 +105,10 @@ def test_rollback_exploit_schedules_replays_with_gaps():
 def test_execute_exploit_loose_pair_succeeds():
     policy = ReceiverPolicy(rollback=RollbackProfile(2, SequenceMode.LOOSE))
     state, captures, now = synced_pair(policy, presses=8)
-    outcome = execute_exploit(
-        ExploitSpec(signal_indices=(0, 3), inter_replay_gap_ms=1000),
-        captures,
-        state,
-        policy,
-        now + 10_000,
-    )
-    assert outcome.success
-    assert outcome.door_after is Door.UNLOCKED
-    assert outcome.signals_replayed == 2
+    spec = ExploitSpec(signal_indices=(0, 3), inter_replay_gap_ms=1000)
+    assert execute_exploit(spec, captures, state, policy, now + 10_000)
+    assert state.door is Door.UNLOCKED
+    assert len(schedule_exploit(spec, now + 10_000)) == 2
 
 
 def test_execute_exploit_gap_boundary():
@@ -129,47 +124,43 @@ def test_execute_exploit_gap_boundary():
         policy,
         now + 10_000,
     )
-    assert fast.success
+    assert fast
 
+    slow_state = state.clone()
     slow = execute_exploit(
         ExploitSpec(signal_indices=(0, 1), inter_replay_gap_ms=6000),
         captures,
-        state.clone(),
+        slow_state,
         policy,
         now + 10_000,
     )
-    assert not slow.success
-    assert slow.door_after is Door.LOCKED
+    assert not slow
+    assert slow_state.door is Door.LOCKED
 
 
 def test_execute_exploit_relock_replays_following_capture():
     policy = ReceiverPolicy(rollback=RollbackProfile(2, SequenceMode.LOOSE))
     buttons = [UNLOCK, UNLOCK, LOCK, UNLOCK, LOCK]
     state, captures, now = synced_pair(policy, presses=5, buttons=buttons)
-    outcome = execute_exploit(
-        ExploitSpec(signal_indices=(0, 1), inter_replay_gap_ms=1000, relock=True),
-        captures,
-        state,
-        policy,
-        now + 10_000,
-    )
-    assert outcome.success             # unlocked after the main sequence
-    assert outcome.door_after is Door.LOCKED  # capture #2 (lock) relocked it
-    assert outcome.signals_replayed == 3
+    spec = ExploitSpec(signal_indices=(0, 1), inter_replay_gap_ms=1000, relock=True)
+    # Unlocked after the main sequence, then capture #2 (lock) relocked it.
+    assert execute_exploit(spec, captures, state, policy, now + 10_000)
+    assert state.door is Door.LOCKED
+    assert len(schedule_exploit(spec, now + 10_000)) == 3
 
 
 def test_execute_exploit_secure_policy_fails():
     policy = ReceiverPolicy()
     state, captures, now = synced_pair(policy, presses=4)
-    outcome = execute_exploit(
+    success = execute_exploit(
         ExploitSpec(signal_indices=(0, 1), inter_replay_gap_ms=1000),
         captures,
         state,
         policy,
         now + 10_000,
     )
-    assert not outcome.success
-    assert outcome.door_after is Door.LOCKED
+    assert not success
+    assert state.door is Door.LOCKED
 
 
 def test_execute_exploit_index_out_of_range():
@@ -205,8 +196,8 @@ def test_execute_exploit_relock_without_selection_replays_nothing():
     policy = ReceiverPolicy(rollback=RollbackProfile(2, SequenceMode.LOOSE))
     state, captures, now = synced_pair(policy, presses=3)
     spec = ExploitSpec(signal_indices=(), relock=True)
-    outcome = execute_exploit(spec, captures, state, policy, now + 10_000)
-    assert outcome == AttackOutcome(False, Door.LOCKED, 0)
+    assert execute_exploit(spec, captures, state, policy, now + 10_000) is False
+    assert state.door is Door.LOCKED
     assert schedule_exploit(spec, now + 10_000) == []
 
 
@@ -216,12 +207,11 @@ def test_exploit_repeatable_many_times():
     at = now + 1_000_000
     for _ in range(4):
         state.door = Door.LOCKED
-        outcome = execute_exploit(
+        assert execute_exploit(
             ExploitSpec(signal_indices=(0, 1), inter_replay_gap_ms=1000),
             captures,
             state,
             policy,
             at,
         )
-        assert outcome.success
         at += 3600 * 1000

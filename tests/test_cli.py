@@ -278,7 +278,7 @@ def test_classify_bad_gaps_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "option, value", [("--gaps", "0,1000"), ("--max-signals", "1")]
+    "option, value", [("--gaps", "0,1000"), ("--max-signals", "1"), ("--max-signals", "16385")]
 )
 def test_classify_bad_budget_usage_error(capsys, option, value):
     code, _, err = run_cli(

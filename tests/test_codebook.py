@@ -3,7 +3,6 @@ import random
 import pytest
 
 from rkesim.codebook import (
-    AuthenticationError,
     Instruction,
     Payload,
     Transmission,
@@ -63,8 +62,7 @@ def test_round_trip_random_payloads():
 
 def test_wrong_key_rejected():
     frame = encode(KEY, 7, make_payload())
-    with pytest.raises(AuthenticationError):
-        decode(OTHER_KEY, frame)
+    assert decode(OTHER_KEY, frame) is None
 
 
 def test_fuzzed_ciphertext_rejected():
@@ -74,17 +72,13 @@ def test_fuzzed_ciphertext_rejected():
     flukes = 0
     for _ in range(10_000):
         frame = Transmission(serial=7, ciphertext=rng.randbytes(16))
-        try:
-            decode(KEY, frame)
+        if decode(KEY, frame) is not None:
             flukes += 1
-        except AuthenticationError:
-            pass
     assert flukes <= 5
 
 
 def test_truncated_ciphertext_rejected():
-    with pytest.raises(AuthenticationError):
-        decode(KEY, Transmission(serial=7, ciphertext=b"\x00" * 5))
+    assert decode(KEY, Transmission(serial=7, ciphertext=b"\x00" * 5)) is None
 
 
 def test_counter_out_of_range():
@@ -116,8 +110,7 @@ def test_tampered_signature_rejected():
         signature=(good.signature + 1) % (1 << 32),
     )
     frame = encode(KEY, 7, bad)
-    with pytest.raises(AuthenticationError):
-        decode(KEY, frame)
+    assert decode(KEY, frame) is None
 
 
 def test_discrimination_constant_per_fob():

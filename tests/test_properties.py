@@ -241,20 +241,24 @@ def _loose2_session(presses):
 @settings(max_examples=200, deadline=None)
 def test_execute_exploit_delivers_the_schedule_exploit_plan(indices, gap, relock, now):
     # The scenario engine replays what schedule_exploit plans; the direct
-    # path must hand receive() the same frames at the same times.
+    # path must hand receive() the same frames at the same times, and
+    # answer the door after the last selected frame.
     state, policy, captures = _loose2_session(10)
     spec = ExploitSpec(tuple(indices), gap, relock)
     delivered = []
+    doors = []
 
     def recording_receive(state, policy, frame, at):
         delivered.append((at, frame))
-        return receive(state, policy, frame, at)
+        action = receive(state, policy, frame, at)
+        doors.append(state.door)
+        return action
 
     attacks.receive = recording_receive
     try:
-        outcome = execute_exploit(spec, captures, state, policy, now)
+        success = execute_exploit(spec, captures, state, policy, now)
     finally:
         attacks.receive = receive
     plan = schedule_exploit(spec, now)
     assert delivered == [(c.at, captures[c.capture_index]) for c in plan]
-    assert outcome.signals_replayed == len(plan)
+    assert success is (bool(indices) and doors[len(indices) - 1] is Door.UNLOCKED)

@@ -410,6 +410,17 @@ def test_per_instruction_counters_normal_use():
         assert action.kind is ActionKind.EXECUTED, "press %d" % i
 
 
+def test_per_instruction_discarded_replay_leaves_state_unchanged():
+    # A discarded frame is a read: it must not build the per-button table.
+    policy = ReceiverPolicy(per_instruction_counters=True)
+    state, fob = build(policy, fob_counter=3, stored=10)
+    fob, frame = emit(fob, now=state.clock)
+    before = state.key()
+    action = receive(state, policy, frame, state.clock)
+    assert action.kind is ActionKind.DISCARDED and action.reason == "replay"
+    assert state.key() == before
+
+
 def test_timestamp_check_rejects_negative_tolerance():
     assert TimestampCheck(0).tolerance_ms == 0
     with pytest.raises(ValueError, match="timestamp tolerance must be non-negative"):
