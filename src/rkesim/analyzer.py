@@ -49,6 +49,8 @@ DEFAULT_GAP_PROBES_MS = tuple(range(1000, 10001, 1000)) + (UNBOUNDED_GAP_MS,)
 
 _PROBE_SEED = 0x5EED
 _PROBE_SERIAL = 101
+_PROBE_MASTER = master_from_seed(_PROBE_SEED)
+_PROBE_KEY = derive_key(_PROBE_MASTER, _PROBE_SERIAL)
 _PRESS_SPACING_MS = 10_000
 _EXPLOIT_DELAY_MS = 100 * 24 * 3600 * 1000  # replays start 100 days later
 _UNLOCKED = Door.UNLOCKED  # an enum member read is slow on 3.11; see receiver
@@ -125,16 +127,14 @@ class _Probe:
     """Synthetic fob + receiver pair with a captured press transcript."""
 
     def __init__(self, policy: ReceiverPolicy, transcript_len: int, start_counter: int = 0):
-        master = master_from_seed(_PROBE_SEED)
-        key = derive_key(master, _PROBE_SERIAL)
         fob = FobState(
             serial=_PROBE_SERIAL,
-            key=key,
+            key=_PROBE_KEY,
             counter=start_counter,
             emit_timestamps=policy.timestamp_check is not None,
         )
-        state = new_receiver_state(policy, master)
-        register_fob(state, _PROBE_SERIAL, key, start_counter)
+        state = new_receiver_state(policy, _PROBE_MASTER)
+        register_fob(state, _PROBE_SERIAL, _PROBE_KEY, start_counter)
         self.policy = policy
         self.captures: list[Transmission] = []
         now = 0

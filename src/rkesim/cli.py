@@ -233,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
         for problem in exc.problems:
             print("scenario error: %s" % problem, file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print("cannot open %s" % exc.filename, file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure

