@@ -124,13 +124,7 @@ def _policy_summary(policy: ReceiverPolicy) -> str:
 
 def cmd_matrix(args) -> int:
     budget = _budget_from_args(args)
-    try:
-        entries = sorted(
-            name for name in os.listdir(args.policy_dir) if name.endswith(".pol")
-        )
-    except OSError as exc:
-        print("cannot read %s: %s" % (args.policy_dir, exc), file=sys.stderr)
-        return 1
+    entries = sorted(name for name in os.listdir(args.policy_dir) if name.endswith(".pol"))
     rows = []
     had_error = False
     for filename in entries:
@@ -233,7 +227,8 @@ def main(argv: list[str] | None = None) -> int:
         for problem in exc.problems:
             print("scenario error: %s" % problem, file=sys.stderr)
         return 2
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as exc:
         print("cannot open %s" % exc.filename, file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure

@@ -28,13 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .codebook import (
-    COUNTER_MOD,
-    Instruction,
-    Transmission,
-    _decode_cached,
-    derive_key,
-)
+from .codebook import COUNTER_MOD, Instruction, Transmission, decode, derive_key
 
 _HALF_RING = COUNTER_MOD // 2
 
@@ -183,7 +177,9 @@ class FobRecord:
     def __init__(self, key: bytes, counter: int):
         self.key = key
         self.counter = counter
-        self.button_counters: dict[Instruction, int] | None = None
+        # Per-instruction policies only: a button's counter, from its first
+        # accept on; until then it reads the shared ``counter``.
+        self.button_counters: dict[Instruction, int] = {}
         self.resync: int | None = None              # buffered double-window counter
         self.rollback: list[tuple[int, int]] = []   # (counter, at) of stale frames
 
@@ -193,17 +189,16 @@ class FobRecord:
         other = object.__new__(FobRecord)
         other.key = self.key
         other.counter = self.counter
-        counters = self.button_counters
-        other.button_counters = None if counters is None else dict(counters)
+        other.button_counters = dict(self.button_counters)
         other.resync = self.resync
         other.rollback = list(self.rollback)
         return other
 
 
 class ReceiverState:
-    """Mutable receiver: learned-fob table, door, learn submachine, clock."""
+    """Mutable receiver: learned-fob table, door, learn submachine."""
 
-    __slots__ = ("master", "fobs", "door", "learn_phase", "learn_buffer", "clock")
+    __slots__ = ("master", "fobs", "door", "learn_phase", "learn_buffer")
 
     def __init__(self, master: bytes, learn_phase: LearnPhase = LearnPhase.INACTIVE):
         self.master = master
@@ -211,7 +206,6 @@ class ReceiverState:
         self.door = Door.LOCKED
         self.learn_phase = learn_phase
         self.learn_buffer: tuple[int, int] | None = None  # (serial, counter)
-        self.clock = 0
 
     def clone(self) -> "ReceiverState":
         other = object.__new__(ReceiverState)
@@ -220,7 +214,6 @@ class ReceiverState:
         other.door = self.door
         other.learn_phase = self.learn_phase
         other.learn_buffer = self.learn_buffer
-        other.clock = self.clock
         return other
 
     def key(self) -> tuple:
@@ -233,8 +226,7 @@ class ReceiverState:
                     serial,
                     rec.key,
                     rec.counter,
-                    None if rec.button_counters is None
-                    else tuple(sorted(rec.button_counters.items())),
+                    tuple(sorted(rec.button_counters.items())),
                     rec.resync,
                     tuple(rec.rollback),
                 )
@@ -243,7 +235,6 @@ class ReceiverState:
             self.door,
             self.learn_phase,
             self.learn_buffer,
-            self.clock,
         )
 
 
@@ -293,14 +284,13 @@ def receive(
     a radio receiver is silent about frames it drops.  Learn mode, when
     active, takes precedence over counter validation.
     """
-    state.clock = now
     if state.learn_phase is not _INACTIVE:
         return _learn_receive(state, policy, transmission)
 
     record = state.fobs.get(transmission.serial)
     if record is None:
         return _DISCARDS[UNKNOWN_FOB]
-    payload = _decode_cached(record.key, transmission.serial, transmission.ciphertext)
+    payload = decode(record.key, transmission)
     if payload is None:
         return _DISCARDS[BAD_AUTH]
 
@@ -335,9 +325,9 @@ def receive(
 
 
 def _counter_base(record: FobRecord, policy: ReceiverPolicy, button: Instruction) -> int:
-    if not policy.per_instruction_counters or record.button_counters is None:
+    if not policy.per_instruction_counters:
         return record.counter
-    return record.button_counters[button]
+    return record.button_counters.get(button, record.counter)
 
 
 def _accept(
@@ -348,11 +338,8 @@ def _accept(
     c_k: int,
 ) -> None:
     # Any accepted frame resynchronizes the counter and resets both
-    # pending buffers; skipped codes in between become invalid.  Each
-    # button's counter starts at the shared one, until its first accept.
+    # pending buffers; skipped codes in between become invalid.
     if policy.per_instruction_counters:
-        if record.button_counters is None:
-            record.button_counters = {instr: record.counter for instr in Instruction}
         record.button_counters[button] = c_k
     else:
         record.counter = c_k
@@ -394,7 +381,7 @@ def _learn_receive(
     serial = transmission.serial
     known = state.fobs.get(serial)
     key = known.key if known is not None else derive_key(state.master, serial)
-    payload = _decode_cached(key, serial, transmission.ciphertext)
+    payload = decode(key, transmission)
     if payload is None:
         return _DISCARDS[BAD_AUTH]
 

@@ -2,7 +2,8 @@
 
 Both formats are line oriented and diff friendly.  ``#`` starts a
 comment, blank lines are ignored, and the first meaningful line is a
-versioned header.  Keys and values are whitespace separated.
+versioned header.  Keys and values are whitespace separated, and a
+key appears at most once in its section or at the top level.
 
 Scenario file grammar (header ``rkesim-scenario v1``)::
 
@@ -256,7 +257,8 @@ def _read_keys(block: list[list[_Token]], table: dict, section: str,
     """Reads a block's ``key value`` lines into ``{field: value}``.
 
     Only the keys present appear, so a model constructor called with the
-    result keeps its own defaults.  A ``ValueError`` from a value reader
+    result keeps its own defaults.  A key given twice is an error at its
+    second occurrence.  A ``ValueError`` from a value reader
     (the model rejecting the value) is reported at the key.
     """
     fields = {}
@@ -265,6 +267,8 @@ def _read_keys(block: list[list[_Token]], table: dict, section: str,
         if entry is None:
             raise key.fail("unknown %s key %r" % (section, key.text))
         field, read = entry
+        if field in fields:
+            raise key.fail("duplicate %s key %r" % (section, key.text))
         try:
             fields[field] = read(key, values)
         except ValueError as exc:

@@ -258,6 +258,22 @@ def test_directory_input_cannot_be_opened(capsys, tmp_path, verb):
     assert (code, out, err) == (2, "", "cannot open %s\n" % tmp_path)
 
 
+@pytest.mark.parametrize("target", ["missing", "file"])
+def test_matrix_unlistable_directory_cannot_be_opened(capsys, tmp_path, target):
+    paths = {"missing": str(tmp_path / "missing"), "file": os.path.join(POLICIES, "loose2.pol")}
+    path = paths[target]
+    code, out, err = run_cli(capsys, "matrix", path)
+    assert (code, out, err) == (2, "", "cannot open %s\n" % path)
+
+
+def test_duplicate_key_is_a_parse_error(capsys, tmp_path):
+    pol = tmp_path / "twice.pol"
+    pol.write_text("rkesim-policy v1\n[receiver]\nrollback 2 loose\nrollback 7 strict\n")
+    code, out, err = run_cli(capsys, "classify", str(pol))
+    assert (code, out) == (2, "")
+    assert err == "parse error: line 4, column 1: duplicate receiver key 'rollback'\n"
+
+
 def test_unreadable_input_cannot_be_opened(capsys, monkeypatch):
     def denied(path, *args, **kwargs):
         raise PermissionError(13, "Permission denied", path)

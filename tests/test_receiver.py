@@ -414,9 +414,9 @@ def test_per_instruction_discarded_replay_leaves_state_unchanged():
     # A discarded frame is a read: it must not build the per-button table.
     policy = ReceiverPolicy(per_instruction_counters=True)
     state, fob = build(policy, fob_counter=3, stored=10)
-    fob, frame = emit(fob, now=state.clock)
+    fob, frame = emit(fob, now=0)
     before = state.key()
-    action = receive(state, policy, frame, state.clock)
+    action = receive(state, policy, frame, 0)
     assert action.kind is ActionKind.DISCARDED and action.reason == "replay"
     assert state.key() == before
 
@@ -622,7 +622,7 @@ def test_clone_mutations_leave_the_original_untouched():
     state.door = Door.LOCKED
 
     def snapshot():
-        return (state.door, state.learn_phase, state.learn_buffer, state.clock,
+        return (state.door, state.learn_phase, state.learn_buffer,
                 record.counter, dict(record.button_counters), record.resync,
                 list(record.rollback))
 
@@ -661,7 +661,6 @@ KEY_MUTATIONS = {
     "door": lambda s: setattr(s, "door", Door.UNLOCKED),
     "learn_phase": lambda s: setattr(s, "learn_phase", LearnPhase.AWAIT_FIRST),
     "learn_buffer": lambda s: setattr(s, "learn_buffer", None),
-    "clock": lambda s: setattr(s, "clock", s.clock + 1),
     "fob.key": lambda s: setattr(s.fobs[SERIAL], "key", derive_key(MASTER, SERIAL + 1)),
     "fob.counter": lambda s: setattr(s.fobs[SERIAL], "counter", 9),
     "fob.button_counters": lambda s: s.fobs[SERIAL].button_counters.__setitem__(UNLOCK, 9),
@@ -681,7 +680,7 @@ def test_clone_sets_every_slot(used):
             assert getattr(copy, name) == getattr(state, name), name
     assert copy.fobs.keys() == state.fobs.keys() == {SERIAL}
     record, copied = state.fobs[SERIAL], copy.fobs[SERIAL]
-    assert (record.button_counters is not None) is used
+    assert bool(record.button_counters) is used
     for name in FobRecord.__slots__:
         assert getattr(copied, name) == getattr(record, name), name
 
@@ -700,6 +699,22 @@ def test_key_changes_with_every_slot(slot):
     KEY_MUTATIONS[slot](copy)
     assert copy.key() != state.key()
     assert state.clone().key() == state.key()  # the original is untouched
+
+
+def test_key_ignores_when_a_discarded_frame_arrived():
+    # Two receivers take the same frames, the last one a replay that is
+    # discarded, at different times: no later frame can tell them apart.
+    policy = ReceiverPolicy()
+    states = []
+    for last_at in (2000, 9000):
+        state, fob = build(policy, fob_counter=0, stored=0)
+        fob, first = emit(fob, UNLOCK, 0)
+        fob, second = emit(fob, LOCK, 1000)
+        receive(state, policy, first, 0)
+        receive(state, policy, second, 1000)
+        assert receive(state, policy, first, last_at).reason == "replay"
+        states.append(state)
+    assert states[0].key() == states[1].key()
 
 
 def test_accepts_return_equal_executed_actions():

@@ -305,3 +305,40 @@ def test_rejected_values_are_parse_errors_at_the_key(receiver_line, message):
         1,
         message,
     )
+
+
+@pytest.mark.parametrize(
+    "text, line, column, message",
+    [
+        (
+            "rkesim-policy v1\nname a\n  name b\n[receiver]\nsingle_window 16\n",
+            3, 3, "duplicate top-level key 'name'",
+        ),
+        (
+            _SCN + "seed 1\nseed 2\n" + _FOB + _RX,
+            3, 1, "duplicate top-level key 'seed'",
+        ),
+        (
+            "rkesim-policy v1\n[receiver]\nrollback 2 loose\nrollback 7 strict\n",
+            4, 1, "duplicate receiver key 'rollback'",
+        ),
+        (
+            _SCN + "[fob]\nserial 1\ncounter 5\n  counter 6\n" + _RX,
+            5, 3, "duplicate fob key 'counter'",
+        ),
+        (
+            _SCN + _FOB + _RX + "[attacker]\nstrategy rollback\nstrategy naive_replay\n",
+            8, 1, "duplicate attacker key 'strategy'",
+        ),
+    ],
+    ids=["policy-top-level", "scenario-top-level", "receiver", "fob", "attacker"],
+)
+def test_duplicate_key_reports_the_second_occurrence(text, line, column, message):
+    loads = loads_policy if text.startswith("rkesim-policy") else loads_scenario
+    with pytest.raises(ParseError) as excinfo:
+        loads(text)
+    assert (excinfo.value.line, excinfo.value.column, excinfo.value.message) == (
+        line,
+        column,
+        message,
+    )
