@@ -144,7 +144,7 @@ class _Probe:
             receive(state, policy, transmission, now)
             self.captures.append(transmission)
         self.base_state = state
-        self.transcript_end = now
+        self.replay_start = now + _EXPLOIT_DELAY_MS
 
     def fresh_state(self) -> ReceiverState:
         state = self.base_state.clone()
@@ -175,7 +175,7 @@ def classify(policy: ReceiverPolicy, budget: ProbeBudget = ProbeBudget()) -> Var
         probe.captures,
         first,
         policy,
-        probe.transcript_end + _EXPLOIT_DELAY_MS,
+        probe.replay_start,
     )
     consecutive_states = [first.clone() for _ in gaps]
     gapped_states = [first.clone() for _ in gaps]
@@ -218,10 +218,9 @@ def _replay_next(
     is unlocked after the whole run.
     """
     frame = probe.captures[run[-1]]
-    start = probe.transcript_end + _EXPLOIT_DELAY_MS
     passing = []
     for gap, state in zip(gaps, states):
-        receive(state, probe.policy, frame, start + (len(run) - 1) * gap)
+        receive(state, probe.policy, frame, probe.replay_start + (len(run) - 1) * gap)
         if state.door is _UNLOCKED:
             passing.append(gap)
     return passing
@@ -301,7 +300,7 @@ def _probe_successes(
     """Unlocking index sequences of one probe, each with its passing gaps."""
     # Drives the receiver straight through receive(); deliberately does
     # not share the execute_exploit code path it is meant to check.
-    start = probe.transcript_end + _EXPLOIT_DELAY_MS
+    start = probe.replay_start
     success_gaps: dict[tuple[int, ...], set[int]] = {}
     # A single replay has no gap: the singles are replayed once, at start,
     # and recorded at the first gap only.  Every gap walk goes on from

@@ -8,7 +8,9 @@ Three verbs:
 * ``matrix``    - classify every ``*.pol`` file in a directory and
                   print a table (aligned text or JSON).
 
-Exit codes: 0 success, 1 runtime error, 2 usage or parse error.
+Exit codes: 0 success, 1 runtime error, 2 usage or parse error, 141
+when the reader of stdout goes away (``rkesim ... | head -1``): the
+status a shell reports for a filter ended by SIGPIPE, with no message.
 """
 
 from __future__ import annotations
@@ -201,7 +203,7 @@ def _add_probe_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-signals",
         type=int,
-        default=6,
+        default=analyzer.ProbeBudget.max_signals,
         help="longest replay to try, 2 to %d (the 2N-press probe transcript "
         "stays within half the counter ring)" % analyzer.MAX_PROBE_SIGNALS,
     )
@@ -216,7 +218,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return status
+    except BrokenPipeError:
+        # Point stdout at devnull, so the flush at interpreter exit
+        # neither fails again nor prints "Exception ignored".
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except _UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 2

@@ -25,7 +25,7 @@ reproduces rollback-like behaviour through re-learning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .codebook import COUNTER_MOD, Instruction, Transmission, decode, derive_key
@@ -107,13 +107,6 @@ class RollbackProfile:
 
 
 @dataclass(frozen=True)
-class LearnBehavior:
-    explicit_entry_required: bool = True
-    exit_after_success: bool = True
-    readd_known_fob: ReaddMode = ReaddMode.OVERWRITE
-
-
-@dataclass(frozen=True)
 class TimestampCheck:
     tolerance_ms: int
 
@@ -127,7 +120,11 @@ class ReceiverPolicy:
     single_window: int = 16
     double_window_limit: int = _HALF_RING
     rollback: RollbackProfile | None = None
-    learn: LearnBehavior = field(default_factory=LearnBehavior)
+    # Learn mode: entered only by an explicit event, left after one
+    # success, and what a re-learn of a known fob does.
+    explicit_entry_required: bool = True
+    exit_after_success: bool = True
+    readd_known_fob: ReaddMode = ReaddMode.OVERWRITE
     per_instruction_counters: bool = False
     timestamp_check: TimestampCheck | None = None
 
@@ -240,11 +237,7 @@ class ReceiverState:
 
 def new_receiver_state(policy: ReceiverPolicy, master: bytes) -> ReceiverState:
     """Fresh receiver; starts inside learn mode when entry is not explicit."""
-    phase = (
-        LearnPhase.INACTIVE
-        if policy.learn.explicit_entry_required
-        else LearnPhase.AWAIT_FIRST
-    )
+    phase = LearnPhase.INACTIVE if policy.explicit_entry_required else LearnPhase.AWAIT_FIRST
     return ReceiverState(master, learn_phase=phase)
 
 
@@ -385,9 +378,7 @@ def _learn_receive(
     if payload is None:
         return _DISCARDS[BAD_AUTH]
 
-    ignore_readd = (
-        known is not None and policy.learn.readd_known_fob is ReaddMode.IGNORE
-    )
+    ignore_readd = known is not None and policy.readd_known_fob is ReaddMode.IGNORE
 
     if state.learn_phase is LearnPhase.AWAIT_FIRST:
         if ignore_readd:
@@ -411,9 +402,5 @@ def _learn_receive(
 
     state.fobs[serial] = FobRecord(key, payload.counter)
     state.learn_buffer = None
-    state.learn_phase = (
-        _INACTIVE
-        if policy.learn.exit_after_success
-        else LearnPhase.AWAIT_FIRST
-    )
+    state.learn_phase = _INACTIVE if policy.exit_after_success else LearnPhase.AWAIT_FIRST
     return ReceiverAction(kind=ActionKind.LEARN_COMPLETE)

@@ -56,20 +56,12 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .attacks import DEPLOY, EXPLOIT
+from .attacks import DEPLOY, EXPLOIT, AttackerPhase
 from .codebook import Instruction
-from .receiver import (
-    LearnBehavior,
-    ReaddMode,
-    ReceiverPolicy,
-    RollbackProfile,
-    SequenceMode,
-    TimestampCheck,
-)
+from .receiver import ReaddMode, ReceiverPolicy, RollbackProfile, SequenceMode, TimestampCheck
 from .sim import (
     AdvanceClock,
     AttackerDef,
-    AttackerPhase,
     FobDef,
     LearnModeEntry,
     Scenario,
@@ -219,20 +211,17 @@ def _rollback(key: _Token, values: list[_Token]) -> RollbackProfile:
 
 
 # Key tables: each accepted key maps to (field name, value reader).
-_LEARN_KEYS = {
-    "learn_entry": ("explicit_entry_required", _choice({"explicit": True, "auto": False})),
-    "learn_exit": ("exit_after_success", _flag),
-    # Option order is message order: "overwrite or ignore", not enum order.
-    "learn_readd": ("readd_known_fob", _choice({"overwrite": ReaddMode.OVERWRITE,
-                                                 "ignore": ReaddMode.IGNORE})),
-}
 _RECEIVER_KEYS = {
     "single_window": ("single_window", _int),
     "double_window_limit": ("double_window_limit", _int),
     "rollback": ("rollback", _rollback),
     "per_instruction_counters": ("per_instruction_counters", _flag),
     "timestamp_tolerance_ms": ("timestamp_check", lambda k, v: TimestampCheck(_int(k, v))),
-    **_LEARN_KEYS,
+    "learn_entry": ("explicit_entry_required", _choice({"explicit": True, "auto": False})),
+    "learn_exit": ("exit_after_success", _flag),
+    # Option order is message order: "overwrite or ignore", not enum order.
+    "learn_readd": ("readd_known_fob", _choice({"overwrite": ReaddMode.OVERWRITE,
+                                                 "ignore": ReaddMode.IGNORE})),
 }
 _FOB_KEYS = {
     "serial": ("serial", _int),
@@ -280,9 +269,8 @@ def _read_keys(block: list[list[_Token]], table: dict, section: str,
 
 def parse_policy_section(block: list[list[_Token]]) -> ReceiverPolicy:
     fields = _read_keys(block, _RECEIVER_KEYS, "receiver")
-    learn = {name: fields.pop(name) for name, _ in _LEARN_KEYS.values() if name in fields}
     try:
-        return ReceiverPolicy(learn=LearnBehavior(**learn), **fields)
+        return ReceiverPolicy(**fields)
     except ValueError as exc:
         raise _block_start(block).fail(str(exc))
 
@@ -299,18 +287,18 @@ def loads_policy(text: str, default_name: str = "policy") -> tuple[str, Receiver
     return top.get("name", default_name), parse_policy_section(receiver_blocks[0])
 
 
-def _read_text(path) -> str:
+def _read_text(path) -> tuple[str, str]:
+    """The file's text and its stem, the default name of what it holds."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            text = handle.read()
     except UnicodeDecodeError as exc:
         raise ParseError(1, 1, "not UTF-8 text: %s" % exc.reason) from None
+    return text, str(path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
 
 
 def load_policy(path) -> tuple[str, ReceiverPolicy]:
-    text = _read_text(path)
-    stem = str(path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
-    return loads_policy(text, default_name=stem)
+    return loads_policy(*_read_text(path))
 
 
 def _parse_event_line(tokens: list[_Token]) -> ScenarioEvent:
@@ -423,6 +411,4 @@ def loads_scenario(text: str, default_name: str = "scenario") -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    text = _read_text(path)
-    stem = str(path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
-    return loads_scenario(text, default_name=stem)
+    return loads_scenario(*_read_text(path))

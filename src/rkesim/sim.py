@@ -161,6 +161,8 @@ class Trace(list):
 
 
 def validate_scenario(scenario: Scenario) -> None:
+    """Raise a ``ScenarioError`` listing every problem; the engine runs only
+    what passes, so every event action is one of the four it dispatches."""
     problems = []
     attacker = scenario.attacker
     strategy = None
@@ -214,7 +216,7 @@ def validate_scenario(scenario: Scenario) -> None:
                     "event %d: fob %d clock %d out of timestamp range"
                     % (i, fob.serial, event.at + fob.clock_skew_ms)
                 )
-        if isinstance(action, AttackerPhase):
+        elif isinstance(action, AttackerPhase):
             if attacker is None:
                 problems.append("event %d: attacker phase without an attacker" % i)
             if action.name not in (DEPLOY, EXPLOIT):
@@ -231,6 +233,8 @@ def validate_scenario(scenario: Scenario) -> None:
                 ]
             if action.params.get("gap_ms", 0) < 0:
                 problems.append("event %d: gap_ms must be non-negative" % i)
+        elif not isinstance(action, (LearnModeEntry, AdvanceClock)):
+            problems.append("event %d: unsupported action %r" % (i, action))
     if problems:
         raise ScenarioError(problems)
 
@@ -306,10 +310,8 @@ class Engine:
         elif isinstance(action, LearnModeEntry):
             enter_learn_mode(self.receiver)
             self.trace.add(now, "learn_mode", state=self.receiver.learn_phase)
-        elif isinstance(action, AdvanceClock):
+        else:  # AdvanceClock: validate_scenario admits no other action
             self.trace.add(now, "tick")
-        else:
-            raise ScenarioError(["unsupported event action %r" % (action,)])
 
     def _victim_press(self, now: int, event: VictimPress) -> None:
         new_fob, transmission = press(self.fobs[event.fob_serial], event.button, now)
@@ -369,13 +371,14 @@ class Engine:
             self.trace.add(now, "door", state=self.receiver.door)
 
     def _apply(self, commands: list, now: int) -> None:
+        # A strategy answers with SetJamming and ScheduleReplay only.
         for command in commands:
             if isinstance(command, SetJamming):
                 set_jamming(self.channel, command.on)
                 self.trace.add(
                     now, "attacker", action="jam_on" if command.on else "jam_off"
                 )
-            elif isinstance(command, ScheduleReplay):
+            else:
                 self.trace.add(
                     now,
                     "attacker",
@@ -384,8 +387,6 @@ class Engine:
                     due=command.at,
                 )
                 self._push(command.at, command)
-            else:
-                raise ScenarioError(["unsupported attacker command %r" % (command,)])
 
     def _footer(self, at: int) -> None:
         """Final records, stamped with the time of the last dispatched action."""
@@ -427,10 +428,12 @@ _UNLOCK = Instruction.UNLOCK
 def summarize(trace: Trace) -> Summary:
     """Compute every goal verdict and run counter in one pass over a trace.
 
-    Each delivered, in-range, unjammed victim press is answered by the
-    first later rx with the same time and serial.  The victim is
-    unaffected only if every such rx executed or resynced the pressed
-    button; a press whose time ends without an answer counts against it.
+    Each delivered victim press is answered by the first later rx with
+    the same time and serial; the channel delivers only an in-range,
+    unjammed frame, so ``delivered`` alone says which presses count.  The
+    victim is unaffected only if every such rx executed or resynced the
+    pressed button; a press whose time ends without an answer counts
+    against it.
     """
     unlocked = False
     victim_unaffected = True
@@ -448,8 +451,7 @@ def summarize(trace: Trace) -> Summary:
             src = record.get("src")
             if src == VICTIM:
                 presses += 1
-                in_range = not record.get("out_of_range") and not record.get("jammed")
-                if in_range and record.get("delivered"):
+                if record.get("delivered"):
                     pending.setdefault(record.get("serial"), []).append(record.get("btn"))
             elif src == ATTACKER:
                 replays += 1

@@ -17,7 +17,6 @@ from rkesim.attacks import ExploitSpec, execute_exploit
 from rkesim.codebook import Instruction
 from rkesim.receiver import (
     Door,
-    LearnBehavior,
     ReceiverPolicy,
     RollbackProfile,
     SequenceMode,
@@ -267,11 +266,11 @@ def test_notation_rendering():
     assert sig.notation() == "RollBack^Strict_4.5(2)"
 
 
-FOREVER_LEARN = LearnBehavior(explicit_entry_required=False, exit_after_success=False)
+FOREVER_LEARN = dict(explicit_entry_required=False, exit_after_success=False)
 
 EQUIVALENCE_GRID = [
     ReceiverPolicy(),
-    ReceiverPolicy(learn=FOREVER_LEARN),
+    ReceiverPolicy(**FOREVER_LEARN),
     policy(2, SequenceMode.LOOSE),
     policy(2, SequenceMode.STRICT, 3000),
     policy(3),
@@ -279,7 +278,7 @@ EQUIVALENCE_GRID = [
     policy(4),
     policy(2, SequenceMode.LOOSE, timestamp_check=TimestampCheck(1000)),
     policy(2, SequenceMode.LOOSE, per_instruction_counters=True),
-    policy(2, SequenceMode.LOOSE, learn=FOREVER_LEARN),
+    policy(2, SequenceMode.LOOSE, **FOREVER_LEARN),
     policy(2, single_window=1, double_window_limit=2),
     policy(3, SequenceMode.LOOSE, single_window=2, double_window_limit=4),
 ]
@@ -312,7 +311,7 @@ def _brute_force_search(pol, counter_bits, transcript_len, gaps=DEFAULT_GAP_PROB
                 for gap in gaps if length > 1 else gaps[:1]:
                     state = probe.base_state.clone()
                     state.door = Door.LOCKED
-                    now = probe.transcript_end + analyzer._EXPLOIT_DELAY_MS
+                    now = probe.replay_start
                     for idx in indices:
                         receive(state, pol, captures[idx], now)
                         now += gap
@@ -345,7 +344,7 @@ def _tree_walk_successes(probe, gap_probes_ms):
     """Reference walk: the subset tree depth-first, one receive per node."""
     captures = probe.captures
     last = len(captures) - 1
-    start = probe.transcript_end + analyzer._EXPLOIT_DELAY_MS
+    start = probe.replay_start
     success_gaps = {}
     for gap in gap_probes_ms:
         # Prefixes still to extend: (indices, receiver state, next replay time).
@@ -438,7 +437,7 @@ def _fresh_replay_classify(pol, budget):
     """Reference classifier: every probe replays its whole run from a fresh clone."""
     gaps = budget.gap_probes_ms
     probe = analyzer._Probe(pol, transcript_len=2 * budget.max_signals)
-    start = probe.transcript_end + analyzer._EXPLOIT_DELAY_MS
+    start = probe.replay_start
 
     def passes(indices, gap):
         spec = ExploitSpec(signal_indices=indices, inter_replay_gap_ms=gap)
@@ -468,8 +467,8 @@ def _fresh_replay_classify(pol, budget):
 CLASSIFY_EQUIVALENCE_GRID = CRITERION_8_GRID + [
     policy(2, SequenceMode.LOOSE, timestamp_check=TimestampCheck(1000)),
     policy(2, SequenceMode.LOOSE, per_instruction_counters=True),
-    ReceiverPolicy(learn=FOREVER_LEARN),
-    policy(2, SequenceMode.LOOSE, learn=FOREVER_LEARN),
+    ReceiverPolicy(**FOREVER_LEARN),
+    policy(2, SequenceMode.LOOSE, **FOREVER_LEARN),
     policy(2, single_window=1, double_window_limit=2),
     policy(2, SequenceMode.STRICT, 500),
     policy(7),

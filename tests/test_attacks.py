@@ -1,9 +1,15 @@
 import pytest
 
 from rkesim.attacks import (
+    DEPLOY,
+    EXPLOIT,
     AttackConfigError,
     AttackerPhase,
+    AttackerStrategy,
     ExploitSpec,
+    FutureCode,
+    JamAndReplayLock,
+    NaiveReplay,
     RollBack,
     RollJam,
     ScheduleReplay,
@@ -86,6 +92,26 @@ def test_rollback_recon_passive_never_jams():
     assert strategy.on_phase(AttackerPhase("deploy"), 0, 0) == []
     assert strategy.on_capture(0, 10) == []
     assert strategy.on_capture(1, 20) == []
+
+
+@pytest.mark.parametrize(
+    "strategy, phase, captured",
+    [
+        (AttackerStrategy, EXPLOIT, 3),
+        (NaiveReplay, DEPLOY, 3),
+        (NaiveReplay, EXPLOIT, 0),
+        (JamAndReplayLock, EXPLOIT, 0),
+        (FutureCode, DEPLOY, 3),
+        (RollJam, EXPLOIT, 3),  # never deployed, so nothing is held
+        (RollBack, "recon", 3),
+    ],
+    ids=[
+        "base", "naive-deploy", "naive-nothing-captured", "jam-lock-nothing-captured",
+        "future-code-deploy", "rolljam-nothing-held", "rollback-other-phase",
+    ],
+)
+def test_ignored_phase_answers_no_command(strategy, phase, captured):
+    assert strategy().on_phase(AttackerPhase(phase), captured, 1000) == []
 
 
 def test_rollback_exploit_schedules_replays_with_gaps():

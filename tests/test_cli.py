@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -325,6 +327,14 @@ def test_classify_bad_gaps_usage_error(capsys):
     assert "usage error" in err
 
 
+def test_non_integer_gaps_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "classify", os.path.join(POLICIES, "loose2.pol"), "--gaps", "1000,2s"
+    )
+    assert (code, out) == (2, "")
+    assert err == "usage error: --gaps must be comma-separated integers (ms)\n"
+
+
 @pytest.mark.parametrize(
     "option, value", [("--gaps", "0,1000"), ("--max-signals", "1"), ("--max-signals", "16385")]
 )
@@ -437,3 +447,27 @@ def test_shipped_scenario_reports(capsys, name):
         "ReLockedAfter: %s\n"
         "presses=%d captures=%d replays=%d resyncs=%d\n"
     ) % ((name,) + tuple(flag(g) for g in goals) + counters)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", os.path.join(SCENARIOS, "rolljam.scn"), "--pretty"),
+        ("matrix", POLICIES, "--json"),
+    ],
+    ids=["simulate-pretty", "matrix-json"],
+)
+def test_closed_stdout_pipe_exits_quietly(argv):
+    # The read end is closed before the start, as when ``| head -1`` has
+    # taken its line and gone: every write to stdout fails with EPIPE.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "rkesim", *argv], stdout=write_end, stderr=subprocess.PIPE,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (141, b"")

@@ -1,3 +1,4 @@
+import dataclasses
 import glob
 import inspect
 import os
@@ -113,6 +114,41 @@ def test_timestamp_requires_signature():
     )
     with pytest.raises(ValueError):
         encode(KEY, 7, payload)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"discrimination": 1 << 16}, "discrimination 65536 out of range"),
+        ({"timestamp": TIMESTAMP_MOD, "signature": 0}, "timestamp %d out of range" % TIMESTAMP_MOD),
+        ({"timestamp": 0, "signature": 1 << 32}, "signature 4294967296 out of range"),
+        ({"signature": 0}, "signature without timestamp"),
+    ],
+    ids=["discrimination", "timestamp", "signature", "signature-alone"],
+)
+def test_pack_rejects_fields_out_of_range(fields, message):
+    payload = dataclasses.replace(make_payload(), **fields)
+    with pytest.raises(ValueError) as excinfo:
+        encode(KEY, 7, payload)
+    assert str(excinfo.value) == message
+
+
+def _sealed(block):
+    """A frame holding ``block`` under KEY, its fields packed by hand."""
+    block |= discrimination_for(KEY, 7) << 24
+    ciphertext = codebook._permute.__wrapped__(KEY, block).to_bytes(BLOCK_BYTES, "big")
+    return Transmission(serial=7, ciphertext=ciphertext)
+
+
+@pytest.mark.parametrize(
+    "block",
+    [5 | 2 << 16, 5 | 1 << 16 | 2 << 40, 5 | 1 << 16 | 9 << 48, 5 | 1 << 16 | 9 << 96],
+    ids=["unknown-button", "unknown-flags", "timestamp-without-flag", "tag-without-flag"],
+)
+def test_authentic_block_with_bad_fields_rejected(block):
+    # The discrimination bits are right, so only the field checks reject.
+    assert decode(KEY, _sealed(5 | 1 << 16)) == make_payload()
+    assert decode(KEY, _sealed(block)) is None
 
 
 def test_tampered_signature_rejected():

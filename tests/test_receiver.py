@@ -6,7 +6,6 @@ from rkesim.receiver import (
     ActionKind,
     Door,
     FobRecord,
-    LearnBehavior,
     LearnPhase,
     ReaddMode,
     ReceiverAction,
@@ -516,7 +515,7 @@ def test_learn_nonconsecutive_aborts():
 
 
 def test_learn_stays_active_without_exit():
-    policy = ReceiverPolicy(learn=LearnBehavior(exit_after_success=False))
+    policy = ReceiverPolicy(exit_after_success=False)
     state = new_receiver_state(policy, MASTER)
     enter_learn_mode(state)
     fob = new_fob(31)
@@ -529,9 +528,7 @@ def test_learn_stays_active_without_exit():
 
 
 def test_learn_readd_ignore_leaves_known_fob_untouched():
-    policy = ReceiverPolicy(
-        learn=LearnBehavior(readd_known_fob=ReaddMode.IGNORE)
-    )
+    policy = ReceiverPolicy(readd_known_fob=ReaddMode.IGNORE)
     state = new_receiver_state(policy, MASTER)
     register_fob(state, SERIAL, KEY, 400)
     enter_learn_mode(state)
@@ -542,6 +539,29 @@ def test_learn_readd_ignore_leaves_known_fob_untouched():
     assert action.reason == "readd_ignored"
     assert state.fobs[SERIAL].counter == 400
     assert state.learn_phase is LearnPhase.AWAIT_FIRST
+
+
+def test_learn_readd_ignore_keeps_the_learn_under_way():
+    # A known fob that arrives while a new fob is half learned is
+    # ignored too; the new fob's learn goes on from its first press.
+    policy = ReceiverPolicy(readd_known_fob=ReaddMode.IGNORE)
+    state = new_receiver_state(policy, MASTER)
+    register_fob(state, SERIAL, KEY, 400)
+    enter_learn_mode(state)
+    newcomer = new_fob(31)
+    newcomer, first = press(newcomer, LOCK, 0)
+    assert receive(state, policy, first, 0).kind is ActionKind.LEARN_PROGRESS
+    known = FobState(serial=SERIAL, key=KEY, counter=50)
+    _, frame = press(known, LOCK, 500)
+    action = receive(state, policy, frame, 500)
+    assert action.kind is ActionKind.DISCARDED
+    assert action.reason == "readd_ignored"
+    assert state.learn_phase is LearnPhase.AWAIT_SECOND
+    assert state.learn_buffer == (31, 51)
+    _, second = press(newcomer, LOCK, 1000)
+    assert receive(state, policy, second, 1000).kind is ActionKind.LEARN_COMPLETE
+    assert state.fobs[31].counter == 52
+    assert state.fobs[SERIAL].counter == 400
 
 
 def test_learn_readd_overwrite_resyncs_counter():
@@ -574,9 +594,7 @@ def test_forever_learn_mode_relearns_old_counters():
     # The permanently-open learn machine re-registers a fob from two
     # consecutive stale frames: the counter rolls back without any
     # explicit learn event.
-    policy = ReceiverPolicy(
-        learn=LearnBehavior(explicit_entry_required=False, exit_after_success=False)
-    )
+    policy = ReceiverPolicy(explicit_entry_required=False, exit_after_success=False)
     state = new_receiver_state(policy, MASTER)
     register_fob(state, SERIAL, KEY, 400)
     assert state.learn_phase is LearnPhase.AWAIT_FIRST

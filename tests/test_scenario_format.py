@@ -71,9 +71,9 @@ def test_parse_full_scenario():
     assert policy.rollback.timeframe_ms == 5000
     assert policy.per_instruction_counters
     assert policy.timestamp_check.tolerance_ms == 2000
-    assert not policy.learn.explicit_entry_required
-    assert not policy.learn.exit_after_success
-    assert policy.learn.readd_known_fob is ReaddMode.IGNORE
+    assert not policy.explicit_entry_required
+    assert not policy.exit_after_success
+    assert policy.readd_known_fob is ReaddMode.IGNORE
     assert scenario.attacker.kind == "rollback"
     assert not scenario.attacker.options["jam_first"]
     assert scenario.attacker.options["signals_to_capture"] == 3
@@ -277,6 +277,56 @@ def test_section_errors_report_line_column_message(text, line, column, message):
         column,
         message,
     )
+
+
+_EVENTS = _SCN + _FOB + _RX + "[events]\n"
+
+
+@pytest.mark.parametrize(
+    "text, line, column, message",
+    [
+        ("# only a comment\n", 1, 1, "empty file, expected header 'rkesim-scenario v1'"),
+        (_SCN + "[fob\nserial 1\n" + _RX, 2, 1, "malformed section header"),
+        (_SCN + _FOB + "[receiver] now\n", 4, 1, "malformed section header"),
+        ("rkesim-policy v1\nname p\n", 1, 1, "policy file needs exactly one [receiver] section"),
+        (_SCN + _FOB + _RX + _RX, 6, 1, "duplicate [receiver] section"),
+        (
+            _SCN + _FOB + _RX + "[attacker]\nstrategy rollback\n[attacker]\nstrategy rolljam\n",
+            8, 1, "duplicate [attacker] section",
+        ),
+        (_SCN + _FOB + _RX + "[victim]\n", 6, 1, "unknown section '[victim]'"),
+        (_EVENTS + "100\n", 7, 1, "event needs an action verb"),
+        (_EVENTS + "100 press 1\n", 7, 5, "press takes '<serial> lock|unlock [flags]'"),
+        (_EVENTS + "100 press 1 unlock loud\n", 7, 20, "unknown press flag 'loud'"),
+        (_EVENTS + "100 attacker\n", 7, 5, "attacker event needs a phase name"),
+        (
+            _EVENTS + "100 attacker exploit indices=0,x\n",
+            7, 22, "indices must be comma-separated integers",
+        ),
+        (_EVENTS + "100 attacker exploit gap_ms=1s\n", 7, 22, "gap_ms must be an integer"),
+        (_EVENTS + "100 attacker exploit speed=3\n", 7, 22, "unknown exploit parameter 'speed'"),
+        (_EVENTS + "100 attacker exploit now\n", 7, 22, "unknown attacker argument 'now'"),
+    ],
+    ids=[
+        "empty-file",
+        "unclosed-section-header",
+        "section-header-with-value",
+        "policy-without-receiver",
+        "duplicate-receiver-section",
+        "duplicate-attacker-section",
+        "unknown-section",
+        "event-without-verb",
+        "press-arity",
+        "unknown-press-flag",
+        "attacker-without-phase",
+        "non-integer-indices",
+        "non-integer-gap",
+        "unknown-exploit-parameter",
+        "unknown-attacker-argument",
+    ],
+)
+def test_file_structure_errors_report_line_column_message(text, line, column, message):
+    test_section_errors_report_line_column_message(text, line, column, message)
 
 
 @pytest.mark.parametrize(

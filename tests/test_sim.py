@@ -11,6 +11,7 @@ from rkesim.sim import (
     AdvanceClock,
     AttackerDef,
     AttackerPhase,
+    Engine,
     FobDef,
     Goal,
     LearnModeEntry,
@@ -22,6 +23,7 @@ from rkesim.sim import (
     evaluate,
     render_value,
     run,
+    validate_scenario,
 )
 
 UNLOCK = Instruction.UNLOCK
@@ -390,6 +392,38 @@ def test_validation_phase_without_attacker():
     )
     with pytest.raises(ScenarioError):
         run(scenario)
+
+
+def test_validation_rejects_an_unsupported_action_before_the_run():
+    # validate_scenario owns the event vocabulary: an action the engine
+    # cannot dispatch is reported with the other problems, and no Engine
+    # is built, so no record is written.
+    scenario = Scenario(
+        name="bad",
+        seed=0,
+        fobs=(FobDef(serial=7),),
+        policy=ReceiverPolicy(),
+        events=(ScenarioEvent(0, object()), press_event(1000, serial=99)),
+    )
+    with pytest.raises(ScenarioError) as excinfo:
+        validate_scenario(scenario)
+    first, second = excinfo.value.problems
+    assert first.startswith("event 0: unsupported action <object object at ")
+    assert second == "event 1: unknown fob serial 99"
+    with pytest.raises(ScenarioError):
+        Engine(scenario)
+
+
+def test_validation_duplicate_fob_serial():
+    scenario = Scenario(
+        name="bad",
+        seed=0,
+        fobs=(FobDef(serial=7), FobDef(serial=7, initial_counter=5)),
+        policy=ReceiverPolicy(),
+    )
+    with pytest.raises(ScenarioError) as excinfo:
+        run(scenario)
+    assert excinfo.value.problems == ["duplicate fob serial 7"]
 
 
 @pytest.mark.parametrize(
