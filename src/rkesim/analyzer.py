@@ -82,6 +82,8 @@ def _check_gap_probes(gap_probes_ms: tuple[int, ...]) -> None:
         raise ValueError("at least one gap probe is required")
     if list(gap_probes_ms) != sorted(gap_probes_ms):
         raise ValueError("gap probes must be sorted ascending")
+    if len(set(gap_probes_ms)) != len(gap_probes_ms):
+        raise ValueError("gap probes must not repeat")
     if gap_probes_ms[0] <= 0:
         raise ValueError("gap probes must be positive")
 

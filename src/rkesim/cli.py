@@ -209,8 +209,8 @@ def _add_probe_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--gaps",
-        help="comma-separated replay gap probes in ms, ascending; only a pass "
-        "at %d ms reads as unbounded" % analyzer.UNBOUNDED_GAP_MS,
+        help="comma-separated replay gap probes in ms, ascending, no repeats; "
+        "only a pass at %d ms reads as unbounded" % analyzer.UNBOUNDED_GAP_MS,
     )
 
 

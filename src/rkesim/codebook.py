@@ -16,7 +16,14 @@ the wrong key scrambles the block and the check fails with probability
 
 Encryption keeps the last 64 permutations.  A warm pass of the
 benchmark finds there all 12 000 of policy-matrix's, 1 359 of
-oracle-sweep's 1 572 and none of press-stream's 10 000.
+oracle-sweep's 1 572 and none of press-stream's 10 000.  Each block it
+does encrypt is also remembered under its ciphertext until first
+decoded, so decoding a frame this process produced is a lookup, not
+the inverse rounds; every field check still runs on the recovered
+block.  In a simulation every delivered frame was encoded moments
+before, so the engine never runs the inverse rounds.  Both directions
+copy one keyed BLAKE2b state per key.  ``clear_caches`` empties every
+memo.
 """
 
 from __future__ import annotations
@@ -107,6 +114,26 @@ def timestamp_tag(key: bytes, serial: int, timestamp: int) -> int:
 _ROUND_TAGS = tuple(bytes([rnd]) for rnd in range(_ROUNDS))
 
 
+@lru_cache(maxsize=256)
+def _keyed(key: bytes):
+    # Each round copies this state instead of building a new one, which
+    # would compress the key block again.  One key per fob; 256 keys
+    # outnumber the fobs of any shipped scenario or probe.
+    return hashlib.blake2b(key=key, digest_size=8)
+
+
+# Plain blocks by (key, ciphertext), filled as _permute encrypts and
+# emptied as _unpermute decrypts.  Frames encoded but never decoded (out
+# of range, jammed) stay, so a bound of 65536 entries caps memory: the
+# dict is emptied when full, and a lost entry only costs the rounds.
+# A frame encoded again keeps its stored entry (setdefault), so a rerun
+# leaves no new long-lived object among its garbage; plain assignment
+# raised the press-stream benchmark's peak RSS by 0.1-0.3 MB (2 vCPU,
+# Python 3.11).
+_PLAIN: dict[tuple[bytes, int], int] = {}
+_PLAIN_MAX = 1 << 16
+
+
 # Encryption is deterministic, so a (key, block) met before skips the
 # four rounds.  Hits come only from probe transcripts that repeat frames:
 # every classify call presses the same 2·max_signals probe frames, and
@@ -115,19 +142,27 @@ _ROUND_TAGS = tuple(bytes([rnd]) for rnd in range(_ROUNDS))
 # memory; it holds the 12 plain and 12 timestamped default probe frames.
 @lru_cache(maxsize=64)
 def _permute(key: bytes, block: int) -> int:
-    # Each round copies one keyed BLAKE2b state instead of building a new
-    # one, which would compress the key block again.
-    keyed = hashlib.blake2b(key=key, digest_size=8)
+    keyed = _keyed(key)
     left, right = block >> 64, block & _MASK64
     for tag in _ROUND_TAGS:
         h = keyed.copy()
         h.update(right.to_bytes(8, "big") + tag)
         left, right = right, left ^ int.from_bytes(h.digest(), "big")
-    return left << 64 | right
+    cipher = left << 64 | right
+    if len(_PLAIN) >= _PLAIN_MAX:
+        _PLAIN.clear()
+    _PLAIN.setdefault((key, cipher), block)
+    return cipher
 
 
 def _unpermute(key: bytes, block: int) -> int:
-    keyed = hashlib.blake2b(key=key, digest_size=8)
+    # The permutation is a bijection, so a ciphertext this process
+    # encrypted decrypts to the block it came from.  A plain block may
+    # be 0, hence the ``is not None``.
+    plain = _PLAIN.pop((key, block), None)
+    if plain is not None:
+        return plain
+    keyed = _keyed(key)
     left, right = block >> 64, block & _MASK64
     for tag in reversed(_ROUND_TAGS):
         h = keyed.copy()
@@ -217,3 +252,12 @@ def _decode_cached(key: bytes, serial: int, ciphertext: bytes) -> Payload | None
         timestamp=timestamp,
         signature=signature,
     )
+
+
+def clear_caches() -> None:
+    """Empty every codebook memo, as a fresh process starts."""
+    _decode_cached.cache_clear()
+    discrimination_for.cache_clear()
+    _permute.cache_clear()
+    _keyed.cache_clear()
+    _PLAIN.clear()

@@ -133,6 +133,17 @@ def test_classify_rejects_bad_budget():
         )
 
 
+def test_repeated_gap_probe_is_rejected():
+    # A repeated gap would be probed twice: the oracle replays its whole
+    # walk once per listed gap before it folds the gaps into a set.
+    with pytest.raises(ValueError, match="^gap probes must not repeat$"):
+        ProbeBudget(gap_probes_ms=(1000, 1000))
+    with pytest.raises(ValueError, match="^gap probes must not repeat$"):
+        exhaustive_search(policy(2, SequenceMode.LOOSE), 0, 8, gap_probes_ms=(1000, 1000))
+    with pytest.raises(ValueError, match="^gap probes must be sorted ascending$"):
+        ProbeBudget(gap_probes_ms=(5000, 1000, 1000))
+
+
 def test_oracle_strict3_transcript6_exactly_consecutive_triples():
     findings = exhaustive_search(policy(3), counter_bits=4, transcript_len=6)
     indices = {f.indices for f in findings}

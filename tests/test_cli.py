@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -335,6 +336,14 @@ def test_non_integer_gaps_usage_error(capsys):
     assert err == "usage error: --gaps must be comma-separated integers (ms)\n"
 
 
+def test_repeated_gaps_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "classify", os.path.join(POLICIES, "loose2.pol"), "--gaps", "1000,1000"
+    )
+    assert (code, out) == (2, "")
+    assert err == "usage error: gap probes must not repeat\n"
+
+
 @pytest.mark.parametrize(
     "option, value", [("--gaps", "0,1000"), ("--max-signals", "1"), ("--max-signals", "16385")]
 )
@@ -471,3 +480,24 @@ def test_closed_stdout_pipe_exits_quietly(argv):
     finally:
         os.close(write_end)
     assert (result.returncode, result.stderr) == (141, b"")
+
+
+def test_closed_stdout_pipe_points_stdout_at_devnull(monkeypatch, tmp_path):
+    # The same exit in-process: the failed flush returns 141, and later
+    # writes to stdout's descriptor go to devnull, not to the old target.
+    class ClosedPipe(io.StringIO):
+        def fileno(self):
+            return descriptor
+
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    target = tmp_path / "stdout"
+    descriptor = os.open(target, os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["classify", os.path.join(POLICIES, "loose2.pol")]) == 141
+        os.write(descriptor, b"after the pipe closed")
+    finally:
+        os.close(descriptor)
+    assert target.read_bytes() == b""

@@ -232,3 +232,101 @@ def test_permute_memo_bound_is_the_one_its_comment_states():
     stated = re.search(r"bound of (\d+) entries", comment)
     assert stated is not None
     assert codebook._permute.cache_info().maxsize == int(stated.group(1))
+
+
+# --- the inverse memo and the cache hook -----------------------------------
+
+
+def test_clear_caches_empties_every_memo():
+    # Every module attribute with cache_clear counts, so a memo added
+    # later cannot be missed by the hook.
+    frame = encode(KEY, 7, make_payload())
+    encode(KEY, 7, make_payload(counter=6))
+    assert decode(KEY, frame) == make_payload()
+    memos = [
+        value for value in vars(codebook).values() if hasattr(value, "cache_clear")
+    ]
+    assert {memo.__name__ for memo in memos} >= {
+        "_decode_cached", "discrimination_for", "_permute", "_keyed"
+    }
+    assert all(memo.cache_info().currsize > 0 for memo in memos)
+    assert codebook._PLAIN
+    codebook.clear_caches()
+    assert [memo.cache_info().currsize for memo in memos] == [0] * len(memos)
+    assert codebook._PLAIN == {}
+
+
+@given(
+    counter=st.integers(0, COUNTER_MOD - 1),
+    button=st.sampled_from(list(Instruction)),
+    timestamp=st.one_of(st.none(), st.integers(0, TIMESTAMP_MOD - 1)),
+    mask=st.binary(min_size=BLOCK_BYTES, max_size=BLOCK_BYTES).filter(any),
+)
+@settings(max_examples=200, deadline=None)
+def test_inverse_memo_is_transparent(counter, button, timestamp, mask):
+    for (key, serial), (other, other_serial) in (((KEY, 7), (OTHER_KEY, 8)),
+                                                  ((OTHER_KEY, 8), (KEY, 7))):
+        payload = make_payload(counter, button, serial, key, timestamp)
+        codebook.clear_caches()
+        frame = encode(key, serial, payload)
+        block = int.from_bytes(frame.ciphertext, "big")
+        # The other key misses the entry stored under this one and leaves
+        # it in place.
+        crossed = codebook._unpermute(other, block)
+        assert (key, block) in codebook._PLAIN
+        assert crossed != codebook._pack(payload)
+        assert decode(other, Transmission(other_serial, frame.ciphertext)) is None
+        # A ciphertext one mask away from a stored one is still rejected.
+        fuzzed = bytes(a ^ b for a, b in zip(frame.ciphertext, mask))
+        assert decode(key, Transmission(serial, fuzzed)) is None
+        memo = decode(key, frame)
+        assert (key, block) not in codebook._PLAIN
+        codebook.clear_caches()
+        rounds = decode(key, frame)
+        assert memo == rounds == payload
+        assert codebook._unpermute(other, block) == crossed
+
+
+def _comment_above(source, statement):
+    lines = source[: source.index("\n" + statement)].splitlines()
+    comment = []
+    while lines and lines[-1].startswith("#"):
+        comment.insert(0, lines.pop())
+    return " ".join(comment)
+
+
+def test_plain_memo_bound_is_the_one_its_comment_states():
+    comment = _comment_above(inspect.getsource(codebook), "_PLAIN: ")
+    stated = re.search(r"bound of (\d+) entries", comment)
+    assert stated is not None
+    assert codebook._PLAIN_MAX == int(stated.group(1))
+
+
+def test_plain_memo_is_emptied_when_full():
+    codebook.clear_caches()
+    codebook._PLAIN.update(((b"filler", n), n) for n in range(codebook._PLAIN_MAX))
+    frame = encode(KEY, 7, make_payload())
+    block = int.from_bytes(frame.ciphertext, "big")
+    assert list(codebook._PLAIN) == [(KEY, block)]
+    assert decode(KEY, frame) == make_payload()
+    assert codebook._PLAIN == {}
+
+
+@pytest.mark.parametrize(
+    "path", sorted(glob.glob(os.path.join(SCENARIOS, "*.scn"))), ids=os.path.basename
+)
+def test_shipped_scenarios_never_run_the_inverse_rounds(path, monkeypatch):
+    # Every frame a receiver decodes was encrypted earlier in the run, so
+    # only encryption misses build a keyed state.
+    scenario = load_scenario(path)
+    keyed = codebook._keyed
+    entered = []
+
+    def counting(key):
+        entered.append(key)
+        return keyed(key)
+
+    codebook.clear_caches()
+    monkeypatch.setattr(codebook, "_keyed", counting)
+    run(scenario)
+    assert len(entered) == codebook._permute.cache_info().misses > 0
