@@ -103,17 +103,12 @@ class VariantSignature:
     def notation(self) -> str:
         if not self.vulnerable:
             return "NOT VULNERABLE"
-        frame = "⊗" if self.timeframe_ms is None else _render_seconds(self.timeframe_ms)
+        frame = "⊗" if self.timeframe_ms is None else "%g" % (self.timeframe_ms / 1000)
         return "RollBack^%s_%s(%d)" % (
             self.sequence.value.capitalize(),
             frame,
             self.signals,
         )
-
-
-def _render_seconds(ms: int) -> str:
-    seconds = ms / 1000
-    return "%g" % seconds
 
 
 @dataclass(frozen=True)

@@ -81,7 +81,7 @@ def cmd_simulate(args) -> int:
 
 def _budget_from_args(args) -> analyzer.ProbeBudget:
     gaps = analyzer.DEFAULT_GAP_PROBES_MS
-    if args.gaps:
+    if args.gaps is not None:
         try:
             gaps = tuple(int(g) for g in args.gaps.split(","))
         except ValueError:
@@ -224,7 +224,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # Point stdout at devnull, so the flush at interpreter exit
         # neither fails again nor prints "Exception ignored".
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 141
     except _UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
@@ -243,7 +245,3 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # runtime failure
         print("error: %s" % exc, file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -197,11 +197,11 @@ class ReceiverState:
 
     __slots__ = ("master", "fobs", "door", "learn_phase", "learn_buffer")
 
-    def __init__(self, master: bytes, learn_phase: LearnPhase = LearnPhase.INACTIVE):
+    def __init__(self, master: bytes):
         self.master = master
         self.fobs: dict[int, FobRecord] = {}
         self.door = Door.LOCKED
-        self.learn_phase = learn_phase
+        self.learn_phase = LearnPhase.INACTIVE
         self.learn_buffer: tuple[int, int] | None = None  # (serial, counter)
 
     def clone(self) -> "ReceiverState":
@@ -237,8 +237,10 @@ class ReceiverState:
 
 def new_receiver_state(policy: ReceiverPolicy, master: bytes) -> ReceiverState:
     """Fresh receiver; starts inside learn mode when entry is not explicit."""
-    phase = LearnPhase.INACTIVE if policy.explicit_entry_required else LearnPhase.AWAIT_FIRST
-    return ReceiverState(master, learn_phase=phase)
+    state = ReceiverState(master)
+    if not policy.explicit_entry_required:
+        state.learn_phase = LearnPhase.AWAIT_FIRST
+    return state
 
 
 def register_fob(state: ReceiverState, serial: int, key: bytes, counter: int) -> None:
@@ -247,10 +249,10 @@ def register_fob(state: ReceiverState, serial: int, key: bytes, counter: int) ->
 
 
 def enter_learn_mode(state: ReceiverState) -> None:
-    """Arm the learn submachine; a no-op when already active."""
+    """Arm the learn submachine; a no-op when already active.  The buffer
+    is already empty then: every way out of learn mode clears it."""
     if state.learn_phase is LearnPhase.INACTIVE:
         state.learn_phase = LearnPhase.AWAIT_FIRST
-        state.learn_buffer = None
 
 
 def classify_window(policy: ReceiverPolicy, c_v: int, c_k: int) -> WindowClass:
@@ -354,12 +356,11 @@ def _rollback_receive(
     if buffer:
         last_counter, last_at = buffer[-1]
         step = (c_k - last_counter) % COUNTER_MOD
-        if profile.timeframe_ms is not None and now - last_at > profile.timeframe_ms:
-            buffer.clear()
-        elif profile.sequence is _STRICT and step != 1:
-            buffer.clear()
-        elif not 0 < step < _HALF_RING:
-            # Loose mode still demands strictly ascending counters.
+        # A run breaks when it is too slow, out of strict step, or not
+        # strictly ascending: loose mode still demands that.
+        if (profile.timeframe_ms is not None and now - last_at > profile.timeframe_ms
+                or profile.sequence is _STRICT and step != 1
+                or not 0 < step < _HALF_RING):
             buffer.clear()
     buffer.append((c_k, now))
     if len(buffer) >= profile.signals_required:
@@ -378,29 +379,21 @@ def _learn_receive(
     if payload is None:
         return _DISCARDS[BAD_AUTH]
 
-    ignore_readd = known is not None and policy.readd_known_fob is ReaddMode.IGNORE
-
-    if state.learn_phase is LearnPhase.AWAIT_FIRST:
-        if ignore_readd:
+    buffered = state.learn_buffer
+    if buffered is None or buffered[0] != serial:
+        # A first press, or a different fob mid-sequence, starts the learn
+        # with this fob.
+        if known is not None and policy.readd_known_fob is ReaddMode.IGNORE:
             return _DISCARDS[READD_IGNORED]
         state.learn_phase = LearnPhase.AWAIT_SECOND
         state.learn_buffer = (serial, payload.counter)
         return _LEARN_PROGRESS
 
-    buffered_serial, buffered_counter = state.learn_buffer
-    if serial != buffered_serial:
-        # A different fob mid-sequence restarts the learn with that fob.
-        if ignore_readd:
-            return _DISCARDS[READD_IGNORED]
-        state.learn_buffer = (serial, payload.counter)
-        return _LEARN_PROGRESS
-
-    if payload.counter != (buffered_counter + 1) % COUNTER_MOD:
+    state.learn_buffer = None
+    if payload.counter != (buffered[1] + 1) % COUNTER_MOD:
         state.learn_phase = LearnPhase.AWAIT_FIRST
-        state.learn_buffer = None
         return _DISCARDS[LEARN_ABORT]
 
     state.fobs[serial] = FobRecord(key, payload.counter)
-    state.learn_buffer = None
     state.learn_phase = _INACTIVE if policy.exit_after_success else LearnPhase.AWAIT_FIRST
     return ReceiverAction(kind=ActionKind.LEARN_COMPLETE)

@@ -119,32 +119,29 @@ def _tokenize(text: str) -> list[list[_Token]]:
     return lines
 
 
-class _SectionReader:
-    """Splits token lines into (header tokens, list of section blocks)."""
-
-    def __init__(self, text: str, expected_header: str):
-        lines = _tokenize(text)
-        if not lines:
-            raise ParseError(1, 1, "empty file, expected header %r" % expected_header)
-        header = " ".join(token.text for token in lines[0])
-        if header != expected_header:
-            raise lines[0][0].fail(
-                "bad header %r, expected %r" % (header, expected_header)
-            )
-        self.preamble: list[list[_Token]] = []
-        self.sections: list[tuple[_Token, list[list[_Token]]]] = []
-        current: list[list[_Token]] | None = None
-        for tokens in lines[1:]:
-            first = tokens[0]
-            if first.text.startswith("["):
-                if not (first.text.endswith("]") and len(tokens) == 1):
-                    raise first.fail("malformed section header")
-                current = []
-                self.sections.append((first, current))
-            elif current is None:
-                self.preamble.append(tokens)
-            else:
-                current.append(tokens)
+def _sections(
+    text: str, expected_header: str
+) -> tuple[list[list[_Token]], list[tuple[_Token, list[list[_Token]]]]]:
+    """Split token lines into the preamble and the (header token, block)
+    of each section."""
+    lines = _tokenize(text)
+    if not lines:
+        raise ParseError(1, 1, "empty file, expected header %r" % expected_header)
+    header = " ".join(token.text for token in lines[0])
+    if header != expected_header:
+        raise lines[0][0].fail("bad header %r, expected %r" % (header, expected_header))
+    preamble, sections = [], []
+    current = preamble
+    for tokens in lines[1:]:
+        first = tokens[0]
+        if first.text.startswith("["):
+            if not (first.text.endswith("]") and len(tokens) == 1):
+                raise first.fail("malformed section header")
+            current = []
+            sections.append((first, current))
+        else:
+            current.append(tokens)
+    return preamble, sections
 
 
 def _key_values(block: list[list[_Token]]) -> list[tuple[_Token, list[_Token]]]:
@@ -276,10 +273,10 @@ def parse_policy_section(block: list[list[_Token]]) -> ReceiverPolicy:
 
 
 def loads_policy(text: str, default_name: str = "policy") -> tuple[str, ReceiverPolicy]:
-    reader = _SectionReader(text, POLICY_HEADER)
-    top = _read_keys(reader.preamble, _POLICY_TOP_KEYS, "top-level")
-    receiver_blocks = [blk for tok, blk in reader.sections if tok.text == "[receiver]"]
-    for token, _ in reader.sections:
+    preamble, sections = _sections(text, POLICY_HEADER)
+    top = _read_keys(preamble, _POLICY_TOP_KEYS, "top-level")
+    receiver_blocks = [blk for tok, blk in sections if tok.text == "[receiver]"]
+    for token, _ in sections:
         if token.text != "[receiver]":
             raise token.fail("policy files allow only a [receiver] section")
     if len(receiver_blocks) != 1:
@@ -372,14 +369,14 @@ def _parse_event_line(tokens: list[_Token]) -> ScenarioEvent:
 
 
 def loads_scenario(text: str, default_name: str = "scenario") -> Scenario:
-    reader = _SectionReader(text, SCENARIO_HEADER)
-    top = _read_keys(reader.preamble, _SCENARIO_TOP_KEYS, "top-level")
+    preamble, sections = _sections(text, SCENARIO_HEADER)
+    top = _read_keys(preamble, _SCENARIO_TOP_KEYS, "top-level")
 
     fobs: list[FobDef] = []
     policy = None
     attacker = None
     events: list[ScenarioEvent] = []
-    for token, block in reader.sections:
+    for token, block in sections:
         if token.text == "[fob]":
             fobs.append(FobDef(**_read_keys(block, _FOB_KEYS, "fob", "serial")))
         elif token.text == "[receiver]":

@@ -30,8 +30,6 @@ ALLOWLIST = (
      "no single replay unlocks on today's probe, so no single-index finding exists"),
     ("cli.py", "except Exception as exc:  # runtime failure", 3,
      "no known input reaches the runtime-failure exit; a closed pipe has its own"),
-    ("cli.py", 'if __name__ == "__main__":', 2,
-     "runs only as `python -m rkesim.cli`; tier-1 starts `python -m rkesim`"),
 )
 
 

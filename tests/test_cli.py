@@ -344,6 +344,14 @@ def test_repeated_gaps_usage_error(capsys):
     assert err == "usage error: gap probes must not repeat\n"
 
 
+@pytest.mark.parametrize("verb, target", [("classify", "loose2.pol"), ("matrix", "")])
+def test_empty_gaps_usage_error(capsys, verb, target):
+    # An empty grid is an error, as in the API, not the default grid.
+    code, out, err = run_cli(capsys, verb, os.path.join(POLICIES, target), "--gaps", "")
+    assert (code, out) == (2, "")
+    assert err == "usage error: --gaps must be comma-separated integers (ms)\n"
+
+
 @pytest.mark.parametrize(
     "option, value", [("--gaps", "0,1000"), ("--max-signals", "1"), ("--max-signals", "16385")]
 )
@@ -501,3 +509,34 @@ def test_closed_stdout_pipe_points_stdout_at_devnull(monkeypatch, tmp_path):
     finally:
         os.close(descriptor)
     assert target.read_bytes() == b""
+
+
+def test_closed_stdout_pipe_closes_its_devnull_descriptor(monkeypatch, tmp_path):
+    # The devnull descriptor that stdout is pointed at must not stay open.
+    class ClosedPipe(io.StringIO):
+        def fileno(self):
+            return descriptor
+
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    opened = []
+    real_open = os.open
+
+    def recording_open(path, *args, **kwargs):
+        fd = real_open(path, *args, **kwargs)
+        if path == os.devnull:
+            opened.append(fd)
+        return fd
+
+    descriptor = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        monkeypatch.setattr(os, "open", recording_open)
+        assert main(["classify", os.path.join(POLICIES, "loose2.pol")]) == 141
+        monkeypatch.undo()
+        assert len(opened) == 1
+        with pytest.raises(OSError):  # EBADF: main closed it after the dup2
+            os.fstat(opened[0])
+    finally:
+        os.close(descriptor)
