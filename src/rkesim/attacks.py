@@ -1,14 +1,15 @@
 """Attacker strategies.
 
-A strategy is a small state machine behind two callbacks.  The engine
+A strategy is a small state machine behind three callbacks.  The engine
 calls ``on_capture(index, now)`` each time the attacker overhears a
-victim frame, with ``index`` its position in the capture list.  It
-calls ``on_phase(phase, captured, now)`` when the scenario moves the
-attacker into a phase (``deploy`` or ``exploit``), with ``captured`` the
-number of frames heard so far.  Both answer with commands: toggle the
-jammer or schedule the replay of a captured frame.  Attackers never see
-keys or receiver internals; everything they send is a byte-identical
-copy of something they captured.
+victim frame, with ``index`` its position in the capture list.  It calls
+``on_deploy(captured, now)`` and ``on_exploit(params, captured, now)``
+when the scenario moves the attacker into that phase, with ``captured``
+the number of frames heard so far and ``params`` the exploit event's
+parameters.  Each answers with commands: toggle the jammer or schedule
+the replay of a captured frame.  Attackers never see keys or receiver
+internals; everything they send is a byte-identical copy of something
+they captured.
 
 Strategies:
 
@@ -38,26 +39,16 @@ relock replay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .codebook import Transmission
 from .receiver import Door, ReceiverPolicy, ReceiverState, receive
 
-DEPLOY = "deploy"
-EXPLOIT = "exploit"
 _UNLOCKED = Door.UNLOCKED  # an enum member read is slow on 3.11; see receiver
 
 
 class AttackConfigError(Exception):
     """Exploit parameters reference captures that do not exist."""
-
-
-@dataclass(frozen=True)
-class AttackerPhase:
-    """A scenario event that moves the attacker into ``deploy`` or ``exploit``."""
-
-    name: str
-    params: dict = field(default_factory=dict)
 
 
 # --- commands a strategy hands back to the simulation --------------------
@@ -91,11 +82,11 @@ class AttackerStrategy:
     """Base: answers every capture and every phase with no command.
 
     Capture indices run 0, 1, 2, ... in capture order, so ``captured``
-    names every capture made so far; both callbacks return commands.
+    names every capture made so far; every callback returns commands.
     ``options`` names the keyword arguments the constructor takes (the
-    scenario's ``[attacker]`` keys) and ``exploit_params`` the
-    ``exploit`` phase parameters ``on_phase`` reads; a scenario that
-    gives any other is rejected.
+    scenario's ``[attacker]`` keys) and ``exploit_params`` the exploit
+    parameters ``on_exploit`` reads; a scenario that gives any other is
+    rejected.
     """
 
     options: tuple[str, ...] = ()
@@ -104,33 +95,31 @@ class AttackerStrategy:
     def on_capture(self, index: int, now: int) -> list:
         return []
 
-    def on_phase(self, phase: AttackerPhase, captured: int, now: int) -> list:
+    def on_deploy(self, captured: int, now: int) -> list:
+        return []
+
+    def on_exploit(self, params: dict, captured: int, now: int) -> list:
         return []
 
 
 class NaiveReplay(AttackerStrategy):
-    def on_phase(self, phase, captured, now):
-        if phase.name == EXPLOIT and captured:
-            return [ScheduleReplay(now, captured - 1)]
-        return []
+    def on_exploit(self, params, captured, now):
+        return [ScheduleReplay(now, captured - 1)] if captured else []
 
 
 class JamAndReplayLock(AttackerStrategy):
-    def on_phase(self, phase, captured, now):
-        if phase.name == DEPLOY:
-            return [SetJamming(True)]
-        if phase.name == EXPLOIT and captured:
-            return [SetJamming(False), ScheduleReplay(now, captured - 1)]
-        return []
+    def on_deploy(self, captured, now):
+        return [SetJamming(True)]
+
+    def on_exploit(self, params, captured, now):
+        return [SetJamming(False), ScheduleReplay(now, captured - 1)] if captured else []
 
 
 class FutureCode(AttackerStrategy):
     exploit_params = ("gap_ms",)
 
-    def on_phase(self, phase, captured, now):
-        if phase.name != EXPLOIT:
-            return []
-        spec = ExploitSpec(tuple(range(captured)), phase.params.get("gap_ms", 500))
+    def on_exploit(self, params, captured, now):
+        spec = ExploitSpec(tuple(range(captured)), params.get("gap_ms", 500))
         return schedule_exploit(spec, now)
 
 
@@ -149,13 +138,12 @@ class RollJam(AttackerStrategy):
             return [SetJamming(False), ScheduleReplay(now, first)]
         return []
 
-    def on_phase(self, phase, captured, now):
-        if phase.name == DEPLOY:
-            self.armed_at = captured
-            return [SetJamming(True)]
-        if phase.name == EXPLOIT and self.held_index is not None:
-            return [ScheduleReplay(now, self.held_index)]
-        return []
+    def on_deploy(self, captured, now):
+        self.armed_at = captured
+        return [SetJamming(True)]
+
+    def on_exploit(self, params, captured, now):
+        return [] if self.held_index is None else [ScheduleReplay(now, self.held_index)]
 
 
 class RollBack(AttackerStrategy):
@@ -163,6 +151,8 @@ class RollBack(AttackerStrategy):
     exploit_params = ("indices", "gap_ms", "relock")
 
     def __init__(self, jam_first: bool = True, signals_to_capture: int = 2) -> None:
+        if signals_to_capture < 1:
+            raise ValueError("signals_to_capture must be at least 1")
         self.jam_first = jam_first
         self.signals_to_capture = signals_to_capture
         self.armed = False
@@ -178,20 +168,18 @@ class RollBack(AttackerStrategy):
             return [SetJamming(False)]
         return []
 
-    def on_phase(self, phase, captured, now):
-        if phase.name == DEPLOY:
-            self.armed = True
-            self.recon_indices = []
-            return [SetJamming(True)] if self.jam_first else []
-        if phase.name == EXPLOIT:
-            params = phase.params
-            spec = ExploitSpec(
-                signal_indices=tuple(params.get("indices", self.recon_indices)),
-                inter_replay_gap_ms=params.get("gap_ms", 1000),
-                relock=params.get("relock", False),
-            )
-            return schedule_exploit(spec, now)
-        return []
+    def on_deploy(self, captured, now):
+        self.armed = True
+        self.recon_indices = []
+        return [SetJamming(True)] if self.jam_first else []
+
+    def on_exploit(self, params, captured, now):
+        spec = ExploitSpec(
+            signal_indices=tuple(params.get("indices", self.recon_indices)),
+            inter_replay_gap_ms=params.get("gap_ms", 1000),
+            relock=params.get("relock", False),
+        )
+        return schedule_exploit(spec, now)
 
 
 def schedule_exploit(spec: ExploitSpec, now: int) -> list[ScheduleReplay]:

@@ -7,7 +7,7 @@ key appears at most once in its section or at the top level.
 
 Scenario file grammar (header ``rkesim-scenario v1``)::
 
-    name <ident>              # optional, defaults to the file stem
+    name <ident>              # optional, defaults to the file stem; no / or \\
     seed <int>
 
     [fob]                     # one section per fob
@@ -32,10 +32,11 @@ Scenario file grammar (header ``rkesim-scenario v1``)::
     [attacker]                # optional
     strategy naive_replay|jam_replay_lock|future_code|rolljam|rollback
     jam_first on|off          # rollback only, default on
-    signals_to_capture <int>  # rollback only, default 2
+    signals_to_capture <int>  # rollback only, >= 1, default 2
 
     [events]
     <at_ms> press <serial> lock|unlock [out_of_range] [no_capture]
+                              # each flag and exploit parameter at most once
     <at_ms> attacker deploy   # the phase is deploy or exploit, nothing else
     <at_ms> attacker exploit [indices=<i,j,...>] [gap_ms=<int>] [relock]
                               # indices: capture numbers, each >= 0
@@ -46,7 +47,8 @@ Scenario file grammar (header ``rkesim-scenario v1``)::
     <at_ms> advance
 
 An ``[attacker]`` key or exploit parameter that the chosen strategy
-does not read is a scenario error when the scenario is run.
+does not read, or a value it rejects, is a scenario error when the
+scenario is run.
 
 Policy files (header ``rkesim-policy v1``) hold ``name`` plus a single
 ``[receiver]`` section with the same keys.
@@ -56,12 +58,13 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .attacks import DEPLOY, EXPLOIT, AttackerPhase
 from .codebook import Instruction
 from .receiver import ReaddMode, ReceiverPolicy, RollbackProfile, SequenceMode, TimestampCheck
 from .sim import (
     AdvanceClock,
     AttackerDef,
+    AttackerDeploy,
+    AttackerExploit,
     FobDef,
     LearnModeEntry,
     Scenario,
@@ -72,6 +75,7 @@ from .sim import (
 SCENARIO_HEADER = "rkesim-scenario v1"
 POLICY_HEADER = "rkesim-policy v1"
 _BUTTONS = {button.value: button for button in Instruction}
+_PHASES = {phase.name: phase for phase in (AttackerDeploy, AttackerExploit)}
 
 
 class ParseError(Exception):
@@ -179,6 +183,14 @@ def _text(key: _Token, values: list[_Token]) -> str:
     return _single(values, key).text
 
 
+def _name(key: _Token, values: list[_Token]) -> str:
+    # The name is a trace file's stem, so it must not name a directory.
+    token = _single(values, key)
+    if "/" in token.text or "\\" in token.text:
+        raise token.fail("name must not contain / or \\")
+    return token.text
+
+
 def _hex(key: _Token, values: list[_Token]) -> bytes:
     token = _single(values, key)
     try:
@@ -234,7 +246,7 @@ _ATTACKER_KEYS = {
     "jam_first": ("jam_first", _flag),
     "signals_to_capture": ("signals_to_capture", _int),
 }
-_POLICY_TOP_KEYS = {"name": ("name", _text)}
+_POLICY_TOP_KEYS = {"name": ("name", _name)}
 _SCENARIO_TOP_KEYS = {**_POLICY_TOP_KEYS, "seed": ("seed", _int)}
 
 
@@ -311,54 +323,55 @@ def _parse_event_line(tokens: list[_Token]) -> ScenarioEvent:
         button = _BUTTONS.get(rest[1].text)
         if button is None:
             raise rest[1].fail("button must be lock or unlock")
-        out_of_range = False
-        in_attacker_range = True
+        flags = set()
         for flag in rest[2:]:
-            if flag.text == "out_of_range":
-                out_of_range = True
-            elif flag.text == "no_capture":
-                in_attacker_range = False
-            else:
+            if flag.text not in ("out_of_range", "no_capture"):
                 raise flag.fail("unknown press flag %r" % flag.text)
+            if flag.text in flags:
+                raise flag.fail("duplicate press flag %r" % flag.text)
+            flags.add(flag.text)
         action = VictimPress(
             fob_serial=serial,
             button=button,
-            out_of_range=out_of_range,
-            fob_in_attacker_range=in_attacker_range,
+            out_of_range="out_of_range" in flags,
+            fob_in_attacker_range="no_capture" not in flags,
         )
     elif verb.text == "attacker":
         if not rest:
             raise verb.fail("attacker event needs a phase name")
-        if rest[0].text not in (DEPLOY, EXPLOIT):
+        phase = _PHASES.get(rest[0].text)
+        if phase is None:
             raise rest[0].fail("attacker phase must be deploy or exploit")
-        if rest[0].text == DEPLOY and len(rest) > 1:
+        if phase is AttackerDeploy and len(rest) > 1:
             raise rest[1].fail("attacker deploy takes no parameters")
         params: dict = {}
         for token in rest[1:]:
             if token.text == "relock":
-                params["relock"] = True
+                name, value = "relock", True
             elif "=" in token.text:
-                name, _, value = token.text.partition("=")
+                name, _, text = token.text.partition("=")
                 if name == "indices":
                     try:
-                        indices = [int(x) for x in value.split(",")]
+                        value = [int(x) for x in text.split(",")]
                     except ValueError:
                         raise token.fail("indices must be comma-separated integers")
-                    if min(indices) < 0:
+                    if min(value) < 0:
                         raise token.fail("indices must be non-negative")
-                    params["indices"] = indices
                 elif name == "gap_ms":
                     try:
-                        params["gap_ms"] = int(value)
+                        value = int(text)
                     except ValueError:
                         raise token.fail("gap_ms must be an integer")
-                    if params["gap_ms"] < 0:
+                    if value < 0:
                         raise token.fail("gap_ms must be non-negative")
                 else:
                     raise token.fail("unknown exploit parameter %r" % name)
             else:
                 raise token.fail("unknown attacker argument %r" % token.text)
-        action = AttackerPhase(name=rest[0].text, params=params)
+            if name in params:
+                raise token.fail("duplicate exploit parameter %r" % name)
+            params[name] = value
+        action = AttackerExploit(params) if phase is AttackerExploit else AttackerDeploy()
     elif verb.text in ("learn_mode", "advance"):
         if rest:
             raise rest[0].fail("%s takes no parameters" % verb.text)

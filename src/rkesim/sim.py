@@ -1,11 +1,12 @@
 """Deterministic discrete-event engine.
 
 A scenario is a script: fob definitions, one receiver policy, an
-optional attacker, and a time-ordered list of events (victim presses,
-attacker phases, learn-mode entry, clock markers).  Running it produces
-a trace: a list of ``(at, kind, fields)`` records of every emission,
-delivery, receiver action, attacker action and door change.  Identical
-scenarios produce bit-identical traces.  ``summarize`` reads a finished
+optional attacker, and a time-ordered list of events, each its own type:
+``VictimPress``, ``AttackerDeploy``, ``AttackerExploit``,
+``LearnModeEntry`` and ``AdvanceClock``.  Running it produces a trace: a
+list of ``(at, kind, fields)`` records of every emission, delivery,
+receiver action, attacker action and door change.  Identical scenarios
+produce bit-identical traces.  ``summarize`` reads a finished
 trace once and returns the goal verdicts and run counters; ``evaluate``
 looks up one goal in it.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
-from .attacks import DEPLOY, EXPLOIT, STRATEGY_KINDS, AttackerPhase, ScheduleReplay, SetJamming
+from .attacks import STRATEGY_KINDS, ScheduleReplay, SetJamming
 from .channel import ATTACKER, VICTIM, ChannelState, subscribe, set_jamming, transmit
 from .codebook import (
     COUNTER_MOD,
@@ -69,6 +70,21 @@ class VictimPress:
     button: Instruction
     out_of_range: bool = False
     fob_in_attacker_range: bool = True
+
+
+@dataclass(frozen=True)
+class AttackerDeploy:
+    """The attacker starts capturing; the strategy answers ``on_deploy``."""
+
+    name = "deploy"  # the scenario word and the ``phase`` record's name
+
+
+@dataclass(frozen=True)
+class AttackerExploit:
+    """The attacker replays; the strategy answers ``on_exploit(params, ...)``."""
+
+    name = "exploit"
+    params: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -162,7 +178,7 @@ class Trace(list):
 
 def validate_scenario(scenario: Scenario) -> None:
     """Raise a ``ScenarioError`` listing every problem; the engine runs only
-    what passes, so every event action is one of the four it dispatches."""
+    what passes, so every event action is one of the five it dispatches."""
     problems = []
     attacker = scenario.attacker
     strategy = None
@@ -171,11 +187,16 @@ def validate_scenario(scenario: Scenario) -> None:
         if strategy is None:
             problems.append("unknown attacker strategy %r" % attacker.kind)
         else:
+            unknown = [key for key in attacker.options if key not in strategy.options]
             problems += [
                 "attacker: strategy %s does not take %s" % (attacker.kind, key)
-                for key in attacker.options
-                if key not in strategy.options
+                for key in unknown
             ]
+            if not unknown:
+                try:
+                    strategy(**attacker.options)  # the strategy checks its own values
+                except ValueError as exc:
+                    problems.append("attacker: %s" % exc)
     fobs: dict[int, FobDef] = {}
     for fob in scenario.fobs:
         if fob.serial in fobs:
@@ -216,23 +237,18 @@ def validate_scenario(scenario: Scenario) -> None:
                     "event %d: fob %d clock %d out of timestamp range"
                     % (i, fob.serial, event.at + fob.clock_skew_ms)
                 )
-        elif isinstance(action, AttackerPhase):
+        elif isinstance(action, (AttackerDeploy, AttackerExploit)):
             if attacker is None:
                 problems.append("event %d: attacker phase without an attacker" % i)
-            if action.name not in (DEPLOY, EXPLOIT):
-                problems.append(
-                    "event %d: attacker phase %r is not deploy or exploit" % (i, action.name)
-                )
-            elif action.name == DEPLOY and action.params:
-                problems.append("event %d: attacker deploy takes no parameters" % i)
-            elif strategy is not None:
-                problems += [
-                    "event %d: strategy %s does not read %s" % (i, attacker.kind, name)
-                    for name in action.params
-                    if name not in strategy.exploit_params
-                ]
-            if action.params.get("gap_ms", 0) < 0:
-                problems.append("event %d: gap_ms must be non-negative" % i)
+            if isinstance(action, AttackerExploit):
+                if strategy is not None:
+                    problems += [
+                        "event %d: strategy %s does not read %s" % (i, attacker.kind, name)
+                        for name in action.params
+                        if name not in strategy.exploit_params
+                    ]
+                if action.params.get("gap_ms", 0) < 0:
+                    problems.append("event %d: gap_ms must be non-negative" % i)
         elif not isinstance(action, (LearnModeEntry, AdvanceClock)):
             problems.append("event %d: unsupported action %r" % (i, action))
     if problems:
@@ -304,9 +320,12 @@ class Engine:
             self._victim_press(now, action)
         elif isinstance(action, ScheduleReplay):
             self._attacker_replay(now, action.capture_index)
-        elif isinstance(action, AttackerPhase):
+        elif isinstance(action, AttackerDeploy):
             self.trace.add(now, "phase", name=action.name)
-            self._apply(self.strategy.on_phase(action, len(self.captures), now), now)
+            self._apply(self.strategy.on_deploy(len(self.captures), now), now)
+        elif isinstance(action, AttackerExploit):
+            self.trace.add(now, "phase", name=action.name)
+            self._apply(self.strategy.on_exploit(action.params, len(self.captures), now), now)
         elif isinstance(action, LearnModeEntry):
             enter_learn_mode(self.receiver)
             self.trace.add(now, "learn_mode", state=self.receiver.learn_phase)

@@ -38,7 +38,8 @@ from rkesim.receiver import (
 )
 from rkesim.sim import (
     AttackerDef,
-    AttackerPhase,
+    AttackerDeploy,
+    AttackerExploit,
     FobDef,
     Goal,
     Scenario,
@@ -144,7 +145,7 @@ def test_criterion_02_five_second_boundary():
 
 def _time_agnostic_scenario(signals, sequence):
     policy = ReceiverPolicy(rollback=RollbackProfile(signals, sequence))
-    events = [ScenarioEvent(0, AttackerPhase("deploy"))]
+    events = [ScenarioEvent(0, AttackerDeploy())]
     # Recon: the jammed first press forces consecutive retries, so the
     # attacker captures `signals` consecutive unlock codes.
     for i in range(signals):
@@ -164,7 +165,7 @@ def _time_agnostic_scenario(signals, sequence):
         events.append(
             ScenarioEvent(
                 exploit_at,
-                AttackerPhase("exploit", {"indices": indices, "gap_ms": 1000}),
+                AttackerExploit({"indices": indices, "gap_ms": 1000}),
             )
         )
         exploit_times.append(exploit_at)
@@ -220,13 +221,13 @@ def test_criterion_03_time_agnosticism():
 
 def _rolljam_scenario(policy, intervening_press):
     events = [
-        ScenarioEvent(0, AttackerPhase("deploy")),
+        ScenarioEvent(0, AttackerDeploy()),
         _press(5_000),
         _press(9_000),
     ]
     if intervening_press:
         events.append(_press(30_000, LOCK))
-    events.append(ScenarioEvent(60_000, AttackerPhase("exploit")))
+    events.append(ScenarioEvent(60_000, AttackerExploit()))
     return Scenario(
         name="rolljam_grid",
         seed=23,
@@ -369,10 +370,10 @@ def test_criterion_07_mitigation_kill_tests():
         policy=ReceiverPolicy(timestamp_check=tolerance),
         attacker=AttackerDef(kind="rolljam"),
         events=(
-            ScenarioEvent(0, AttackerPhase("deploy")),
+            ScenarioEvent(0, AttackerDeploy()),
             _press(5_000),
             _press(9_000),
-            ScenarioEvent(120_000, AttackerPhase("exploit")),
+            ScenarioEvent(120_000, AttackerExploit()),
         ),
     )
     trace = run(scenario)

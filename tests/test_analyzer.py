@@ -25,7 +25,8 @@ from rkesim.receiver import (
 )
 from rkesim.sim import (
     AttackerDef,
-    AttackerPhase,
+    AttackerDeploy,
+    AttackerExploit,
     FobDef,
     Goal,
     Scenario,
@@ -252,12 +253,11 @@ def test_classify_witness_is_sound_in_simulation():
             kind="rollback", options={"jam_first": False, "signals_to_capture": 8}
         ),
         events=(
-            ScenarioEvent(0, AttackerPhase("deploy")),
+            ScenarioEvent(0, AttackerDeploy()),
             *presses,
             ScenarioEvent(
                 10**9,
-                AttackerPhase(
-                    "exploit",
+                AttackerExploit(
                     {
                         "indices": list(signature.witness_indices),
                         "gap_ms": min(signature.witness_gap_ms, 10_000),

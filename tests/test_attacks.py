@@ -1,10 +1,7 @@
 import pytest
 
 from rkesim.attacks import (
-    DEPLOY,
-    EXPLOIT,
     AttackConfigError,
-    AttackerPhase,
     AttackerStrategy,
     ExploitSpec,
     FutureCode,
@@ -55,13 +52,13 @@ def synced_pair(policy, presses, buttons=None):
 
 def test_rolljam_state_machine_sequence():
     strategy = RollJam()
-    assert strategy.on_phase(AttackerPhase("deploy"), 0, 0) == [SetJamming(True)]
+    assert strategy.on_deploy(0, 0) == [SetJamming(True)]
     assert strategy.on_capture(0, 10) == []
     commands = strategy.on_capture(1, 20)
     assert commands == [SetJamming(False), ScheduleReplay(20, 0)]
     assert strategy.held_index == 1
     # Exploit replays the held capture.
-    assert strategy.on_phase(AttackerPhase("exploit"), 2, 500) == [ScheduleReplay(500, 1)]
+    assert strategy.on_exploit({}, 2, 500) == [ScheduleReplay(500, 1)]
 
 
 def test_rolljam_keeps_held_code_through_later_captures():
@@ -69,16 +66,16 @@ def test_rolljam_keeps_held_code_through_later_captures():
     # held code; the receiver decides that when the code is replayed
     # (tests/test_sim.py::test_rolljam_fragile_after_intervening_press).
     strategy = RollJam()
-    strategy.on_phase(AttackerPhase("deploy"), 0, 0)
+    strategy.on_deploy(0, 0)
     strategy.on_capture(0, 10)
     strategy.on_capture(1, 20)
     assert strategy.on_capture(2, 30) == []
-    assert strategy.on_phase(AttackerPhase("exploit"), 3, 500) == [ScheduleReplay(500, 1)]
+    assert strategy.on_exploit({}, 3, 500) == [ScheduleReplay(500, 1)]
 
 
 def test_rollback_recon_jams_only_first():
     strategy = RollBack(jam_first=True, signals_to_capture=3)
-    assert strategy.on_phase(AttackerPhase("deploy"), 0, 0) == [SetJamming(True)]
+    assert strategy.on_deploy(0, 0) == [SetJamming(True)]
     commands = strategy.on_capture(0, 10)
     assert commands == [SetJamming(False)]
     assert strategy.on_capture(1, 20) == []
@@ -87,9 +84,15 @@ def test_rollback_recon_jams_only_first():
     assert strategy.recon_indices == [0, 1, 2]
 
 
+@pytest.mark.parametrize("signals", [0, -1])
+def test_rollback_needs_at_least_one_signal(signals):
+    with pytest.raises(ValueError, match="^signals_to_capture must be at least 1$"):
+        RollBack(signals_to_capture=signals)
+
+
 def test_rollback_recon_passive_never_jams():
     strategy = RollBack(jam_first=False, signals_to_capture=2)
-    assert strategy.on_phase(AttackerPhase("deploy"), 0, 0) == []
+    assert strategy.on_deploy(0, 0) == []
     assert strategy.on_capture(0, 10) == []
     assert strategy.on_capture(1, 20) == []
 
@@ -97,31 +100,31 @@ def test_rollback_recon_passive_never_jams():
 @pytest.mark.parametrize(
     "strategy, phase, captured",
     [
-        (AttackerStrategy, EXPLOIT, 3),
-        (NaiveReplay, DEPLOY, 3),
-        (NaiveReplay, EXPLOIT, 0),
-        (JamAndReplayLock, EXPLOIT, 0),
-        (FutureCode, DEPLOY, 3),
-        (RollJam, EXPLOIT, 3),  # never deployed, so nothing is held
-        (RollBack, "recon", 3),
+        (AttackerStrategy, "exploit", 3),
+        (NaiveReplay, "deploy", 3),
+        (NaiveReplay, "exploit", 0),
+        (JamAndReplayLock, "exploit", 0),
+        (FutureCode, "deploy", 3),
+        (RollJam, "exploit", 3),  # never deployed, so nothing is held
     ],
     ids=[
         "base", "naive-deploy", "naive-nothing-captured", "jam-lock-nothing-captured",
-        "future-code-deploy", "rolljam-nothing-held", "rollback-other-phase",
+        "future-code-deploy", "rolljam-nothing-held",
     ],
 )
 def test_ignored_phase_answers_no_command(strategy, phase, captured):
-    assert strategy().on_phase(AttackerPhase(phase), captured, 1000) == []
+    if phase == "deploy":
+        assert strategy().on_deploy(captured, 1000) == []
+    else:
+        assert strategy().on_exploit({}, captured, 1000) == []
 
 
 def test_rollback_exploit_schedules_replays_with_gaps():
     strategy = RollBack(jam_first=False, signals_to_capture=2)
-    strategy.on_phase(AttackerPhase("deploy"), 0, 0)
+    strategy.on_deploy(0, 0)
     strategy.on_capture(0, 10)
     strategy.on_capture(1, 20)
-    commands = strategy.on_phase(
-        AttackerPhase("exploit", {"gap_ms": 4000}), 2, 1_000_000
-    )
+    commands = strategy.on_exploit({"gap_ms": 4000}, 2, 1_000_000)
     assert commands == [
         ScheduleReplay(1_000_000, 0),
         ScheduleReplay(1_004_000, 1),

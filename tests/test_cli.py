@@ -204,8 +204,12 @@ def test_simulate_bad_attacker_event(capsys, tmp_path, attacker_event, error):
                 "event 2: strategy future_code does not read relock",
             ],
         ),
+        (
+            "strategy rollback\nsignals_to_capture 0\n",
+            ["attacker: signals_to_capture must be at least 1"],
+        ),
     ],
-    ids=["naive-replay", "future-code"],
+    ids=["naive-replay", "future-code", "rollback-no-signals"],
 )
 def test_simulate_rejects_options_the_strategy_ignores(capsys, tmp_path, attacker_lines, problems):
     scn = tmp_path / "ignored.scn"
@@ -427,6 +431,17 @@ def test_trace_dir_environment_variable(capsys, tmp_path, monkeypatch):
     )
     assert code == 0
     assert (tmp_path / "naive_replay.trace").exists()
+
+
+def test_trace_dir_keeps_a_named_trace_inside(capsys, tmp_path, monkeypatch):
+    trace_dir = tmp_path / "traces"
+    monkeypatch.setenv("RKESIM_TRACE_DIR", str(trace_dir))
+    scn = tmp_path / "escape.scn"
+    scn.write_text("rkesim-scenario v1\nname ../escaped\n[fob]\nserial 7\n[receiver]\n")
+    code, out, err = run_cli(capsys, "simulate", str(scn))
+    assert (code, out) == (2, "")
+    assert err == "parse error: line 2, column 6: name must not contain / or \\\n"
+    assert sorted(os.listdir(tmp_path)) == ["escape.scn"]
 
 
 def test_all_shipped_scenarios_run(capsys):

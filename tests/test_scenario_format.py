@@ -10,7 +10,7 @@ from rkesim.scenario import (
     loads_policy,
     loads_scenario,
 )
-from rkesim.sim import AttackerPhase, VictimPress
+from rkesim.sim import AttackerExploit, VictimPress
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -83,7 +83,7 @@ def test_parse_full_scenario():
     oor = scenario.events[2].action
     assert oor.out_of_range and not oor.fob_in_attacker_range
     exploit = scenario.events[5].action
-    assert isinstance(exploit, AttackerPhase)
+    assert isinstance(exploit, AttackerExploit)
     assert exploit.params == {"indices": [0, 1, 2], "gap_ms": 2500, "relock": True}
 
 
@@ -246,6 +246,11 @@ _SCN = "rkesim-scenario v1\n"
             _SCN + _FOB + "[receiver]\nbogus 5\nsingle_window\n",
             6, 1, "expected 'key value...'",
         ),
+        # A scenario's name is the stem of its trace file, so a separator
+        # in it would write the trace outside the trace directory.
+        (_SCN + "name ../escaped\n" + _FOB + _RX, 2, 6, "name must not contain / or \\"),
+        (_SCN + "name /abs/escaped\n" + _FOB + _RX, 2, 6, "name must not contain / or \\"),
+        ("rkesim-policy v1\nname  a\\b\n[receiver]\n", 2, 7, "name must not contain / or \\"),
     ],
     ids=[
         "receiver-unknown-key",
@@ -266,6 +271,9 @@ _SCN = "rkesim-scenario v1\n"
         "missing-strategy",
         "window-bound",
         "line-shape-before-key",
+        "scenario-name-dotdot",
+        "scenario-name-absolute",
+        "policy-name-backslash",
     ],
 )
 def test_section_errors_report_line_column_message(text, line, column, message):
@@ -380,8 +388,32 @@ def test_rejected_values_are_parse_errors_at_the_key(receiver_line, message):
             _SCN + _FOB + _RX + "[attacker]\nstrategy rollback\nstrategy naive_replay\n",
             8, 1, "duplicate attacker key 'strategy'",
         ),
+        (
+            _EVENTS + "100 attacker exploit indices=0,1 gap_ms=1000 gap_ms=999999\n",
+            7, 46, "duplicate exploit parameter 'gap_ms'",
+        ),
+        (
+            _EVENTS + "100 attacker exploit indices=0 relock indices=1\n",
+            7, 39, "duplicate exploit parameter 'indices'",
+        ),
+        (
+            _EVENTS + "100 attacker exploit relock relock\n",
+            7, 29, "duplicate exploit parameter 'relock'",
+        ),
+        (
+            _EVENTS + "100 press 1 unlock out_of_range out_of_range\n",
+            7, 33, "duplicate press flag 'out_of_range'",
+        ),
+        (
+            _EVENTS + "100 press 1 lock no_capture out_of_range no_capture\n",
+            7, 42, "duplicate press flag 'no_capture'",
+        ),
     ],
-    ids=["policy-top-level", "scenario-top-level", "receiver", "fob", "attacker"],
+    ids=[
+        "policy-top-level", "scenario-top-level", "receiver", "fob", "attacker",
+        "exploit-gap-ms", "exploit-indices", "exploit-relock", "press-out-of-range",
+        "press-no-capture",
+    ],
 )
 def test_duplicate_key_reports_the_second_occurrence(text, line, column, message):
     loads = loads_policy if text.startswith("rkesim-policy") else loads_scenario

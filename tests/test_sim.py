@@ -10,7 +10,8 @@ from rkesim.scenario import loads_scenario
 from rkesim.sim import (
     AdvanceClock,
     AttackerDef,
-    AttackerPhase,
+    AttackerDeploy,
+    AttackerExploit,
     Engine,
     FobDef,
     Goal,
@@ -43,11 +44,11 @@ def loose2_policy():
 
 def rollback_scenario(exploit_at=2 * DAY_MS, gap_ms=1000, extra_events=(), name="rb"):
     events = [
-        ScenarioEvent(0, AttackerPhase("deploy")),
+        ScenarioEvent(0, AttackerDeploy()),
         press_event(10_000),
         press_event(15_000),
         *extra_events,
-        ScenarioEvent(exploit_at, AttackerPhase("exploit", {"gap_ms": gap_ms})),
+        ScenarioEvent(exploit_at, AttackerExploit({"gap_ms": gap_ms})),
     ]
     return Scenario(
         name=name,
@@ -94,7 +95,7 @@ def test_trace_timestamps_monotonic():
         Scenario(
             name="jammed", seed=1, fobs=(FobDef(serial=7),), policy=loose2_policy(),
             attacker=AttackerDef(kind="rollback", options={"jam_first": True}),
-            events=(ScenarioEvent(0, AttackerPhase("deploy")), press_event(1000)),
+            events=(ScenarioEvent(0, AttackerDeploy()), press_event(1000)),
         ),
     ]
     for scenario in scenarios:
@@ -128,10 +129,10 @@ def test_rolljam_scenario_goals():
         policy=ReceiverPolicy(),
         attacker=AttackerDef(kind="rolljam"),
         events=(
-            ScenarioEvent(0, AttackerPhase("deploy")),
+            ScenarioEvent(0, AttackerDeploy()),
             press_event(5_000),
             press_event(9_000),
-            ScenarioEvent(60_000, AttackerPhase("exploit")),
+            ScenarioEvent(60_000, AttackerExploit()),
         ),
     )
     trace = run(scenario)
@@ -149,11 +150,11 @@ def test_rolljam_fragile_after_intervening_press():
         policy=ReceiverPolicy(),
         attacker=AttackerDef(kind="rolljam"),
         events=(
-            ScenarioEvent(0, AttackerPhase("deploy")),
+            ScenarioEvent(0, AttackerDeploy()),
             press_event(5_000),
             press_event(9_000),
             press_event(30_000, LOCK),  # delivered press invalidates the held code
-            ScenarioEvent(60_000, AttackerPhase("exploit")),
+            ScenarioEvent(60_000, AttackerExploit()),
         ),
     )
     trace = run(scenario)
@@ -180,7 +181,7 @@ def test_naive_replay_fails():
         events=(
             press_event(1000),
             press_event(2000),
-            ScenarioEvent(10_000, AttackerPhase("exploit")),
+            ScenarioEvent(10_000, AttackerExploit()),
         ),
     )
     trace = run(scenario)
@@ -200,13 +201,11 @@ def test_relock_scenario_all_goals():
             kind="rollback", options={"jam_first": False, "signals_to_capture": 2}
         ),
         events=(
-            ScenarioEvent(0, AttackerPhase("deploy")),
+            ScenarioEvent(0, AttackerDeploy()),
             *presses,
             ScenarioEvent(
                 DAY_MS,
-                AttackerPhase(
-                    "exploit", {"indices": [0, 1], "gap_ms": 1000, "relock": True}
-                ),
+                AttackerExploit({"indices": [0, 1], "gap_ms": 1000, "relock": True}),
             ),
         ),
     )
@@ -225,9 +224,9 @@ def test_jam_replay_lock_leaves_car_open_then_covers_tracks():
         attacker=AttackerDef(kind="jam_replay_lock"),
         events=(
             press_event(1_000, UNLOCK),
-            ScenarioEvent(200_000, AttackerPhase("deploy")),
+            ScenarioEvent(200_000, AttackerDeploy()),
             press_event(201_000, LOCK),  # jammed: the car stays open
-            ScenarioEvent(900_000, AttackerPhase("exploit")),
+            ScenarioEvent(900_000, AttackerExploit()),
         ),
     )
     trace = run(scenario)
@@ -253,7 +252,7 @@ def test_future_code_exploit():
         events=(
             press_event(1000, UNLOCK, out_of_range=True),
             press_event(2000, UNLOCK, out_of_range=True),
-            ScenarioEvent(50_000, AttackerPhase("exploit")),
+            ScenarioEvent(50_000, AttackerExploit()),
         ),
     )
     trace = run(scenario)
@@ -362,11 +361,9 @@ def test_validation_unsorted_events():
 @pytest.mark.parametrize(
     "phase, problem",
     [
-        (AttackerPhase("exployt"), "event 0: attacker phase 'exployt' is not deploy or exploit"),
-        (AttackerPhase("deploy", {"indices": [0]}), "event 0: attacker deploy takes no parameters"),
-        (AttackerPhase("exploit", {"gap_ms": -5000}), "event 0: gap_ms must be non-negative"),
+        (AttackerExploit({"gap_ms": -5000}), "event 0: gap_ms must be non-negative"),
     ],
-    ids=["unknown-phase", "deploy-params", "negative-gap"],
+    ids=["negative-gap"],
 )
 def test_validation_bad_attacker_phase(phase, problem):
     scenario = Scenario(
@@ -388,7 +385,7 @@ def test_validation_phase_without_attacker():
         seed=0,
         fobs=(FobDef(serial=7),),
         policy=ReceiverPolicy(),
-        events=(ScenarioEvent(0, AttackerPhase("deploy")),),
+        events=(ScenarioEvent(0, AttackerDeploy()),),
     )
     with pytest.raises(ScenarioError):
         run(scenario)
@@ -529,10 +526,10 @@ def test_replay_of_missing_capture_is_scenario_error(indices, relock, late_press
     # captured after the exploit was scheduled still counts.
     params = {"indices": indices, "gap_ms": 1000, "relock": relock}
     events = [
-        ScenarioEvent(0, AttackerPhase("deploy")),
+        ScenarioEvent(0, AttackerDeploy()),
         press_event(1000),
         press_event(2000),
-        ScenarioEvent(3000, AttackerPhase("exploit", params)),
+        ScenarioEvent(3000, AttackerExploit(params)),
     ]
     if late_press:
         events.append(press_event(4500))
