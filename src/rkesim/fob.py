@@ -1,13 +1,14 @@
 """Key-fob transmitter model.
 
-A fob is a value object: every button press returns a new state with
-the counter advanced and the frame that went on the air.  Presses never
-consult the vehicle; the radio link is one-directional.
+A fob is a value object, an immutable ``NamedTuple``: every button
+press returns a new state with the counter advanced and the frame that
+went on the air.  Presses never consult the vehicle; the radio link is
+one-directional.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .codebook import (
     COUNTER_MOD,
@@ -20,8 +21,11 @@ from .codebook import (
 )
 
 
-@dataclass(frozen=True)
-class FobState:
+class FobState(NamedTuple):
+    # A NamedTuple, not a dataclass: one is built per press, and a tuple
+    # builds in about half the time.  ``Payload`` and ``Transmission``
+    # stay dataclasses because ``receive()`` reads their fields on every
+    # frame, and a NamedTuple field read is about twice as slow.
     serial: int
     key: bytes
     counter: int = 0
@@ -36,24 +40,18 @@ def press(fob: FobState, button: Instruction, now: int) -> tuple[FobState, Trans
     in a row produce consecutive counter values.  The embedded timestamp,
     when enabled, reads the fob's own clock (receiver time plus skew).
     """
-    counter = (fob.counter + 1) % COUNTER_MOD
+    serial, key, counter, clock_skew_ms, emit_timestamps = fob  # one unpack: no field reads
+    counter = (counter + 1) % COUNTER_MOD
     timestamp = signature = None
-    if fob.emit_timestamps:
-        timestamp = now + fob.clock_skew_ms
-        signature = timestamp_tag(fob.key, fob.serial, timestamp)
+    if emit_timestamps:
+        timestamp = now + clock_skew_ms
+        signature = timestamp_tag(key, serial, timestamp)
     payload = Payload(
         counter=counter,
         button=button,
-        discrimination=discrimination_for(fob.key, fob.serial),
+        discrimination=discrimination_for(key, serial),
         timestamp=timestamp,
         signature=signature,
     )
-    transmission = encode(fob.key, fob.serial, payload)
-    next_fob = FobState(
-        serial=fob.serial,
-        key=fob.key,
-        counter=counter,
-        clock_skew_ms=fob.clock_skew_ms,
-        emit_timestamps=fob.emit_timestamps,
-    )
-    return next_fob, transmission
+    transmission = encode(key, serial, payload)
+    return FobState(serial, key, counter, clock_skew_ms, emit_timestamps), transmission

@@ -7,7 +7,8 @@ key appears at most once in its section or at the top level.
 
 Scenario file grammar (header ``rkesim-scenario v1``)::
 
-    name <ident>              # optional, defaults to the file stem; no / or \\
+    name <ident>              # optional, defaults to the file stem if that is a
+                              # valid name, else "scenario"; printable, no / or \\
     seed <int>
 
     [fob]                     # one section per fob
@@ -183,11 +184,24 @@ def _text(key: _Token, values: list[_Token]) -> str:
     return _single(values, key).text
 
 
+def _name_problem(text: str) -> str | None:
+    """Why ``text`` cannot be a name, or None.  The name is a trace file's
+    stem and a line of the run report, so it must be non-empty, must not
+    name a directory, and must hold no NUL or other unprintable character."""
+    if not text:
+        return "name must not be empty"
+    if "/" in text or "\\" in text:
+        return "name must not contain / or \\"
+    if not text.isprintable():
+        return "name must hold only printable characters"
+    return None
+
+
 def _name(key: _Token, values: list[_Token]) -> str:
-    # The name is a trace file's stem, so it must not name a directory.
     token = _single(values, key)
-    if "/" in token.text or "\\" in token.text:
-        raise token.fail("name must not contain / or \\")
+    problem = _name_problem(token.text)
+    if problem is not None:
+        raise token.fail(problem)
     return token.text
 
 
@@ -296,18 +310,21 @@ def loads_policy(text: str, default_name: str = "policy") -> tuple[str, Receiver
     return top.get("name", default_name), parse_policy_section(receiver_blocks[0])
 
 
-def _read_text(path) -> tuple[str, str]:
-    """The file's text and its stem, the default name of what it holds."""
+def _read_text(path) -> tuple[str, dict]:
+    """The file's text and, as ``{"default_name": stem}``, its stem when
+    that is a valid name; otherwise the format's own default applies."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except UnicodeDecodeError as exc:
         raise ParseError(1, 1, "not UTF-8 text: %s" % exc.reason) from None
-    return text, str(path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
+    stem = str(path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
+    return text, {} if _name_problem(stem) else {"default_name": stem}
 
 
 def load_policy(path) -> tuple[str, ReceiverPolicy]:
-    return loads_policy(*_read_text(path))
+    text, default = _read_text(path)
+    return loads_policy(text, **default)
 
 
 def _parse_event_line(tokens: list[_Token]) -> ScenarioEvent:
@@ -330,12 +347,8 @@ def _parse_event_line(tokens: list[_Token]) -> ScenarioEvent:
             if flag.text in flags:
                 raise flag.fail("duplicate press flag %r" % flag.text)
             flags.add(flag.text)
-        action = VictimPress(
-            fob_serial=serial,
-            button=button,
-            out_of_range="out_of_range" in flags,
-            fob_in_attacker_range="no_capture" not in flags,
-        )
+        # Positional: a NamedTuple builds slower from keywords.
+        action = VictimPress(serial, button, "out_of_range" in flags, "no_capture" not in flags)
     elif verb.text == "attacker":
         if not rest:
             raise verb.fail("attacker event needs a phase name")
@@ -378,7 +391,7 @@ def _parse_event_line(tokens: list[_Token]) -> ScenarioEvent:
         action = LearnModeEntry() if verb.text == "learn_mode" else AdvanceClock()
     else:
         raise verb.fail("unknown event verb %r" % verb.text)
-    return ScenarioEvent(at=at, action=action)
+    return ScenarioEvent(at, action)
 
 
 def loads_scenario(text: str, default_name: str = "scenario") -> Scenario:
@@ -421,4 +434,5 @@ def loads_scenario(text: str, default_name: str = "scenario") -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    return loads_scenario(*_read_text(path))
+    text, default = _read_text(path)
+    return loads_scenario(text, **default)

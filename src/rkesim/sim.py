@@ -1,14 +1,17 @@
 """Deterministic discrete-event engine.
 
 A scenario is a script: fob definitions, one receiver policy, an
-optional attacker, and a time-ordered list of events, each its own type:
-``VictimPress``, ``AttackerDeploy``, ``AttackerExploit``,
-``LearnModeEntry`` and ``AdvanceClock``.  Running it produces a trace: a
-list of ``(at, kind, fields)`` records of every emission, delivery,
-receiver action, attacker action and door change.  Identical scenarios
-produce bit-identical traces.  ``summarize`` reads a finished
-trace once and returns the goal verdicts and run counters; ``evaluate``
-looks up one goal in it.
+optional attacker, and a time-ordered list of ``ScenarioEvent(at,
+action)``s, each action its own type: ``VictimPress``,
+``AttackerDeploy``, ``AttackerExploit``, ``LearnModeEntry`` and
+``AdvanceClock``.  ``ScenarioEvent`` and ``VictimPress``, one per
+scripted press, are ``NamedTuple``s, which build faster than frozen
+dataclasses.  Running it produces a trace: a list of ``(at, kind,
+fields)`` records of every emission, delivery, receiver action,
+attacker action and door change.  Identical scenarios produce
+bit-identical traces.  ``summarize`` reads a finished trace once and
+returns the goal verdicts and run counters; ``evaluate`` looks up one
+goal in it.
 """
 
 from __future__ import annotations
@@ -64,8 +67,7 @@ class FobDef:
     receiver_counter: int | None = None  # default: same as initial_counter
 
 
-@dataclass(frozen=True)
-class VictimPress:
+class VictimPress(NamedTuple):
     fob_serial: int
     button: Instruction
     out_of_range: bool = False
@@ -97,8 +99,7 @@ class AdvanceClock:
     pass
 
 
-@dataclass(frozen=True)
-class ScenarioEvent:
+class ScenarioEvent(NamedTuple):
     at: int
     action: object
 
@@ -173,7 +174,17 @@ class Trace(list):
         self.append(TraceRecord(at, kind, fields))
 
     def render(self) -> str:
-        return "".join([record.render() + "\n" for record in self])
+        """Every record's ``render()`` line, each ended by a newline, built
+        in one pass with no per-record method calls."""
+        get = _RENDERERS.get
+        lines = []
+        for at, kind, fields in self:
+            parts = ["t=%d ev=%s" % (at, kind)]
+            for key, value in fields.items():
+                parts.append(key + "=" + (get(type(value)) or render_value)(value))
+            lines.append(" ".join(parts))
+        lines.append("")
+        return "\n".join(lines)
 
 
 def validate_scenario(scenario: Scenario) -> None:
@@ -306,8 +317,8 @@ class Engine:
         for serial, fob in self.fobs.items():
             trace.add(0, "fob", serial=serial, ctr=fob.counter)
         trace.add(0, "door", state=self.receiver.door)
-        for event in self.scenario.events:
-            self._push(event.at, event.action)
+        for at, action in self.scenario.events:
+            self._push(at, action)
         at = 0
         while self._queue:
             at, _, action = heapq.heappop(self._queue)
@@ -333,11 +344,12 @@ class Engine:
             self.trace.add(now, "tick")
 
     def _victim_press(self, now: int, event: VictimPress) -> None:
-        new_fob, transmission = press(self.fobs[event.fob_serial], event.button, now)
-        self.fobs[event.fob_serial] = new_fob
-        out_of_range = event.out_of_range
-        fields = {"ctr": new_fob.counter, "btn": event.button, "out_of_range": out_of_range}
-        self._send(now, transmission, VICTIM, fields, out_of_range, event.fob_in_attacker_range)
+        serial, button, out_of_range, in_attacker_range = event
+        new_fob, transmission = press(self.fobs[serial], button, now)
+        self.fobs[serial] = new_fob
+        fields = {"src": VICTIM, "serial": serial, "ctr": new_fob.counter, "btn": button,
+                  "out_of_range": out_of_range}
+        self._send(now, transmission, fields, out_of_range, in_attacker_range)
 
     def _attacker_replay(self, now: int, index: int) -> None:
         # Checked when the replay fires: a capture made after the replay
@@ -346,25 +358,22 @@ class Engine:
         if not 0 <= index < captured:
             problem = "attacker replay of capture %d, but only %d captured" % (index, captured)
             raise ScenarioError([problem])
-        self._send(now, self.captures[index], ATTACKER, {"idx": index})
+        transmission = self.captures[index]
+        fields = {"src": ATTACKER, "serial": transmission.serial, "idx": index}
+        self._send(now, transmission, fields)
 
-    def _send(
-        self, now, transmission, sender, fields, out_of_range=False, in_attacker_range=True
-    ):
-        """Puts a frame on the air: one ``tx`` record with the sender's own
-        ``fields``, the capture callback, then delivery to the receiver."""
+    def _send(self, now, transmission, fields, out_of_range=False, in_attacker_range=True):
+        """Puts a frame on the air: one ``tx`` record, the capture callback,
+        then delivery to the receiver.  ``fields`` opens the record with
+        ``src``, ``serial`` and the sender's own fields; the channel's
+        outcome and the frame complete it in place."""
+        sender = fields["src"]
         record = transmit(self.channel, transmission, sender, out_of_range, in_attacker_range)
-        self.trace.add(
-            now,
-            "tx",
-            src=sender,
-            serial=transmission.serial,
-            **fields,
-            jammed=record.jammed,
-            delivered=record.delivered,
-            captured=record.captured,
-            frame=transmission.ciphertext,
-        )
+        fields["jammed"] = record.jammed
+        fields["delivered"] = record.delivered
+        fields["captured"] = record.captured
+        fields["frame"] = transmission.ciphertext
+        self.trace.append(TraceRecord(now, "tx", fields))
         if record.captured:
             self._apply(self.strategy.on_capture(len(self.captures) - 1, now), now)
         if record.delivered:
@@ -385,7 +394,7 @@ class Engine:
         if action.new_counter is not None:
             fields["ctr"] = action.new_counter
         fields["door"] = self.receiver.door
-        self.trace.add(now, "rx", **fields)
+        self.trace.append(TraceRecord(now, "rx", fields))
         if self.receiver.door is not door:
             self.trace.add(now, "door", state=self.receiver.door)
 

@@ -444,6 +444,41 @@ def test_trace_dir_keeps_a_named_trace_inside(capsys, tmp_path, monkeypatch):
     assert sorted(os.listdir(tmp_path)) == ["escape.scn"]
 
 
+@pytest.mark.parametrize("verb, suffix, text", [
+    ("simulate", ".scn", "rkesim-scenario v1\nname a\x00b\n[fob]\nserial 7\n[receiver]\n"),
+    ("classify", ".pol", "rkesim-policy v1\nname a\x00b\n[receiver]\n"),
+], ids=["simulate", "classify"])
+def test_unprintable_name_is_a_parse_error(capsys, tmp_path, monkeypatch, verb, suffix, text):
+    monkeypatch.setenv("RKESIM_TRACE_DIR", str(tmp_path / "traces"))
+    path = tmp_path / ("nul" + suffix)
+    path.write_text(text)
+    code, out, err = run_cli(capsys, verb, str(path))
+    assert (code, out) == (2, "")
+    assert err == "parse error: line 2, column 6: name must hold only printable characters\n"
+    assert sorted(os.listdir(tmp_path)) == ["nul" + suffix]
+
+
+def test_empty_stem_takes_the_format_default_name(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("RKESIM_TRACE_DIR", str(tmp_path / "traces"))
+    (tmp_path / ".scn").write_text("rkesim-scenario v1\n[fob]\nserial 7\n[receiver]\n")
+    code, out, _ = run_cli(capsys, "simulate", str(tmp_path / ".scn"))
+    assert code == 0
+    assert out.startswith("scenario: scenario\n")
+    assert os.listdir(tmp_path / "traces") == ["scenario.trace"]
+    (tmp_path / ".pol").write_text("rkesim-policy v1\n[receiver]\n")
+    assert scenario.load_policy(str(tmp_path / ".pol"))[0] == "policy"
+
+
+def test_unfit_stem_takes_the_format_default_name(tmp_path):
+    # A stem is the default name only when the name key would accept it.
+    path = tmp_path / "a\\b.scn"
+    path.write_text("rkesim-scenario v1\n[fob]\nserial 7\n[receiver]\n")
+    assert scenario.load_scenario(str(path)).name == "scenario"
+    path = tmp_path / "fine.name.scn"
+    path.write_text("rkesim-scenario v1\n[fob]\nserial 7\n[receiver]\n")
+    assert scenario.load_scenario(str(path)).name == "fine.name"
+
+
 def test_all_shipped_scenarios_run(capsys):
     for name in sorted(os.listdir(SCENARIOS)):
         code, out, _ = run_cli(capsys, "simulate", os.path.join(SCENARIOS, name))

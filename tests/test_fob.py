@@ -46,6 +46,14 @@ def test_press_is_pure_value_semantics():
     assert fob.counter == 5  # original untouched
 
 
+def test_press_leaves_its_input_state_unchanged():
+    fob = make_fob(counter=5, clock_skew_ms=-30, emit_timestamps=True)
+    press(fob, Instruction.LOCK, now=1000)
+    assert fob == make_fob(counter=5, clock_skew_ms=-30, emit_timestamps=True)
+    assert (fob.serial, fob.key, fob.counter, fob.clock_skew_ms, fob.emit_timestamps) == (
+        3, KEY, 5, -30, True)
+
+
 def test_battery_loss_desyncs_from_receiver():
     # After a counter reset the next press is stale for a synced receiver.
     policy = ReceiverPolicy()

@@ -251,6 +251,13 @@ _SCN = "rkesim-scenario v1\n"
         (_SCN + "name ../escaped\n" + _FOB + _RX, 2, 6, "name must not contain / or \\"),
         (_SCN + "name /abs/escaped\n" + _FOB + _RX, 2, 6, "name must not contain / or \\"),
         ("rkesim-policy v1\nname  a\\b\n[receiver]\n", 2, 7, "name must not contain / or \\"),
+        # It is also an open() argument and a report line: a NUL or a
+        # control character has no place in either.
+        (_SCN + "name a\x00b\n" + _FOB + _RX, 2, 6, "name must hold only printable characters"),
+        ("rkesim-policy v1\nname a\x1b[2Jb\n[receiver]\n", 2, 6,
+         "name must hold only printable characters"),
+        ("rkesim-policy v1\nname \x7f\n[receiver]\n", 2, 6,
+         "name must hold only printable characters"),
     ],
     ids=[
         "receiver-unknown-key",
@@ -274,6 +281,9 @@ _SCN = "rkesim-scenario v1\n"
         "scenario-name-dotdot",
         "scenario-name-absolute",
         "policy-name-backslash",
+        "scenario-name-nul",
+        "policy-name-escape",
+        "policy-name-delete",
     ],
 )
 def test_section_errors_report_line_column_message(text, line, column, message):

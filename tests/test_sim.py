@@ -1,4 +1,5 @@
 import gc
+import os
 import time
 from enum import Enum
 
@@ -6,7 +7,8 @@ import pytest
 
 from rkesim.codebook import TIMESTAMP_MOD, Instruction
 from rkesim.receiver import ActionKind, Door, ReceiverPolicy, RollbackProfile, SequenceMode
-from rkesim.scenario import loads_scenario
+from rkesim.fob import FobState
+from rkesim.scenario import load_scenario, loads_scenario
 from rkesim.sim import (
     AdvanceClock,
     AttackerDef,
@@ -20,6 +22,7 @@ from rkesim.sim import (
     ScenarioError,
     ScenarioEvent,
     Trace,
+    TraceRecord,
     VictimPress,
     evaluate,
     render_value,
@@ -509,6 +512,52 @@ class _Shade(Enum):
 )
 def test_render_value_rules(value, text):
     assert render_value(value) == text
+
+
+SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
+
+
+def _hand_built_trace():
+    # One field of every value type ``render_value`` handles, None included.
+    trace = Trace()
+    trace.add(0, "tick")
+    trace.add(5, "mixed", on=True, off=False, btn=UNLOCK, shade=_Shade.DARK, frame=b"\x00\xab",
+              ctr=-12, src="victim", stored=None)
+    trace.append(TraceRecord(7, "rx", {"action": ActionKind.RESYNCED, "door": Door.LOCKED}))
+    return trace
+
+
+@pytest.mark.parametrize("name", ["hand-built"] + sorted(os.listdir(SCENARIOS)))
+def test_trace_render_is_the_record_lines(name):
+    # Trace.render() writes each record's render() line, ended by a newline.
+    if name == "hand-built":
+        trace = _hand_built_trace()
+    else:
+        trace = run(load_scenario(os.path.join(SCENARIOS, name)))
+    assert trace.render() == "".join(record.render() + "\n" for record in trace)
+
+
+@pytest.mark.parametrize(
+    "value, same, other",
+    [
+        (FobState(3, b"k", 5), FobState(serial=3, key=b"k", counter=5, clock_skew_ms=0,
+                                        emit_timestamps=False), FobState(3, b"k", 6)),
+        (VictimPress(7, UNLOCK), VictimPress(fob_serial=7, button=UNLOCK, out_of_range=False,
+                                             fob_in_attacker_range=True), VictimPress(7, LOCK)),
+        (ScenarioEvent(0, AdvanceClock()), ScenarioEvent(at=0, action=AdvanceClock()),
+         ScenarioEvent(1, AdvanceClock())),
+    ],
+    ids=["FobState", "VictimPress", "ScenarioEvent"],
+)
+def test_per_press_values_are_frozen_and_compare_by_value(value, same, other):
+    assert value == same and hash(value) == hash(same)
+    assert value != other
+    assert len({value, same, other}) == 2
+    first_field = next(iter(type(value).__annotations__))
+    for name in (first_field, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 1)
+    assert value == same
 
 
 @pytest.mark.parametrize(
