@@ -1,20 +1,24 @@
 """Black-box policy classification.
 
-``classify`` treats a receiver policy as a sealed unit: it synthesizes
-a fob, feeds the receiver a transcript of legitimate presses, then
-probes replay sequences of growing length, two shapes (a consecutive
-run and an ascending run with gaps) and a grid of inter-replay gaps.
-The verdict is either NotVulnerable or the minimal working variant
-(#signals, sequence mode, timeframe).  The length-k run of a shape is
-its length-(k-1) run plus one capture, so each (shape, gap) probe keeps
-one receiver and replays one more capture per length step, straight
-through ``receive()``.  Both shapes open with the same single replay, so
-it is replayed once, through ``execute_exploit``, and the probes are
-cloned after it.
+Both judges below replay one captured history, a ``Transcript``: the
+legitimate presses of a synthetic fob, heard by a fresh receiver of the
+policy and captured on the air.  ``Transcript.heard_by`` returns the
+captures and that receiver, door locked, ready for the replays.
+
+``classify`` treats a receiver policy as a sealed unit: over a
+transcript of 2 * max_signals presses it probes replay sequences of
+growing length, two shapes (a consecutive run and an ascending run with
+gaps) and a grid of inter-replay gaps.  The verdict is either
+NotVulnerable or the minimal working variant (#signals, sequence mode,
+timeframe).  The length-k run of a shape is its length-(k-1) run plus
+one capture, so each (shape, gap) probe keeps one receiver and replays
+one more capture per length step, straight through ``receive()``.  Both
+shapes open with the same single replay, so it is replayed once,
+through ``execute_exploit``, and the probes are cloned after it.
 
 ``exhaustive_search`` is the independent oracle: over small bounds it
-tries every ascending subsequence of the transcript at every probe gap
-and every starting counter, driving the receiver directly, and returns
+tries every ascending subsequence of one transcript per starting
+counter at every probe gap, driving the receiver directly, and returns
 the subset-minimal successful sequences.  The two must agree.  The
 subsequences form a tree in which each node extends its parent's
 prefix by one later capture.  The oracle walks that tree one depth at
@@ -120,33 +124,33 @@ class OracleFinding:
     passing_gaps: tuple[int, ...]
 
 
-class _Probe:
-    """Synthetic fob + receiver pair with a captured press transcript."""
+@dataclass(frozen=True)
+class Transcript:
+    """The history both judges replay: ``length`` UNLOCK presses of the
+    probe fob, ``_PRESS_SPACING_MS`` apart, from ``start_counter`` on.
+    The frames carry a timestamp when the policy that hears them checks one."""
 
-    def __init__(self, policy: ReceiverPolicy, transcript_len: int, start_counter: int = 0):
-        fob = FobState(
-            serial=_PROBE_SERIAL,
-            key=_PROBE_KEY,
-            counter=start_counter,
-            emit_timestamps=policy.timestamp_check is not None,
-        )
+    length: int
+    start_counter: int = 0
+
+    @property
+    def replay_start(self) -> int:
+        return self.length * _PRESS_SPACING_MS + _EXPLOIT_DELAY_MS
+
+    def heard_by(self, policy: ReceiverPolicy) -> tuple[list[Transmission], ReceiverState]:
+        """The captures, and the receiver after them with its door locked."""
+        stamped = policy.timestamp_check is not None
+        fob = FobState(_PROBE_SERIAL, _PROBE_KEY, self.start_counter, emit_timestamps=stamped)
         state = new_receiver_state(policy, _PROBE_MASTER)
-        register_fob(state, _PROBE_SERIAL, _PROBE_KEY, start_counter)
-        self.policy = policy
-        self.captures: list[Transmission] = []
-        now = 0
-        for _ in range(transcript_len):
-            now += _PRESS_SPACING_MS
+        register_fob(state, _PROBE_SERIAL, _PROBE_KEY, self.start_counter)
+        captures = []
+        for i in range(1, self.length + 1):
+            now = i * _PRESS_SPACING_MS
             fob, transmission = press(fob, Instruction.UNLOCK, now)
             receive(state, policy, transmission, now)
-            self.captures.append(transmission)
-        self.base_state = state
-        self.replay_start = now + _EXPLOIT_DELAY_MS
-
-    def fresh_state(self) -> ReceiverState:
-        state = self.base_state.clone()
+            captures.append(transmission)
         state.door = Door.LOCKED  # vehicle parked and locked before the replay
-        return state
+        return captures, state
 
 
 def classify(policy: ReceiverPolicy, budget: ProbeBudget = ProbeBudget()) -> VariantSignature:
@@ -165,23 +169,18 @@ def classify(policy: ReceiverPolicy, budget: ProbeBudget = ProbeBudget()) -> Var
     probes are cloned; the later steps call ``receive()`` directly.
     """
     gaps = budget.gap_probes_ms
-    probe = _Probe(policy, transcript_len=2 * budget.max_signals)
-    first = probe.fresh_state()
-    execute_exploit(
-        ExploitSpec(signal_indices=(0,)),
-        probe.captures,
-        first,
-        policy,
-        probe.replay_start,
-    )
-    consecutive_states = [first.clone() for _ in gaps]
-    gapped_states = [first.clone() for _ in gaps]
+    transcript = Transcript(2 * budget.max_signals)
+    start = transcript.replay_start
+    captures, first = transcript.heard_by(policy)
+    execute_exploit(ExploitSpec(signal_indices=(0,)), captures, first, policy, start)
+    consecutive_states = {gap: first.clone() for gap in gaps}
+    gapped_states = {gap: first.clone() for gap in gaps}
 
     for k in range(2, budget.max_signals + 1):
         consecutive = tuple(range(k))
         gapped = tuple(range(0, 2 * k, 2))
-        consecutive_pass = _replay_next(probe, consecutive_states, gaps, consecutive)
-        gapped_pass = _replay_next(probe, gapped_states, gaps, gapped)
+        consecutive_pass = _replay_next(policy, captures, start, consecutive_states, consecutive)
+        gapped_pass = _replay_next(policy, captures, start, gapped_states, gapped)
         if not consecutive_pass and not gapped_pass:
             continue
         sequence = SequenceMode.LOOSE if gapped_pass else SequenceMode.STRICT
@@ -202,10 +201,7 @@ def classify(policy: ReceiverPolicy, budget: ProbeBudget = ProbeBudget()) -> Var
 
 
 def _replay_next(
-    probe: _Probe,
-    states: list[ReceiverState],
-    gaps: tuple[int, ...],
-    run: tuple[int, ...],
+    policy: ReceiverPolicy, captures: list[Transmission], start: int, states: dict, run: tuple
 ) -> list[int]:
     """Replay the last capture of ``run`` on each gap's receiver, in turn.
 
@@ -214,10 +210,10 @@ def _replay_next(
     whole-run replay at that gap delivers it.  Returns the gaps whose door
     is unlocked after the whole run.
     """
-    frame = probe.captures[run[-1]]
+    frame = captures[run[-1]]
     passing = []
-    for gap, state in zip(gaps, states):
-        receive(state, probe.policy, frame, probe.replay_start + (len(run) - 1) * gap)
+    for gap, state in states.items():
+        receive(state, policy, frame, start + (len(run) - 1) * gap)
         if state.door is _UNLOCKED:
             passing.append(gap)
     return passing
@@ -275,8 +271,10 @@ def exhaustive_search(
         )
     success_gaps: dict[tuple[int, ...], set[int]] = {}
     for start_counter in range(1 << counter_bits):
-        probe = _Probe(policy, transcript_len, start_counter=start_counter)
-        for indices, gaps in _probe_successes(probe, gap_probes_ms).items():
+        transcript = Transcript(transcript_len, start_counter)
+        captures, heard = transcript.heard_by(policy)
+        found = _probe_successes(policy, captures, heard, transcript.replay_start, gap_probes_ms)
+        for indices, gaps in found.items():
             success_gaps.setdefault(indices, set()).update(gaps)
     findings = []
     minimal = _subset_minimal(list(success_gaps))
@@ -292,28 +290,32 @@ def exhaustive_search(
 
 
 def _probe_successes(
-    probe: _Probe, gap_probes_ms: tuple[int, ...]
+    policy: ReceiverPolicy, captures: list[Transmission], heard: ReceiverState, start: int,
+    gap_probes_ms: tuple[int, ...],
 ) -> dict[tuple[int, ...], set[int]]:
-    """Unlocking index sequences of one probe, each with its passing gaps."""
+    """Unlocking index sequences of ``captures``, each with its passing
+    gaps, replayed from ``start`` on ``heard``, the receiver that heard
+    them; the walk replays on ``heard`` itself, not on a copy."""
     # Drives the receiver straight through receive(); deliberately does
     # not share the execute_exploit code path it is meant to check.
-    start = probe.replay_start
     success_gaps: dict[tuple[int, ...], set[int]] = {}
     # A single replay has no gap: the singles are replayed once, at start,
     # and recorded at the first gap only.  Every gap walk goes on from
     # copies of the depth-1 frontier they leave.
-    root = [(probe.fresh_state(), {-1: [()]})]
-    singles = _expand(probe, root, start, gap_probes_ms[0], success_gaps)
+    root = [(heard, {-1: [()]})]
+    singles = _expand(policy, captures, root, start, gap_probes_ms[0], success_gaps)
     for gap in gap_probes_ms:
         frontier = [(state.clone(), groups) for state, groups in singles]
         now = start
         while frontier:
             now += gap
-            frontier = _expand(probe, frontier, now, gap, success_gaps)
+            frontier = _expand(policy, captures, frontier, now, gap, success_gaps)
     return success_gaps
 
 
-def _expand(probe: _Probe, frontier: list, now: int, gap: int, success_gaps: dict) -> list:
+def _expand(
+    policy: ReceiverPolicy, captures: list, frontier: list, now: int, gap: int, success_gaps: dict
+) -> list:
     """Replay one more capture on every frontier node, all at ``now``.
 
     A node is one distinct receiver state with the prefixes that reach
@@ -322,7 +324,6 @@ def _expand(probe: _Probe, frontier: list, now: int, gap: int, success_gaps: dic
     state replays each capture above its smallest last index once, for
     every prefix whose last index is below that capture.
     """
-    captures, policy = probe.captures, probe.policy
     last = len(captures) - 1
     merged: dict[tuple, tuple[ReceiverState, dict[int, list]]] = {}
     for state, groups in frontier:

@@ -1,0 +1,99 @@
+"""Run the tier-1 suite against hand-written mutants of ``src/rkesim``.
+
+    python tests/mutants.py
+
+Each entry of ``MUTANTS`` replaces one exact piece of text in one file
+of ``src/rkesim``.  The script copies the checkout into a temporary
+directory once; for each mutant it applies the change there, runs
+``pytest -x`` (``tests`` and ``bench``) in the copy and restores the
+file.  The checkout itself is never written.  A mutant is killed when
+the suite fails.  A survivor is allowed only when its entry is marked
+equivalent, with the argument why no input can tell it from the
+program.  Exits 1 on a survivor that is not marked equivalent, on an
+equivalent mutant that the suite kills (its argument no longer holds),
+or on a mutant whose old text does not occur exactly once in its file;
+else 0.  Stdlib only; pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# (file under src/rkesim, old text, new text, None or the argument that
+#  the mutant is equivalent).
+MUTANTS = (
+    ("receiver.py", "or not 0 < step < _HALF_RING):", "or not 0 < step):", None),
+    ("receiver.py", "    record.resync = None\n    record.rollback.clear()",
+     "    record.rollback.clear()", None),
+    ("receiver.py", "c_k == (buffered + 1) % COUNTER_MOD", "c_k == buffered + 1", None),
+    ("receiver.py", "    state.learn_buffer = None\n    if payload.counter",
+     "    if payload.counter", None),
+    ("receiver.py", "payload.counter != (buffered[1] + 1) % COUNTER_MOD",
+     "payload.counter != buffered[1] + 1", None),
+    ("receiver.py", "abs(ts - now) > policy.timestamp_check.tolerance_ms",
+     "abs(ts - now) >= policy.timestamp_check.tolerance_ms", None),
+    ("receiver.py", "len(buffer) >= profile.signals_required",
+     "len(buffer) == profile.signals_required",
+     "an accept clears the rollback buffer, so it never grows past the bound"),
+    ("sim.py", 'if record.get("captured"):', 'if src == VICTIM and record.get("captured"):',
+     "the channel never captures an attacker replay"),
+)
+
+
+def _suite_passes(checkout: str) -> bool:
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
+    env["PYTHONDONTWRITEBYTECODE"] = "1"  # a mutant and its restore may share an mtime
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+               "tests", "bench"]
+    return subprocess.run(command, cwd=checkout, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode == 0
+
+
+def main() -> int:
+    started = time.monotonic()
+    faults = 0
+    ignore = shutil.ignore_patterns(
+        ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".bench_out"
+    )
+    with tempfile.TemporaryDirectory(prefix="rkesim-mutants-") as scratch:
+        checkout = os.path.join(scratch, "rkesim")
+        shutil.copytree(REPO, checkout, ignore=ignore)
+        for file, old, new, equivalent in MUTANTS:
+            path = os.path.join(checkout, "src", "rkesim", file)
+            with open(path, encoding="utf-8") as handle:
+                original = handle.read()
+            label = "%s: %r -> %r" % (file, old, new)
+            if original.count(old) != 1:
+                faults += 1
+                print("bad     %s  (old text occurs %d times)" % (label, original.count(old)))
+                continue
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(original.replace(old, new))
+            try:
+                survived = _suite_passes(checkout)
+            finally:
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write(original)
+            if survived and equivalent:
+                print("equiv   %s  (%s)" % (label, equivalent))
+            elif survived:
+                faults += 1
+                print("SURVIVED %s" % label)
+            elif equivalent:
+                faults += 1
+                print("KILLED, marked equivalent: %s  (%s)" % (label, equivalent))
+            else:
+                print("killed  %s" % label)
+    print("%d mutants, %d faults, %.0f s" % (len(MUTANTS), faults, time.monotonic() - started))
+    return 1 if faults else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

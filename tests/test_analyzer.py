@@ -8,6 +8,7 @@ from rkesim.analyzer import (
     UNBOUNDED_GAP_MS,
     ProbeBudget,
     SearchBoundsError,
+    Transcript,
     VariantSignature,
     classify,
     exhaustive_search,
@@ -312,17 +313,16 @@ CRITERION_8_GRID = [
 
 
 def _brute_force_search(pol, counter_bits, transcript_len, gaps=DEFAULT_GAP_PROBES_MS):
-    """Reference oracle: replays each subset from a fresh copy of the probe."""
+    """Reference oracle: replays each subset on a fresh copy of the receiver."""
     success = {}
     for start_counter in range(1 << counter_bits):
-        probe = analyzer._Probe(pol, transcript_len, start_counter=start_counter)
-        captures = probe.captures
+        transcript = Transcript(transcript_len, start_counter)
+        captures, heard = transcript.heard_by(pol)
         for length in range(1, transcript_len + 1):
             for indices in itertools.combinations(range(transcript_len), length):
                 for gap in gaps if length > 1 else gaps[:1]:
-                    state = probe.base_state.clone()
-                    state.door = Door.LOCKED
-                    now = probe.replay_start
+                    state = heard.clone()
+                    now = transcript.replay_start
                     for idx in indices:
                         receive(state, pol, captures[idx], now)
                         now += gap
@@ -351,20 +351,25 @@ def test_oracle_matches_brute_force_reference(transcript_len):
         assert found == _brute_force_search(pol, 2, transcript_len), pol
 
 
-def _tree_walk_successes(probe, gap_probes_ms):
+def _oracle_successes(pol, transcript, gaps):
+    captures, state = transcript.heard_by(pol)
+    return analyzer._probe_successes(pol, captures, state, transcript.replay_start, gaps)
+
+
+def _tree_walk_successes(pol, transcript, gap_probes_ms):
     """Reference walk: the subset tree depth-first, one receive per node."""
-    captures = probe.captures
+    captures, heard = transcript.heard_by(pol)
     last = len(captures) - 1
-    start = probe.replay_start
+    start = transcript.replay_start
     success_gaps = {}
     for gap in gap_probes_ms:
         # Prefixes still to extend: (indices, receiver state, next replay time).
-        pending = [((), probe.fresh_state(), start)]
+        pending = [((), heard.clone(), start)]
         while pending:
             prefix, state, now = pending.pop()
             for idx in range(prefix[-1] + 1 if prefix else 0, last + 1):
                 child = state if idx == last else state.clone()
-                receive(child, probe.policy, captures[idx], now)
+                receive(child, pol, captures[idx], now)
                 indices = prefix + (idx,)
                 if child.door is Door.UNLOCKED and (prefix or gap == gap_probes_ms[0]):
                     success_gaps.setdefault(indices, set()).add(gap)
@@ -392,9 +397,9 @@ def test_probe_successes_match_tree_walk_reference(start_counter, gaps, transcri
     # The merged walk returns the very success dict of the tree walk: the
     # same index sequences, each with the same passing gaps.
     for pol in EQUIVALENCE_GRID + CRITERION_8_GRID:
-        probe = analyzer._Probe(pol, transcript_len, start_counter=start_counter)
-        merged = analyzer._probe_successes(probe, gaps)
-        assert merged == _tree_walk_successes(probe, gaps), pol
+        transcript = Transcript(transcript_len, start_counter)
+        merged = _oracle_successes(pol, transcript, gaps)
+        assert merged == _tree_walk_successes(pol, transcript, gaps), pol
 
 
 def _count_oracle_receives(monkeypatch, pol, transcript_len):
@@ -438,21 +443,21 @@ def test_oracle_success_sets_invariant_across_counter_wrap():
     # at the same gaps as a transcript starting at counter 0.
     gaps = (1000, 3000, 5000, 8000, 10_000, UNBOUNDED_GAP_MS)
     for pol in CRITERION_8_GRID:
-        at_zero = analyzer._probe_successes(analyzer._Probe(pol, 8), gaps)
+        at_zero = _oracle_successes(pol, Transcript(8), gaps)
         for start_counter in range(65530, 65536):
-            probe = analyzer._Probe(pol, 8, start_counter=start_counter)
-            assert analyzer._probe_successes(probe, gaps) == at_zero, (pol, start_counter)
+            wrapped = _oracle_successes(pol, Transcript(8, start_counter), gaps)
+            assert wrapped == at_zero, (pol, start_counter)
 
 
 def _fresh_replay_classify(pol, budget):
     """Reference classifier: every probe replays its whole run from a fresh clone."""
     gaps = budget.gap_probes_ms
-    probe = analyzer._Probe(pol, transcript_len=2 * budget.max_signals)
-    start = probe.replay_start
+    transcript = Transcript(2 * budget.max_signals)
+    captures, heard = transcript.heard_by(pol)
 
     def passes(indices, gap):
         spec = ExploitSpec(signal_indices=indices, inter_replay_gap_ms=gap)
-        return execute_exploit(spec, probe.captures, probe.fresh_state(), pol, start)
+        return execute_exploit(spec, captures, heard.clone(), pol, transcript.replay_start)
 
     for k in range(2, budget.max_signals + 1):
         consecutive = tuple(range(k))

@@ -171,6 +171,33 @@ def test_double_window_nonconsecutive_replaces_buffer():
     assert state.fobs[SERIAL].counter == 502
 
 
+def test_double_window_follow_up_crosses_the_counter_wrap():
+    policy = ReceiverPolicy()
+    state, _ = build(policy, stored=65000)
+    fob = FobState(serial=SERIAL, key=KEY, counter=65534)
+    fob, last = emit(fob, now=0)  # counter 65535
+    assert receive(state, policy, last, 0).reason == "awaiting_resync"
+    fob, wrapped = emit(fob, now=1000)  # counter 0 follows 65535
+    action = receive(state, policy, wrapped, 1000)
+    assert action.kind is ActionKind.RESYNCED and action.new_counter == 0
+    assert state.fobs[SERIAL].counter == 0
+
+
+def test_accept_cancels_a_pending_double_window_resync():
+    policy = ReceiverPolicy()
+    state, fob = build(policy, fob_counter=100, stored=100)
+    far = FobState(serial=SERIAL, key=KEY, counter=300)
+    far, first = emit(far, now=0)  # counter 301 waits for 302
+    assert receive(state, policy, first, 0).reason == "awaiting_resync"
+    fob, near = emit(fob, now=1000)  # counter 101: a plain accept
+    assert receive(state, policy, near, 1000).kind is ActionKind.EXECUTED
+    # The accept dropped 301, so 302 only starts a new resync.
+    far, second = emit(far, now=2000)
+    action = receive(state, policy, second, 2000)
+    assert action.kind is ActionKind.DISCARDED and action.reason == "awaiting_resync"
+    assert state.fobs[SERIAL].counter == 101
+
+
 def test_blocked_window_discards():
     policy = ReceiverPolicy(double_window_limit=200)
     state, _ = build(policy, fob_counter=0, stored=0)
@@ -243,6 +270,19 @@ def test_rollback_strict_requires_consecutive():
     action = receive(state, policy, frames[4], now + 2000)
     assert action.kind is ActionKind.RESYNCED
     assert state.door is Door.UNLOCKED
+
+
+def test_rollback_loose_rejects_a_descending_pair():
+    # Loose mode lets a run skip counters, but the run must still ascend:
+    # capture 4 then capture 2 is two discarded replays.
+    policy = loose2()
+    state, fob = build(policy, fob_counter=0, stored=0)
+    fob, frames, now = capture_run(state, policy, fob, [UNLOCK] * 10)
+    state.door = Door.LOCKED
+    receive(state, policy, frames[4], now + 50_000)
+    action = receive(state, policy, frames[2], now + 51_000)
+    assert action.kind is ActionKind.DISCARDED and action.reason == "replay"
+    assert state.door is Door.LOCKED
 
 
 def test_rollback_strict_timeframe_boundary():
@@ -436,6 +476,17 @@ def test_timestamp_check_discards_stale():
     assert state.door is Door.LOCKED
 
 
+@pytest.mark.parametrize(
+    "skew, reason",
+    [(1000, None), (-1000, None), (1001, "stale_timestamp"), (-1001, "stale_timestamp")],
+)
+def test_timestamp_tolerance_bound_is_inclusive(skew, reason):
+    policy = ReceiverPolicy(timestamp_check=TimestampCheck(tolerance_ms=1000))
+    state, fob = build(policy, emit_timestamps=True, clock_skew_ms=skew)
+    _, frame = press(fob, UNLOCK, now=10_000)
+    assert receive(state, policy, frame, 10_000).reason == reason
+
+
 def test_timestamp_check_accepts_fresh_and_beats_rollback():
     policy = ReceiverPolicy(
         rollback=RollbackProfile(2, SequenceMode.LOOSE),
@@ -512,6 +563,35 @@ def test_learn_nonconsecutive_aborts():
     assert action.reason == "learn_abort"
     assert 31 not in state.fobs
     assert state.learn_phase is LearnPhase.AWAIT_FIRST
+
+
+def test_learn_abort_clears_the_buffer_for_a_fresh_learn():
+    policy = ReceiverPolicy()
+    state = new_receiver_state(policy, MASTER)
+    enter_learn_mode(state)
+    fob = new_fob(31)
+    fob, first = press(fob, LOCK, 0)
+    receive(state, policy, first, 0)
+    fob, _ = press(fob, LOCK, 500)  # counter 52 skipped on air
+    fob, third = press(fob, LOCK, 1000)
+    assert receive(state, policy, third, 1000).reason == "learn_abort"
+    fob, fourth = press(fob, LOCK, 2000)
+    assert receive(state, policy, fourth, 2000).kind is ActionKind.LEARN_PROGRESS
+    fob, fifth = press(fob, LOCK, 3000)
+    assert receive(state, policy, fifth, 3000).kind is ActionKind.LEARN_COMPLETE
+    assert state.fobs[31].counter == 55
+
+
+def test_learn_follow_up_crosses_the_counter_wrap():
+    policy = ReceiverPolicy()
+    state = new_receiver_state(policy, MASTER)
+    enter_learn_mode(state)
+    fob = new_fob(31)._replace(counter=65534)
+    fob, first = press(fob, LOCK, 0)  # counter 65535
+    assert receive(state, policy, first, 0).kind is ActionKind.LEARN_PROGRESS
+    fob, second = press(fob, LOCK, 1000)  # counter 0 follows 65535
+    assert receive(state, policy, second, 1000).kind is ActionKind.LEARN_COMPLETE
+    assert state.fobs[31].counter == 0
 
 
 def test_learn_stays_active_without_exit():
