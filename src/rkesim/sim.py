@@ -8,10 +8,12 @@ action)``s, each action its own type: ``VictimPress``,
 scripted press, are ``NamedTuple``s, which build faster than frozen
 dataclasses.  Running it produces a trace: a list of ``(at, kind,
 fields)`` records of every emission, delivery, receiver action,
-attacker action and door change.  Identical scenarios produce
-bit-identical traces.  ``summarize`` reads a finished trace once and
-returns the goal verdicts and run counters; ``evaluate`` looks up one
-goal in it.
+attacker action and door change.  Events run in script order; a
+replay a strategy schedules runs before the first scripted event due
+strictly later, so at equal times the scripted event goes first.
+Identical scenarios produce bit-identical traces.  ``summarize`` reads
+a finished trace once and returns the goal verdicts and run counters;
+``evaluate`` looks up one goal in it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
-from .attacks import STRATEGY_KINDS, ScheduleReplay, SetJamming
+from .attacks import STRATEGY_KINDS, SetJamming
 from .channel import ATTACKER, VICTIM, ChannelState, subscribe, set_jamming, transmit
 from .codebook import (
     COUNTER_MOD,
@@ -156,7 +158,7 @@ def _renderer_for(cls: type):
     if issubclass(cls, bool):
         return ("0", "1").__getitem__
     if issubclass(cls, Enum):
-        return lambda value: str(value._value_)  # ``.value`` is a slower property
+        return {member: str(member._value_) for member in cls}.__getitem__
     if issubclass(cls, bytes):
         return bytes.hex
     return str
@@ -299,12 +301,8 @@ class Engine:
             self.captures = subscribe(self.channel)
             self.strategy = STRATEGY_KINDS[scenario.attacker.kind](**scenario.attacker.options)
         self.trace = Trace()
-        self._queue: list[tuple[int, int, object]] = []
+        self._queue: list[tuple[int, int, int]] = []  # (due, seq, capture index)
         self._seq = 0
-
-    def _push(self, at: int, action: object) -> None:
-        heapq.heappush(self._queue, (at, self._seq, action))
-        self._seq += 1
 
     def run(self) -> Trace:
         logger.debug(
@@ -317,20 +315,24 @@ class Engine:
         for serial, fob in self.fobs.items():
             trace.add(0, "fob", serial=serial, ctr=fob.counter)
         trace.add(0, "door", state=self.receiver.door)
-        for at, action in self.scenario.events:
-            self._push(at, action)
+        # Scripted events are already in time order (validate_scenario), so
+        # only the replays a strategy schedules go through the heap.
+        queue = self._queue
         at = 0
-        while self._queue:
-            at, _, action = heapq.heappop(self._queue)
+        for at, action in self.scenario.events:
+            while queue and queue[0][0] < at:
+                due, _, index = heapq.heappop(queue)
+                self._attacker_replay(due, index)
             self._dispatch(at, action)
+        while queue:
+            at, _, index = heapq.heappop(queue)
+            self._attacker_replay(at, index)
         self._footer(at)
         return trace
 
     def _dispatch(self, now: int, action: object) -> None:
         if isinstance(action, VictimPress):
             self._victim_press(now, action)
-        elif isinstance(action, ScheduleReplay):
-            self._attacker_replay(now, action.capture_index)
         elif isinstance(action, AttackerDeploy):
             self.trace.add(now, "phase", name=action.name)
             self._apply(self.strategy.on_deploy(len(self.captures), now), now)
@@ -414,7 +416,8 @@ class Engine:
                     idx=command.capture_index,
                     due=command.at,
                 )
-                self._push(command.at, command)
+                heapq.heappush(self._queue, (command.at, self._seq, command.capture_index))
+                self._seq += 1
 
     def _footer(self, at: int) -> None:
         """Final records, stamped with the time of the last dispatched action."""
@@ -469,35 +472,36 @@ def summarize(trace: Trace) -> Summary:
     presses = captures = replays = resyncs = 0
     pending: dict[object, list] = {}  # serial -> buttons of unanswered presses
     now = None
-    for record in trace:
-        if record.at != now:
+    for at, kind, fields in trace:
+        if at != now:
             if pending:
                 victim_unaffected = False
                 pending = {}
-            now = record.at
-        if record.kind == "tx":
-            src = record.get("src")
+            now = at
+        get = fields.get
+        if kind == "tx":
+            src = get("src")
             if src == VICTIM:
                 presses += 1
-                if record.get("delivered"):
-                    pending.setdefault(record.get("serial"), []).append(record.get("btn"))
+                if get("delivered"):
+                    pending.setdefault(get("serial"), []).append(get("btn"))
             elif src == ATTACKER:
                 replays += 1
-            if record.get("captured"):
+            if get("captured"):
                 captures += 1
-        elif record.kind == "rx":
-            action = record.get("action")
-            button = record.get("btn")
+        elif kind == "rx":
+            action = get("action")
+            button = get("btn")
             acted = action in _ACTED
             if action is _RESYNCED:
                 resyncs += 1
-            if acted and record.get("src") == ATTACKER and button is _UNLOCK:
+            if acted and get("src") == ATTACKER and button is _UNLOCK:
                 unlocked = True
-            for intended in pending.pop(record.get("serial"), ()):
+            for intended in pending.pop(get("serial"), ()):
                 if not (acted and button == intended):
                     victim_unaffected = False
-        elif record.kind == "final":
-            final_door = record.get("door")
+        elif kind == "final":
+            final_door = get("door")
     goals = {
         Goal.UNLOCK_WITHOUT_AUTHORIZATION: unlocked,
         Goal.VICTIM_UNAFFECTED: victim_unaffected and not pending,

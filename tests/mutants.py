@@ -42,7 +42,21 @@ MUTANTS = (
     ("receiver.py", "len(buffer) >= profile.signals_required",
      "len(buffer) == profile.signals_required",
      "an accept clears the rollback buffer, so it never grows past the bound"),
-    ("sim.py", 'if record.get("captured"):', 'if src == VICTIM and record.get("captured"):',
+    ("sim.py", "while queue and queue[0][0] < at:", "while queue and queue[0][0] <= at:", None),
+    ("codebook.py", "        return _authentic(key, serial, encoded)",
+     "        return encoded if encoded.timestamp is None or encoded.signature == "
+     "timestamp_tag(key, serial, encoded.timestamp) else None", None),
+    ("codebook.py", "        return _authentic(key, serial, encoded)",
+     "        return encoded if encoded.discrimination == discrimination_for(key, serial) "
+     "else None", None),
+    ("codebook.py", "in _DECODED_TYPES:", "in _DECODED_TYPES or True:", None),
+    ("codebook.py", "if button_code not in _BUTTONS_BY_CODE or flags not in (0, 1):",
+     "if flags not in (0, 1):", None),
+    ("codebook.py", "if button_code not in _BUTTONS_BY_CODE or flags not in (0, 1):",
+     "if button_code not in _BUTTONS_BY_CODE:", None),
+    ("codebook.py", "if ts_value or sig_value:", "if ts_value:", None),
+    ("codebook.py", "if ts_value or sig_value:", "if sig_value:", None),
+    ("sim.py", 'if get("captured"):', 'if src == VICTIM and get("captured"):',
      "the channel never captures an attacker replay"),
 )
 

@@ -6,7 +6,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rkesim import codebook
 from rkesim.codebook import (
@@ -142,8 +142,10 @@ def _sealed(block):
 
 @pytest.mark.parametrize(
     "block",
-    [5 | 2 << 16, 5 | 1 << 16 | 2 << 40, 5 | 1 << 16 | 9 << 48, 5 | 1 << 16 | 9 << 96],
-    ids=["unknown-button", "unknown-flags", "timestamp-without-flag", "tag-without-flag"],
+    [5 | 2 << 16, 5 | 1 << 16 | 2 << 40, 5 | 1 << 16 | 9 << 48, 5 | 1 << 16 | 9 << 96,
+     5 | 1 << 16 | 2 << 40 | 9 << 48 | timestamp_tag(KEY, 7, 9) << 96],
+    ids=["unknown-button", "unknown-flags", "timestamp-without-flag", "tag-without-flag",
+         "unknown-flags-tagged"],
 )
 def test_authentic_block_with_bad_fields_rejected(block):
     # The discrimination bits are right, so only the field checks reject.
@@ -269,22 +271,71 @@ def test_inverse_memo_is_transparent(counter, button, timestamp, mask):
         payload = make_payload(counter, button, serial, key, timestamp)
         codebook.clear_caches()
         frame = encode(key, serial, payload)
-        block = int.from_bytes(frame.ciphertext, "big")
+        entry = (key, serial, frame.ciphertext)
         # The other key misses the entry stored under this one and leaves
         # it in place.
-        crossed = codebook._unpermute(other, block)
-        assert (key, block) in codebook._PLAIN
-        assert crossed != codebook._pack(payload)
         assert decode(other, Transmission(other_serial, frame.ciphertext)) is None
+        assert decode(other, frame) is None
+        assert codebook._PLAIN == {entry: payload}
         # A ciphertext one mask away from a stored one is still rejected.
         fuzzed = bytes(a ^ b for a, b in zip(frame.ciphertext, mask))
         assert decode(key, Transmission(serial, fuzzed)) is None
         memo = decode(key, frame)
-        assert (key, block) not in codebook._PLAIN
+        assert entry not in codebook._PLAIN
         codebook.clear_caches()
         rounds = decode(key, frame)
         assert memo == rounds == payload
-        assert codebook._unpermute(other, block) == crossed
+        assert memo is payload and rounds is not payload
+
+
+def _typed(payload):
+    """Each field of a decoded payload with its type, or None."""
+    if payload is None:
+        return None
+    return [(type(value), value) for value in dataclasses.astuple(payload)]
+
+
+_BUTTONS = [*Instruction, *(instruction.value for instruction in Instruction)]
+
+
+@given(
+    counter=st.one_of(st.integers(0, COUNTER_MOD - 1), st.booleans()),
+    button=st.sampled_from(_BUTTONS),
+    timestamp=st.one_of(st.none(), st.integers(0, TIMESTAMP_MOD - 1), st.booleans()),
+    keyed=st.sampled_from([(KEY, 7), (OTHER_KEY, 8)]),
+    honest=st.booleans(),
+)
+@example(counter=5, button="unlock", timestamp=None, keyed=(KEY, 7), honest=True)
+@settings(max_examples=300, deadline=None)
+def test_primed_decode_equals_a_cold_decode(counter, button, timestamp, keyed, honest):
+    # Decoding the frame just encoded hands back what the rounds would
+    # build from it, field types included: a str button must come back
+    # as an Instruction, or receive()'s ``is`` test leaves the door shut.
+    key, serial = keyed
+    payload = make_payload(counter, button, serial, key, timestamp)
+    if not honest:
+        payload = dataclasses.replace(payload, discrimination=payload.discrimination ^ 1)
+    codebook.clear_caches()
+    frame = encode(key, serial, payload)
+    primed = decode(key, frame)
+    codebook.clear_caches()
+    cold = decode(key, frame)
+    assert _typed(primed) == _typed(cold)
+    assert (cold is not None) == honest
+    if honest:
+        assert type(cold.button) is Instruction and cold.button == button
+
+
+@pytest.mark.parametrize("timestamp", [None, 5000], ids=["plain", "timestamped"])
+def test_primed_frame_with_wrong_discrimination_rejected(timestamp):
+    # Only the discrimination is wrong: the tag, when present, is right.
+    codebook.clear_caches()
+    good = make_payload(timestamp=timestamp)
+    bad = dataclasses.replace(good, discrimination=good.discrimination ^ 1)
+    frame = encode(KEY, 7, bad)
+    assert codebook._PLAIN == {(KEY, 7, frame.ciphertext): bad}
+    assert decode(KEY, frame) is None
+    assert codebook._PLAIN == {}
 
 
 def _comment_above(source, statement):
@@ -304,11 +355,11 @@ def test_plain_memo_bound_is_the_one_its_comment_states():
 
 def test_plain_memo_is_emptied_when_full():
     codebook.clear_caches()
-    codebook._PLAIN.update(((b"filler", n), n) for n in range(codebook._PLAIN_MAX))
-    frame = encode(KEY, 7, make_payload())
-    block = int.from_bytes(frame.ciphertext, "big")
-    assert list(codebook._PLAIN) == [(KEY, block)]
-    assert decode(KEY, frame) == make_payload()
+    payload = make_payload()
+    codebook._PLAIN.update(((b"filler", n, b""), payload) for n in range(codebook._PLAIN_MAX))
+    frame = encode(KEY, 7, payload)
+    assert codebook._PLAIN == {(KEY, 7, frame.ciphertext): payload}
+    assert decode(KEY, frame) is payload
     assert codebook._PLAIN == {}
 
 

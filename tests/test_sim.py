@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import os
 import time
@@ -108,6 +109,19 @@ def test_trace_timestamps_monotonic():
         # The footer is stamped with the time of the last event.
         body = [record for record in trace if record.kind not in ("final_fob", "final")]
         assert trace[-1].kind == "final" and trace[-1].at == body[-1].at, scenario.name
+
+
+@pytest.mark.parametrize("gap_ms", [0, 1000], ids=["same-time-as-exploit", "later-replay"])
+def test_scripted_press_goes_before_a_replay_due_at_its_time(gap_ms):
+    # The exploit at 2 days schedules replays of captures 0 and 1, gap_ms
+    # apart; the victim presses at the second one's due time.
+    exploit_at = 2 * DAY_MS
+    tie = exploit_at + gap_ms
+    scenario = rollback_scenario(exploit_at=exploit_at, gap_ms=gap_ms)
+    trace = run(dataclasses.replace(scenario, events=scenario.events + (press_event(tie),)))
+    sent = [(r.get("src"), r.get("idx")) for r in trace if r.kind == "tx" and r.at == tie]
+    replays = [("attacker", 0), ("attacker", 1)] if gap_ms == 0 else [("attacker", 1)]
+    assert sent == [("victim", None)] + replays
 
 
 def test_canonical_rollback_scenario_unlocks():
