@@ -1,9 +1,13 @@
 """Scenario and policy file formats.
 
-Both formats are line oriented and diff friendly.  ``#`` starts a
-comment, blank lines are ignored, and the first meaningful line is a
-versioned header.  Keys and values are whitespace separated, and a
-key appears at most once in its section or at the top level.
+Both formats are line oriented and diff friendly.  Only ``\\n``,
+``\\r\\n`` and ``\\r`` end a line; other Unicode line breaks are
+whitespace.  ``#`` starts a comment, blank lines are ignored, and the
+first meaningful line is a versioned header.  Keys and values are
+whitespace separated, and a key appears at most once in its section or
+at the top level.  A ``ParseError`` names the first offending line and
+word in file order, but a key line without a value comes first in its
+section, and a missing key is reported at its section's first line.
 
 Scenario file grammar (header ``rkesim-scenario v1``)::
 
@@ -20,7 +24,7 @@ Scenario file grammar (header ``rkesim-scenario v1``)::
     learned on|off            # receiver knows this fob, default on
     receiver_counter <int>    # stored counter 0 .. 2^16-1, default same as counter
 
-    [receiver]
+    [receiver]                             # exactly one
     single_window <int>                    # default 16
     double_window_limit <int>              # default 32768
     rollback <n> strict|loose [<ms>]       # default: absent; n >= 2, ms > 0
@@ -30,12 +34,12 @@ Scenario file grammar (header ``rkesim-scenario v1``)::
     learn_exit on|off                      # exit after success, default on
     learn_readd overwrite|ignore           # default overwrite
 
-    [attacker]                # optional
+    [attacker]                # optional, at most one
     strategy naive_replay|jam_replay_lock|future_code|rolljam|rollback
     jam_first on|off          # rollback only, default on
     signals_to_capture <int>  # rollback only, >= 1, default 2
 
-    [events]
+    [events]                  # at most one; each line is parsed as it is read
     <at_ms> press <serial> lock|unlock [out_of_range] [no_capture]
                               # each flag and exploit parameter at most once
     <at_ms> attacker deploy   # the phase is deploy or exploit, nothing else
@@ -57,7 +61,7 @@ Policy files (header ``rkesim-policy v1``) hold ``name`` plus a single
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import io
 
 from .codebook import Instruction
 from .receiver import ReaddMode, ReceiverPolicy, RollbackProfile, SequenceMode, TimestampCheck
@@ -87,101 +91,96 @@ class ParseError(Exception):
         self.message = message
 
 
-class _Token(NamedTuple):
-    text: str
-    line: int
-    column: int
-
-    def fail(self, message: str) -> ParseError:
-        return ParseError(self.line, self.column, message)
-
-    def as_int(self) -> int:
-        try:
-            return int(self.text)
-        except ValueError:
-            raise self.fail("expected an integer, got %r" % self.text)
-
-    def as_flag(self) -> bool:
-        if self.text in ("on", "true", "1"):
-            return True
-        if self.text in ("off", "false", "0"):
-            return False
-        raise self.fail("expected on or off, got %r" % self.text)
+# A line is ``(number, body, words)``: its 1-based number, its text before
+# any ``#``, and the words of that text as plain strings.  Errors name a
+# line and the index of a word in it; the word's column is found only then.
 
 
-def _tokenize(text: str) -> list[list[_Token]]:
-    lines = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+def _lines(text: str):
+    """Yields each line of ``text`` that holds a word."""
+    for number, raw in enumerate(io.StringIO(text, newline=None), start=1):
         body = raw.split("#", 1)[0]
-        tokens = []
-        column = 1
-        for piece in body.split():
-            column = body.index(piece, column - 1) + 1
-            tokens.append(_Token(piece, line_no, column))
-            column += len(piece)
-        if tokens:
-            lines.append(tokens)
-    return lines
+        words = body.split()
+        if words:
+            yield number, body, words
 
 
-def _sections(
-    text: str, expected_header: str
-) -> tuple[list[list[_Token]], list[tuple[_Token, list[list[_Token]]]]]:
-    """Split token lines into the preamble and the (header token, block)
-    of each section."""
-    lines = _tokenize(text)
-    if not lines:
+def _fail(line: tuple, index: int, message: str) -> ParseError:
+    """The error at word ``index`` of ``line``."""
+    number, body, words = line
+    column = 1
+    for word in words[: index + 1]:
+        start = body.index(word, column - 1) + 1
+        column = start + len(word)
+    return ParseError(number, start, message)
+
+
+def _at_start(block: list, message: str) -> ParseError:
+    """The error at a block's first word, or at line 1 for an empty block."""
+    return _fail(block[0], 0, message) if block else ParseError(1, 1, message)
+
+
+def _until_header(lines, take):
+    """Passes lines to ``take`` up to the next section header; returns it or None."""
+    for line in lines:
+        if line[2][0].startswith("["):
+            return line
+        take(line)
+    return None
+
+
+def _section(line: tuple) -> str:
+    words = line[2]
+    if not (words[0].endswith("]") and len(words) == 1):
+        raise _fail(line, 0, "malformed section header")
+    return words[0]
+
+
+def _preamble(text: str, expected_header: str, top_keys: dict):
+    """Checks the header; returns the lines left, the top-level fields and the next header."""
+    lines = _lines(text)
+    first = next(lines, None)
+    if first is None:
         raise ParseError(1, 1, "empty file, expected header %r" % expected_header)
-    header = " ".join(token.text for token in lines[0])
+    header = " ".join(first[2])
     if header != expected_header:
-        raise lines[0][0].fail("bad header %r, expected %r" % (header, expected_header))
-    preamble, sections = [], []
-    current = preamble
-    for tokens in lines[1:]:
-        first = tokens[0]
-        if first.text.startswith("["):
-            if not (first.text.endswith("]") and len(tokens) == 1):
-                raise first.fail("malformed section header")
-            current = []
-            sections.append((first, current))
-        else:
-            current.append(tokens)
-    return preamble, sections
+        raise _fail(first, 0, "bad header %r, expected %r" % (header, expected_header))
+    preamble: list = []
+    section = _until_header(lines, preamble.append)
+    return lines, _read_keys(preamble, top_keys, "top-level"), section
 
 
-def _key_values(block: list[list[_Token]]) -> list[tuple[_Token, list[_Token]]]:
-    pairs = []
-    for tokens in block:
-        if len(tokens) < 2:
-            raise tokens[0].fail("expected 'key value...'")
-        pairs.append((tokens[0], tokens[1:]))
-    return pairs
+def _integer(line: tuple, index: int) -> int:
+    word = line[2][index]
+    try:
+        return int(word)
+    except ValueError:
+        raise _fail(line, index, "expected an integer, got %r" % word)
 
 
-def _single(values: list[_Token], key: _Token) -> _Token:
-    if len(values) != 1:
-        raise values[1].fail("unexpected extra value after %r" % key.text)
-    return values[0]
+def _single(line: tuple) -> str:
+    words = line[2]
+    if len(words) != 2:
+        raise _fail(line, 2, "unexpected extra value after %r" % words[0])
+    return words[1]
 
 
-def _block_start(block: list[list[_Token]]) -> _Token:
-    return block[0][0] if block else _Token("", 1, 1)
+# Value readers.  Each takes a ``key value...`` line and returns the value
+# of the key's field.
 
 
-# Value readers.  Each takes a key token and its value tokens and returns
-# the value of the key's field.
+def _int(line: tuple) -> int:
+    _single(line)
+    return _integer(line, 1)
 
 
-def _int(key: _Token, values: list[_Token]) -> int:
-    return _single(values, key).as_int()
-
-
-def _flag(key: _Token, values: list[_Token]) -> bool:
-    return _single(values, key).as_flag()
-
-
-def _text(key: _Token, values: list[_Token]) -> str:
-    return _single(values, key).text
+def _flag(line: tuple) -> bool:
+    word = _single(line)
+    if word in ("on", "true", "1"):
+        return True
+    if word in ("off", "false", "0"):
+        return False
+    raise _fail(line, 1, "expected on or off, got %r" % word)
 
 
 def _name_problem(text: str) -> str | None:
@@ -197,40 +196,40 @@ def _name_problem(text: str) -> str | None:
     return None
 
 
-def _name(key: _Token, values: list[_Token]) -> str:
-    token = _single(values, key)
-    problem = _name_problem(token.text)
+def _name(line: tuple) -> str:
+    word = _single(line)
+    problem = _name_problem(word)
     if problem is not None:
-        raise token.fail(problem)
-    return token.text
+        raise _fail(line, 1, problem)
+    return word
 
 
-def _hex(key: _Token, values: list[_Token]) -> bytes:
-    token = _single(values, key)
+def _hex(line: tuple) -> bytes:
     try:
-        return bytes.fromhex(token.text)
+        return bytes.fromhex(_single(line))
     except ValueError:
-        raise token.fail("key must be hex")
+        raise _fail(line, 1, "key must be hex")
 
 
 def _choice(options: dict):
-    def read(key: _Token, values: list[_Token]):
-        token = _single(values, key)
-        if token.text not in options:
-            raise token.fail("%s must be %s" % (key.text, " or ".join(options)))
-        return options[token.text]
+    def read(line: tuple):
+        word = _single(line)
+        if word not in options:
+            raise _fail(line, 1, "%s must be %s" % (line[2][0], " or ".join(options)))
+        return options[word]
 
     return read
 
 
-def _rollback(key: _Token, values: list[_Token]) -> RollbackProfile:
-    if len(values) not in (2, 3):
-        raise key.fail("rollback takes '<signals> strict|loose [<ms>]'")
-    signals = values[0].as_int()
-    if values[1].text not in ("strict", "loose"):
-        raise values[1].fail("sequence must be strict or loose")
-    timeframe = values[2].as_int() if len(values) == 3 else None
-    return RollbackProfile(signals, SequenceMode(values[1].text), timeframe)
+def _rollback(line: tuple) -> RollbackProfile:
+    words = line[2]
+    if len(words) not in (3, 4):
+        raise _fail(line, 0, "rollback takes '<signals> strict|loose [<ms>]'")
+    signals = _integer(line, 1)
+    if words[2] not in ("strict", "loose"):
+        raise _fail(line, 2, "sequence must be strict or loose")
+    timeframe = _integer(line, 3) if len(words) == 4 else None
+    return RollbackProfile(signals, SequenceMode(words[2]), timeframe)
 
 
 # Key tables: each accepted key maps to (field name, value reader).
@@ -239,7 +238,7 @@ _RECEIVER_KEYS = {
     "double_window_limit": ("double_window_limit", _int),
     "rollback": ("rollback", _rollback),
     "per_instruction_counters": ("per_instruction_counters", _flag),
-    "timestamp_tolerance_ms": ("timestamp_check", lambda k, v: TimestampCheck(_int(k, v))),
+    "timestamp_tolerance_ms": ("timestamp_check", lambda line: TimestampCheck(_int(line))),
     "learn_entry": ("explicit_entry_required", _choice({"explicit": True, "auto": False})),
     "learn_exit": ("exit_after_success", _flag),
     # Option order is message order: "overwrite or ignore", not enum order.
@@ -256,7 +255,7 @@ _FOB_KEYS = {
     "receiver_counter": ("receiver_counter", _int),
 }
 _ATTACKER_KEYS = {
-    "strategy": ("kind", _text),
+    "strategy": ("kind", _single),
     "jam_first": ("jam_first", _flag),
     "signals_to_capture": ("signals_to_capture", _int),
 }
@@ -264,50 +263,57 @@ _POLICY_TOP_KEYS = {"name": ("name", _name)}
 _SCENARIO_TOP_KEYS = {**_POLICY_TOP_KEYS, "seed": ("seed", _int)}
 
 
-def _read_keys(block: list[list[_Token]], table: dict, section: str,
-               required: str | None = None) -> dict:
+def _read_keys(block: list, table: dict, section: str, required: str | None = None) -> dict:
     """Reads a block's ``key value`` lines into ``{field: value}``.
 
     Only the keys present appear, so a model constructor called with the
-    result keeps its own defaults.  A key given twice is an error at its
-    second occurrence.  A ``ValueError`` from a value reader
-    (the model rejecting the value) is reported at the key.
+    result keeps its own defaults.  A line without a value is reported
+    first, a key given twice at its second occurrence, and a
+    ``ValueError`` from a value reader (the model rejecting it) at the key.
     """
+    for line in block:
+        if len(line[2]) < 2:
+            raise _fail(line, 0, "expected 'key value...'")
     fields = {}
-    for key, values in _key_values(block):
-        entry = table.get(key.text)
+    for line in block:
+        words = line[2]
+        entry = table.get(words[0])
         if entry is None:
-            raise key.fail("unknown %s key %r" % (section, key.text))
+            raise _fail(line, 0, "unknown %s key %r" % (section, words[0]))
         field, read = entry
         if field in fields:
-            raise key.fail("duplicate %s key %r" % (section, key.text))
+            raise _fail(line, 0, "duplicate %s key %r" % (section, words[0]))
         try:
-            fields[field] = read(key, values)
+            fields[field] = read(line)
         except ValueError as exc:
-            raise key.fail(str(exc))
+            raise _fail(line, 0, str(exc))
     if required is not None and table[required][0] not in fields:
-        raise _block_start(block).fail("%s section needs a %s" % (section, required))
+        raise _at_start(block, "%s section needs a %s" % (section, required))
     return fields
 
 
-def parse_policy_section(block: list[list[_Token]]) -> ReceiverPolicy:
+def parse_policy_section(block: list) -> ReceiverPolicy:
     fields = _read_keys(block, _RECEIVER_KEYS, "receiver")
     try:
         return ReceiverPolicy(**fields)
     except ValueError as exc:
-        raise _block_start(block).fail(str(exc))
+        raise _at_start(block, str(exc))
 
 
 def loads_policy(text: str, default_name: str = "policy") -> tuple[str, ReceiverPolicy]:
-    preamble, sections = _sections(text, POLICY_HEADER)
-    top = _read_keys(preamble, _POLICY_TOP_KEYS, "top-level")
-    receiver_blocks = [blk for tok, blk in sections if tok.text == "[receiver]"]
-    for token, _ in sections:
-        if token.text != "[receiver]":
-            raise token.fail("policy files allow only a [receiver] section")
-    if len(receiver_blocks) != 1:
+    lines, top, header = _preamble(text, POLICY_HEADER, _POLICY_TOP_KEYS)
+    policy = None
+    while header is not None:
+        if _section(header) != "[receiver]":
+            raise _fail(header, 0, "policy files allow only a [receiver] section")
+        if policy is not None:
+            break
+        block: list = []
+        header = _until_header(lines, block.append)
+        policy = parse_policy_section(block)
+    if policy is None or header is not None:
         raise ParseError(1, 1, "policy file needs exactly one [receiver] section")
-    return top.get("name", default_name), parse_policy_section(receiver_blocks[0])
+    return top.get("name", default_name), policy
 
 
 def _read_text(path) -> tuple[str, dict]:
@@ -327,98 +333,108 @@ def load_policy(path) -> tuple[str, ReceiverPolicy]:
     return loads_policy(text, **default)
 
 
-def _parse_event_line(tokens: list[_Token]) -> ScenarioEvent:
-    at = tokens[0].as_int()
-    if len(tokens) < 2:
-        raise tokens[0].fail("event needs an action verb")
-    verb = tokens[1]
-    rest = tokens[2:]
-    if verb.text == "press":
-        if len(rest) < 2:
-            raise verb.fail("press takes '<serial> lock|unlock [flags]'")
-        serial = rest[0].as_int()
-        button = _BUTTONS.get(rest[1].text)
-        if button is None:
-            raise rest[1].fail("button must be lock or unlock")
-        flags = set()
-        for flag in rest[2:]:
-            if flag.text not in ("out_of_range", "no_capture"):
-                raise flag.fail("unknown press flag %r" % flag.text)
-            if flag.text in flags:
-                raise flag.fail("duplicate press flag %r" % flag.text)
-            flags.add(flag.text)
-        # Positional: a NamedTuple builds slower from keywords.
-        action = VictimPress(serial, button, "out_of_range" in flags, "no_capture" not in flags)
-    elif verb.text == "attacker":
-        if not rest:
-            raise verb.fail("attacker event needs a phase name")
-        phase = _PHASES.get(rest[0].text)
+def _event(line: tuple, presses: dict) -> ScenarioEvent:
+    words = line[2]
+    at = _integer(line, 0)
+    if len(words) < 2:
+        raise _fail(line, 0, "event needs an action verb")
+    verb = words[1]
+    if verb == "press":
+        # Equal presses share one VictimPress: a long script repeats a few,
+        # and every copy would stay alive for the whole run.
+        key = tuple(words[2:])
+        action = presses.get(key)
+        if action is None:
+            if len(words) < 4:
+                raise _fail(line, 1, "press takes '<serial> lock|unlock [flags]'")
+            serial = _integer(line, 2)
+            button = _BUTTONS.get(words[3])
+            if button is None:
+                raise _fail(line, 3, "button must be lock or unlock")
+            flags = words[4:]
+            for index, flag in enumerate(flags, 4):
+                if flag not in ("out_of_range", "no_capture"):
+                    raise _fail(line, index, "unknown press flag %r" % flag)
+                if flag in words[4:index]:
+                    raise _fail(line, index, "duplicate press flag %r" % flag)
+            # Positional: a NamedTuple builds slower from keywords.
+            action = presses[key] = VictimPress(
+                serial, button, "out_of_range" in flags, "no_capture" not in flags)
+    elif verb == "attacker":
+        if len(words) < 3:
+            raise _fail(line, 1, "attacker event needs a phase name")
+        phase = _PHASES.get(words[2])
         if phase is None:
-            raise rest[0].fail("attacker phase must be deploy or exploit")
-        if phase is AttackerDeploy and len(rest) > 1:
-            raise rest[1].fail("attacker deploy takes no parameters")
+            raise _fail(line, 2, "attacker phase must be deploy or exploit")
+        if phase is AttackerDeploy and len(words) > 3:
+            raise _fail(line, 3, "attacker deploy takes no parameters")
         params: dict = {}
-        for token in rest[1:]:
-            if token.text == "relock":
+        for index in range(3, len(words)):
+            word = words[index]
+            if word == "relock":
                 name, value = "relock", True
-            elif "=" in token.text:
-                name, _, text = token.text.partition("=")
+            elif "=" in word:
+                name, _, text = word.partition("=")
                 if name == "indices":
                     try:
                         value = [int(x) for x in text.split(",")]
                     except ValueError:
-                        raise token.fail("indices must be comma-separated integers")
+                        raise _fail(line, index, "indices must be comma-separated integers")
                     if min(value) < 0:
-                        raise token.fail("indices must be non-negative")
+                        raise _fail(line, index, "indices must be non-negative")
                 elif name == "gap_ms":
                     try:
                         value = int(text)
                     except ValueError:
-                        raise token.fail("gap_ms must be an integer")
+                        raise _fail(line, index, "gap_ms must be an integer")
                     if value < 0:
-                        raise token.fail("gap_ms must be non-negative")
+                        raise _fail(line, index, "gap_ms must be non-negative")
                 else:
-                    raise token.fail("unknown exploit parameter %r" % name)
+                    raise _fail(line, index, "unknown exploit parameter %r" % name)
             else:
-                raise token.fail("unknown attacker argument %r" % token.text)
+                raise _fail(line, index, "unknown attacker argument %r" % word)
             if name in params:
-                raise token.fail("duplicate exploit parameter %r" % name)
+                raise _fail(line, index, "duplicate exploit parameter %r" % name)
             params[name] = value
         action = AttackerExploit(params) if phase is AttackerExploit else AttackerDeploy()
-    elif verb.text in ("learn_mode", "advance"):
-        if rest:
-            raise rest[0].fail("%s takes no parameters" % verb.text)
-        action = LearnModeEntry() if verb.text == "learn_mode" else AdvanceClock()
+    elif verb in ("learn_mode", "advance"):
+        if len(words) > 2:
+            raise _fail(line, 2, "%s takes no parameters" % verb)
+        action = LearnModeEntry() if verb == "learn_mode" else AdvanceClock()
     else:
-        raise verb.fail("unknown event verb %r" % verb.text)
+        raise _fail(line, 1, "unknown event verb %r" % verb)
     return ScenarioEvent(at, action)
 
 
 def loads_scenario(text: str, default_name: str = "scenario") -> Scenario:
-    preamble, sections = _sections(text, SCENARIO_HEADER)
-    top = _read_keys(preamble, _SCENARIO_TOP_KEYS, "top-level")
-
+    lines, top, header = _preamble(text, SCENARIO_HEADER, _SCENARIO_TOP_KEYS)
     fobs: list[FobDef] = []
     policy = None
     attacker = None
     events: list[ScenarioEvent] = []
-    for token, block in sections:
-        if token.text == "[fob]":
+    presses: dict = {}
+    seen = set()
+    while header is not None:
+        section = _section(header)
+        if section not in ("[fob]", "[receiver]", "[attacker]", "[events]"):
+            raise _fail(header, 0, "unknown section %r" % section)
+        if section in seen:
+            raise _fail(header, 0, "duplicate %s section" % section)
+        if section != "[fob]":
+            seen.add(section)
+        if section == "[events]":
+            # Each event line is parsed as it is read; no block is kept.
+            header = _until_header(lines, lambda line: events.append(_event(line, presses)))
+            continue
+        block: list = []
+        header = _until_header(lines, block.append)
+        if section == "[fob]":
             fobs.append(FobDef(**_read_keys(block, _FOB_KEYS, "fob", "serial")))
-        elif token.text == "[receiver]":
-            if policy is not None:
-                raise token.fail("duplicate [receiver] section")
+        elif section == "[receiver]":
             policy = parse_policy_section(block)
-        elif token.text == "[attacker]":
-            if attacker is not None:
-                raise token.fail("duplicate [attacker] section")
+        else:
             options = _read_keys(block, _ATTACKER_KEYS, "attacker", "strategy")
             attacker = AttackerDef(options.pop("kind"), options)
-        elif token.text == "[events]":
-            for tokens in block:
-                events.append(_parse_event_line(tokens))
-        else:
-            raise token.fail("unknown section %r" % token.text)
     if policy is None:
         raise ParseError(1, 1, "scenario needs a [receiver] section")
     if not fobs:

@@ -58,6 +58,17 @@ MUTANTS = (
     ("codebook.py", "if ts_value or sig_value:", "if sig_value:", None),
     ("sim.py", 'if get("captured"):', 'if src == VICTIM and get("captured"):',
      "the channel never captures an attacker replay"),
+    ("scenario.py", "body.index(word, column - 1)", "body.index(word)", None),
+    ("scenario.py", "column = start + len(word)", "column = start", None),
+    ("scenario.py", "if flag in words[4:index]:", "if flag in words[5:index]:", None),
+    ("scenario.py", "        if section != \"[fob]\":\n            seen.add(section)",
+     "        if section not in (\"[fob]\", \"[events]\"):\n            seen.add(section)", None),
+    ("scenario.py", "events.append(_event(line, presses)))\n            continue",
+     "events.append(_event(line, presses)))", None),
+    ("scenario.py",
+     "header = _until_header(lines, lambda line: events.append(_event(line, presses)))",
+     "header = [events.append(_event(line, presses)) for line in lines] and None", None),
+    ("scenario.py", "key = tuple(words[2:])", "key = tuple(words[2:4])", None),
 )
 
 

@@ -258,6 +258,16 @@ _SCN = "rkesim-scenario v1\n"
          "name must hold only printable characters"),
         ("rkesim-policy v1\nname \x7f\n[receiver]\n", 2, 6,
          "name must hold only printable characters"),
+        # A column counts characters: a tab is one, and a word is found
+        # after the one before it, not at an earlier copy of itself.
+        (_SCN + "seed\t\tten\n" + _FOB + _RX, 2, 7, "expected an integer, got 'ten'"),
+        (_SCN + _FOB + "[receiver]\nsingle_window 16 16\n", 5, 18,
+         "unexpected extra value after 'single_window'"),
+        (_SCN + "seed ten#5\n" + _FOB + _RX, 2, 6, "expected an integer, got 'ten'"),
+        ((_SCN + _FOB + "[receiver]\nbogus 5\n").replace("\n", "\r\n"), 5, 1,
+         "unknown receiver key 'bogus'"),
+        ((_SCN + _FOB + "[receiver]\nbogus 5\n").replace("\n", "\r"), 5, 1,
+         "unknown receiver key 'bogus'"),
     ],
     ids=[
         "receiver-unknown-key",
@@ -284,6 +294,11 @@ _SCN = "rkesim-scenario v1\n"
         "scenario-name-nul",
         "policy-name-escape",
         "policy-name-delete",
+        "tab-separated",
+        "word-repeated-on-its-line",
+        "comment-glued-to-value",
+        "crlf-line-breaks",
+        "cr-line-breaks",
     ],
 )
 def test_section_errors_report_line_column_message(text, line, column, message):
@@ -307,6 +322,10 @@ _EVENTS = _SCN + _FOB + _RX + "[events]\n"
         (_SCN + "[fob\nserial 1\n" + _RX, 2, 1, "malformed section header"),
         (_SCN + _FOB + "[receiver] now\n", 4, 1, "malformed section header"),
         ("rkesim-policy v1\nname p\n", 1, 1, "policy file needs exactly one [receiver] section"),
+        (
+            "rkesim-policy v1\n[receiver]\n[receiver]\nsingle_window 8\n",
+            1, 1, "policy file needs exactly one [receiver] section",
+        ),
         (_SCN + _FOB + _RX + _RX, 6, 1, "duplicate [receiver] section"),
         (
             _SCN + _FOB + _RX + "[attacker]\nstrategy rollback\n[attacker]\nstrategy rolljam\n",
@@ -324,12 +343,29 @@ _EVENTS = _SCN + _FOB + _RX + "[events]\n"
         (_EVENTS + "100 attacker exploit gap_ms=1s\n", 7, 22, "gap_ms must be an integer"),
         (_EVENTS + "100 attacker exploit speed=3\n", 7, 22, "unknown exploit parameter 'speed'"),
         (_EVENTS + "100 attacker exploit now\n", 7, 22, "unknown attacker argument 'now'"),
+        (_EVENTS + "100 press 1 lock lock\n", 7, 18, "unknown press flag 'lock'"),
+        (_EVENTS + "100 press 1 lock\n[events]\n50 press 1 unlock\n", 8, 1,
+         "duplicate [events] section"),
+        # Several errors: the first offending line is reported.
+        (
+            _SCN + "[fob]\nserial 7\ncounter x\n[receiver]\n[events]\n100 press 7 lokc\n[bad\n",
+            4, 9, "expected an integer, got 'x'",
+        ),
+        (
+            _SCN + "[fob]\nserial 7\n[receiver]\n[events]\n100 press 7 lokc\n[bad\n",
+            6, 13, "button must be lock or unlock",
+        ),
+        (
+            "rkesim-policy v1\n[receiver]\nbogus 5\n[fob]\n",
+            3, 1, "unknown receiver key 'bogus'",
+        ),
     ],
     ids=[
         "empty-file",
         "unclosed-section-header",
         "section-header-with-value",
         "policy-without-receiver",
+        "policy-with-two-receivers",
         "duplicate-receiver-section",
         "duplicate-attacker-section",
         "unknown-section",
@@ -341,6 +377,11 @@ _EVENTS = _SCN + _FOB + _RX + "[events]\n"
         "non-integer-gap",
         "unknown-exploit-parameter",
         "unknown-attacker-argument",
+        "press-flag-repeats-button",
+        "duplicate-events-section",
+        "first-error-in-a-key-section",
+        "first-error-in-events",
+        "policy-first-error-before-unknown-section",
     ],
 )
 def test_file_structure_errors_report_line_column_message(text, line, column, message):
@@ -434,3 +475,31 @@ def test_duplicate_key_reports_the_second_occurrence(text, line, column, message
         column,
         message,
     )
+
+
+@pytest.mark.parametrize(
+    "text, line, column, message",
+    [
+        # A form feed is whitespace inside the line, not a line break.
+        ("rkesim-policy v1\nname a\x0cb\n[receiver]\n", 2, 8,
+         "unexpected extra value after 'name'"),
+        # So is a NEL: the lines after it keep their numbers.
+        (_SCN + "name demo\x85\nseed x\n" + _FOB + _RX, 3, 6, "expected an integer, got 'x'"),
+    ],
+    ids=["form-feed", "next-line"],
+)
+def test_only_universal_newlines_end_a_line(tmp_path, text, line, column, message):
+    policy = text.startswith("rkesim-policy")
+    path = tmp_path / ("input.pol" if policy else "input.scn")
+    path.write_text(text, encoding="utf-8")
+    for parse, source in (
+        (loads_policy if policy else loads_scenario, text),
+        (load_policy if policy else load_scenario, path),
+    ):
+        with pytest.raises(ParseError) as excinfo:
+            parse(source)
+        assert (excinfo.value.line, excinfo.value.column, excinfo.value.message) == (
+            line,
+            column,
+            message,
+        )
