@@ -14,16 +14,16 @@ verify correct key use without any stored per-fob state: decoding with
 the wrong key scrambles the block and the check fails with probability
 1 - 2^-16 per attempt.
 
-Encryption keeps the last 64 permutations.  A warm pass of the
-benchmark finds there all 12 000 of policy-matrix's, 1 359 of
-oracle-sweep's 1 572 and none of press-stream's 10 000.  Each payload
-it encodes is also remembered under its frame until first decoded, so
-decoding a frame this process produced hands back the encoder's own
-``Payload``: no inverse rounds, no unpacking and no second object.  The
+Encryption runs the rounds on every call: ``fob`` keeps the last 64
+frames pressed, so a repeated one never reaches it.  Each payload
+encoded is remembered under its frame until first decoded, so decoding
+a frame this process produced hands back the encoder's own ``Payload``:
+no inverse rounds, no unpacking and no second object.  The
 key-dependent checks, discrimination and timestamp tag, still run on
 it.  In a simulation every delivered frame was encoded moments before,
-so the engine never runs the inverse rounds.  Both directions copy one
-keyed BLAKE2b state per key.  ``clear_caches`` empties every memo.
+or met in a memo by an earlier run, so the engine never runs the
+inverse rounds.  Both directions copy one keyed BLAKE2b state per key.
+``clear_caches`` empties every codebook memo, not ``fob._frame``.
 """
 
 from __future__ import annotations
@@ -137,13 +137,8 @@ _PLAIN: dict[tuple[bytes, int, bytes], Payload] = {}
 _PLAIN_MAX = 1 << 16
 
 
-# Encryption is deterministic, so a (key, block) met before skips the
-# four rounds.  Hits come only from probe transcripts that repeat frames:
-# every classify call presses the same 2·max_signals probe frames, and
-# consecutive oracle starts share all but one.  A fob's counter never
-# repeats a block within a run, so the bound of 64 entries only caps
-# memory; it holds the 12 plain and 12 timestamped default probe frames.
-@lru_cache(maxsize=64)
+# The forward rounds, unmemoised: a frame pressed again is served whole
+# by ``fob._frame``, before its payload is even built.
 def _permute(key: bytes, block: int) -> int:
     keyed = _keyed(key)
     left, right = block >> 64, block & _MASK64
@@ -265,6 +260,5 @@ def clear_caches() -> None:
     """Empty every codebook memo, as a fresh process starts."""
     _decode_cached.cache_clear()
     discrimination_for.cache_clear()
-    _permute.cache_clear()
     _keyed.cache_clear()
     _PLAIN.clear()

@@ -69,6 +69,13 @@ MUTANTS = (
      "header = _until_header(lines, lambda line: events.append(_event(line, presses)))",
      "header = [events.append(_event(line, presses)) for line in lines] and None", None),
     ("scenario.py", "key = tuple(words[2:])", "key = tuple(words[2:4])", None),
+    ("fob.py", "@lru_cache(maxsize=64, typed=True)", "@lru_cache(maxsize=64)", None),
+    ("analyzer.py",
+     "witness_gap = max(gapped_pass) if gapped_pass else max(consecutive_pass)",
+     "witness_gap = max(passing)",
+     "a gapped run passes only under loose rollback, and there the consecutive run passes "
+     "only at gaps where the gapped one does: both replay at the same times in ascending "
+     "counter order, and a gapped capture's timestamp is the fresher"),
 )
 
 

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from rkesim import analyzer, attacks, codebook
+from rkesim import analyzer, attacks, fob
 from rkesim.analyzer import (
     DEFAULT_GAP_PROBES_MS,
     UNBOUNDED_GAP_MS,
@@ -529,25 +529,30 @@ def test_classify_receive_count(monkeypatch, pol, calls):
 
 @pytest.mark.parametrize("max_signals", [6, 3])
 def test_classify_presses_the_transcript_on_every_call(monkeypatch, max_signals):
-    # The permutation memo skips only the cipher rounds: each call still
-    # presses its whole 2·max_signals transcript, from a cold memo or a
-    # warm one, and a warm call finds every frame in the memo.
-    presses = []
-    original = analyzer.press
+    # The frame memo sits below ``press``: each call still presses its
+    # whole 2·max_signals transcript, from a cold memo or a warm one, and
+    # only a cold call encodes its frames.
+    presses, encodes = [], []
+    original_press, original_encode = analyzer.press, fob.encode
 
     def counting_press(*args):
         presses.append(None)
-        return original(*args)
+        return original_press(*args)
+
+    def counting_encode(*args):
+        encodes.append(None)
+        return original_encode(*args)
 
     monkeypatch.setattr(analyzer, "press", counting_press)
+    monkeypatch.setattr(fob, "encode", counting_encode)
     budget = ProbeBudget(max_signals=max_signals)
-    codebook._permute.cache_clear()
+    fob._frame.cache_clear()
     for warm in (False, True, True):
         presses.clear()
-        hits = codebook._permute.cache_info().hits
+        encodes.clear()
         classify(policy(2, SequenceMode.LOOSE), budget)
         assert len(presses) == 2 * max_signals
-        assert codebook._permute.cache_info().hits - hits == (2 * max_signals if warm else 0)
+        assert len(encodes) == (0 if warm else 2 * max_signals)
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rkesim import codebook
+from rkesim import codebook, fob
 from rkesim.codebook import (
     BLOCK_BYTES,
     COUNTER_MOD,
@@ -23,6 +23,7 @@ from rkesim.codebook import (
     master_from_seed,
     timestamp_tag,
 )
+from rkesim.fob import FobState, press
 from rkesim.scenario import load_scenario
 from rkesim.sim import run
 
@@ -136,7 +137,7 @@ def test_pack_rejects_fields_out_of_range(fields, message):
 def _sealed(block):
     """A frame holding ``block`` under KEY, its fields packed by hand."""
     block |= discrimination_for(KEY, 7) << 24
-    ciphertext = codebook._permute.__wrapped__(KEY, block).to_bytes(BLOCK_BYTES, "big")
+    ciphertext = codebook._permute(KEY, block).to_bytes(BLOCK_BYTES, "big")
     return Transmission(serial=7, ciphertext=ciphertext)
 
 
@@ -180,7 +181,7 @@ def test_distinct_serials_distinct_ciphertexts():
     assert a.ciphertext != b.ciphertext
 
 
-# --- the permutation memo -------------------------------------------------
+# --- the permutation memo, kept per pressed frame by fob._frame -----------
 
 SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
 
@@ -192,27 +193,30 @@ SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
 )
 @settings(max_examples=200, deadline=None)
 def test_permute_memo_is_transparent(counter, button, timestamp):
-    # Each frame is checked against the unmemoized rounds, from a cold
-    # memo and a warm one, beside frames that differ only in key or button.
+    # Each pressed frame is checked against the rounds, from a cold memo
+    # and a warm one, beside frames that differ only in key or button.
+    # ``now`` is the timestamp itself: the fobs run with no skew.
     flipped = Instruction.LOCK if button is Instruction.UNLOCK else Instruction.UNLOCK
-    frames = [
-        (key, serial, make_payload(counter, pressed, serial, key, timestamp))
+    fobs = [
+        (FobState(serial, key, (counter - 1) % COUNTER_MOD, emit_timestamps=timestamp is not None),
+         pressed)
         for key, serial in ((KEY, 7), (OTHER_KEY, 8))
         for pressed in (button, flipped)
     ]
+    payloads = [make_payload(counter, pressed, state.serial, state.key, timestamp)
+                for state, pressed in fobs]
     rounds = [
-        codebook._permute.__wrapped__(key, codebook._pack(payload)).to_bytes(BLOCK_BYTES, "big")
-        for key, _, payload in frames
+        codebook._permute(state.key, codebook._pack(payload)).to_bytes(BLOCK_BYTES, "big")
+        for (state, _), payload in zip(fobs, payloads)
     ]
-    codebook._permute.cache_clear()
-    cold = [encode(key, serial, payload).ciphertext for key, serial, payload in frames]
-    assert codebook._permute.cache_info().hits == 0
-    warm = [encode(key, serial, payload) for key, serial, payload in frames]
-    assert codebook._permute.cache_info().hits == len(frames)
+    now = 0 if timestamp is None else timestamp
+    fob._frame.cache_clear()
+    cold = [press(state, pressed, now)[1].ciphertext for state, pressed in fobs]
+    assert fob._frame.cache_info().hits == 0
+    warm = [press(state, pressed, now)[1] for state, pressed in fobs]
+    assert fob._frame.cache_info().hits == len(fobs)
     assert cold == [frame.ciphertext for frame in warm] == rounds
-    assert [decode(key, frame) for (key, _, _), frame in zip(frames, warm)] == [
-        payload for _, _, payload in frames
-    ]
+    assert [decode(state.key, frame) for (state, _), frame in zip(fobs, warm)] == payloads
 
 
 @pytest.mark.parametrize(
@@ -222,18 +226,18 @@ def test_shipped_scenarios_never_hit_the_permute_memo(path):
     # A fob's counter never repeats a block within a run, so only the
     # analyzer's repeated probe transcripts can hit the memo.
     scenario = load_scenario(path)
-    codebook._permute.cache_clear()
+    fob._frame.cache_clear()
     run(scenario)
-    info = codebook._permute.cache_info()
+    info = fob._frame.cache_info()
     assert info.hits == 0
     assert info.misses > 0
 
 
 def test_permute_memo_bound_is_the_one_its_comment_states():
-    comment = inspect.getcomments(codebook._permute.__wrapped__)
+    comment = inspect.getcomments(fob._frame.__wrapped__)
     stated = re.search(r"bound of (\d+) entries", comment)
     assert stated is not None
-    assert codebook._permute.cache_info().maxsize == int(stated.group(1))
+    assert fob._frame.cache_info().maxsize == int(stated.group(1))
 
 
 # --- the inverse memo and the cache hook -----------------------------------
@@ -249,7 +253,7 @@ def test_clear_caches_empties_every_memo():
         value for value in vars(codebook).values() if hasattr(value, "cache_clear")
     ]
     assert {memo.__name__ for memo in memos} >= {
-        "_decode_cached", "discrimination_for", "_permute", "_keyed"
+        "_decode_cached", "discrimination_for", "_keyed"
     }
     assert all(memo.cache_info().currsize > 0 for memo in memos)
     assert codebook._PLAIN
@@ -368,16 +372,23 @@ def test_plain_memo_is_emptied_when_full():
 )
 def test_shipped_scenarios_never_run_the_inverse_rounds(path, monkeypatch):
     # Every frame a receiver decodes was encrypted earlier in the run, so
-    # only encryption misses build a keyed state.
+    # only the forward rounds build a keyed state.  Both memos start
+    # empty, as in a fresh process: a warm frame is never primed.
     scenario = load_scenario(path)
-    keyed = codebook._keyed
-    entered = []
+    keyed, permute = codebook._keyed, codebook._permute
+    entered, forward = [], []
 
     def counting(key):
         entered.append(key)
         return keyed(key)
 
+    def counting_permute(key, block):
+        forward.append(key)
+        return permute(key, block)
+
     codebook.clear_caches()
+    fob._frame.cache_clear()
     monkeypatch.setattr(codebook, "_keyed", counting)
+    monkeypatch.setattr(codebook, "_permute", counting_permute)
     run(scenario)
-    assert len(entered) == codebook._permute.cache_info().misses > 0
+    assert len(entered) == len(forward) > 0

@@ -1,4 +1,18 @@
-from rkesim.codebook import Instruction, decode, derive_key, master_from_seed
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from rkesim import fob as fob_module
+from rkesim.codebook import (
+    COUNTER_MOD,
+    Instruction,
+    Payload,
+    decode,
+    derive_key,
+    discrimination_for,
+    encode,
+    master_from_seed,
+    timestamp_tag,
+)
 from rkesim.fob import FobState, press
 from rkesim.receiver import (
     ActionKind,
@@ -73,3 +87,40 @@ def test_timestamp_embedding_with_skew():
     payload = decode(KEY, frame)
     assert payload.timestamp == 10_250
     assert payload.signature is not None
+
+
+@given(
+    counter=st.integers(0, COUNTER_MOD - 1),
+    button=st.sampled_from([*Instruction, *(instruction.value for instruction in Instruction)]),
+    stamped=st.booleans(),
+    skew=st.integers(-1000, 1000),
+    now=st.integers(1000, 1 << 40),
+)
+@example(counter=5, button="unlock", stamped=True, skew=0, now=1000)
+@settings(max_examples=200, deadline=None)
+def test_warm_press_equals_a_cold_one_and_the_frame_built_by_hand(
+        counter, button, stamped, skew, now):
+    fob = make_fob(counter, clock_skew_ms=skew, emit_timestamps=stamped)
+    fob_module._frame.cache_clear()
+    cold = press(fob, button, now)
+    warm = press(fob, button, now)
+    assert fob_module._frame.cache_info()[:2] == (1, 1)  # (hits, misses)
+    counter = (counter + 1) % COUNTER_MOD
+    timestamp = now + skew if stamped else None
+    signature = None if timestamp is None else timestamp_tag(KEY, 3, timestamp)
+    by_hand = encode(KEY, 3, Payload(counter, button, discrimination_for(KEY, 3),
+                                     timestamp, signature))
+    assert warm == cold == (fob._replace(counter=counter), by_hand)
+    # A float ``now`` and a str button each take their own entry, and the
+    # path a cold press takes: a float cannot be signed, and a str button
+    # still decodes as an Instruction.
+    if stamped:
+        with pytest.raises(AttributeError):
+            press(fob, button, float(now))
+    else:
+        assert press(fob, button, float(now)) == cold
+    other = button.value if isinstance(button, Instruction) else Instruction(button)
+    misses = fob_module._frame.cache_info().misses
+    assert press(fob, other, now)[1] == cold[1]
+    assert fob_module._frame.cache_info().misses == misses + 1
+    assert decode(KEY, cold[1]).button is Instruction(button)
