@@ -40,12 +40,12 @@ from .codebook import COUNTER_MOD, Instruction, Transmission, derive_key, master
 from .fob import FobState, press
 from .receiver import (
     Door,
+    FobRecord,
     ReceiverPolicy,
     ReceiverState,
     SequenceMode,
     new_receiver_state,
     receive,
-    register_fob,
 )
 
 UNBOUNDED_GAP_MS = 10**9
@@ -142,7 +142,7 @@ class Transcript:
         stamped = policy.timestamp_check is not None
         fob = FobState(_PROBE_SERIAL, _PROBE_KEY, self.start_counter, emit_timestamps=stamped)
         state = new_receiver_state(policy, _PROBE_MASTER)
-        register_fob(state, _PROBE_SERIAL, _PROBE_KEY, self.start_counter)
+        state.fobs[_PROBE_SERIAL] = FobRecord(_PROBE_KEY, self.start_counter)
         captures = []
         for i in range(1, self.length + 1):
             now = i * _PRESS_SPACING_MS

@@ -1,10 +1,12 @@
-"""Simulated RF medium.
+"""Simulated RF medium: a channel state and one delivery rule.
 
-One shared broadcast channel per scenario.  Jamming is deterministic
-and perfect: while active, nothing reaches the receiver, but passive
-capture is unaffected.  A capture is the overheard ``Transmission``
-itself: the one listener gets a plain list of the frames it heard, in
-order, so replays are bit-identical to what was captured.
+One shared broadcast channel per scenario.  ``ChannelState`` holds
+whether jamming is on and, once an attacker listens, the list of frames
+it captured; the engine sets both fields itself.  ``transmit`` is the
+rule.  Jamming is deterministic and perfect: while active, nothing
+reaches the receiver, but passive capture is unaffected.  A capture is
+the overheard ``Transmission`` itself, so replays are bit-identical to
+what was captured.
 """
 
 from __future__ import annotations
@@ -29,18 +31,6 @@ class ChannelState:
     def __init__(self) -> None:
         self.jamming_active = False
         self.captures: list[Transmission] | None = None  # None: nobody listens
-
-
-def subscribe(channel: ChannelState) -> list[Transmission]:
-    """Attach the passive listener; returns the list its captures land in."""
-    if channel.captures is None:
-        channel.captures = []
-    return channel.captures
-
-
-def set_jamming(channel: ChannelState, on: bool) -> None:
-    """Toggle jamming; affects subsequent transmissions only."""
-    channel.jamming_active = on
 
 
 def transmit(

@@ -100,9 +100,14 @@ def cmd_classify(args) -> int:
     budget = _budget_from_args(args)
     name, policy = load_policy(args.policy)
     signature = analyzer.classify(policy, budget)
-    suffix = "  (incomplete: bound beyond probe grid)" if signature.incomplete else ""
-    print("%s: %s%s" % (name, signature.notation(), suffix))
+    print("%s: %s" % (name, _marked(signature.notation(), signature.incomplete)))
     return 0
+
+
+def _marked(notation: str, incomplete: bool) -> str:
+    """A signature's notation as the text outputs show it: marked when its
+    bound lies beyond the probe grid."""
+    return notation + ("  (incomplete: bound beyond probe grid)" if incomplete else "")
 
 
 def _policy_summary(policy: ReceiverPolicy) -> str:
@@ -164,7 +169,7 @@ def _print_matrix_table(rows: list[dict]) -> None:
         if "error" in row:
             cells = (row["name"], "ERROR", row["error"])
         else:
-            cells = (row["name"], row["policy"], row["signature"])
+            cells = (row["name"], row["policy"], _marked(row["signature"], row["incomplete"]))
         textual.append(cells)
         widths = [max(w, len(str(c))) for w, c in zip(widths, cells)]
     fmt = "  ".join("%%-%ds" % w for w in widths)

@@ -257,7 +257,9 @@ def _decode_cached(key: bytes, serial: int, ciphertext: bytes) -> Payload | None
 
 
 def clear_caches() -> None:
-    """Empty every codebook memo, as a fresh process starts."""
+    """Empty every codebook memo.  On its own this is not a fresh
+    process's state: ``fob._frame`` stays warm, and a frame it hands out
+    again skips ``encode``, so its first decode runs the inverse rounds."""
     _decode_cached.cache_clear()
     discrimination_for.cache_clear()
     _keyed.cache_clear()

@@ -243,11 +243,6 @@ def new_receiver_state(policy: ReceiverPolicy, master: bytes) -> ReceiverState:
     return state
 
 
-def register_fob(state: ReceiverState, serial: int, key: bytes, counter: int) -> None:
-    """Install a fob record directly (factory pairing, not radio learn)."""
-    state.fobs[serial] = FobRecord(key, counter)
-
-
 def enter_learn_mode(state: ReceiverState) -> None:
     """Arm the learn submachine; a no-op when already active.  The buffer
     is already empty then: every way out of learn mode clears it."""
@@ -296,7 +291,7 @@ def receive(
 
     button = payload.button
     c_k = payload.counter
-    c_v = _counter_base(record, policy, button)
+    c_v = counter_base(record, policy, button)
     window = classify_window(policy, c_v, c_k)
 
     if window is _SINGLE_WINDOW:
@@ -319,7 +314,8 @@ def receive(
     return _DISCARDS[BLOCKED]
 
 
-def _counter_base(record: FobRecord, policy: ReceiverPolicy, button: Instruction) -> int:
+def counter_base(record: FobRecord, policy: ReceiverPolicy, button: Instruction) -> int:
+    """The stored counter a frame of ``button`` is checked against."""
     if not policy.per_instruction_counters:
         return record.counter
     return record.button_counters.get(button, record.counter)

@@ -73,7 +73,6 @@ from .sim import (
     FobDef,
     LearnModeEntry,
     Scenario,
-    ScenarioEvent,
     VictimPress,
 )
 
@@ -333,7 +332,7 @@ def load_policy(path) -> tuple[str, ReceiverPolicy]:
     return loads_policy(text, **default)
 
 
-def _event(line: tuple, presses: dict) -> ScenarioEvent:
+def _event(line: tuple, presses: dict) -> tuple[int, object]:
     words = line[2]
     at = _integer(line, 0)
     if len(words) < 2:
@@ -403,7 +402,7 @@ def _event(line: tuple, presses: dict) -> ScenarioEvent:
         action = LearnModeEntry() if verb == "learn_mode" else AdvanceClock()
     else:
         raise _fail(line, 1, "unknown event verb %r" % verb)
-    return ScenarioEvent(at, action)
+    return at, action
 
 
 def loads_scenario(text: str, default_name: str = "scenario") -> Scenario:
@@ -411,7 +410,7 @@ def loads_scenario(text: str, default_name: str = "scenario") -> Scenario:
     fobs: list[FobDef] = []
     policy = None
     attacker = None
-    events: list[ScenarioEvent] = []
+    events: list[tuple[int, object]] = []
     presses: dict = {}
     seen = set()
     while header is not None:

@@ -1,31 +1,30 @@
 """Deterministic discrete-event engine.
 
 A scenario is a script: fob definitions, one receiver policy, an
-optional attacker, and a time-ordered list of ``ScenarioEvent(at,
-action)``s, each action its own type: ``VictimPress``,
+optional attacker, and a time-ordered tuple of events, each a plain
+``(at, action)`` pair whose action is its own type: ``VictimPress``,
 ``AttackerDeploy``, ``AttackerExploit``, ``LearnModeEntry`` and
-``AdvanceClock``.  ``ScenarioEvent`` and ``VictimPress``, one per
-scripted press, are ``NamedTuple``s, which build faster than frozen
-dataclasses.  Running it produces a trace: a list of ``(at, kind,
-fields)`` records of every emission, delivery, receiver action,
-attacker action and door change.  Events run in script order; a
-replay a strategy schedules runs before the first scripted event due
-strictly later, so at equal times the scripted event goes first.
-Identical scenarios produce bit-identical traces.  ``summarize`` reads
-a finished trace once and returns the goal verdicts and run counters;
-``evaluate`` looks up one goal in it.
+``AdvanceClock``.  ``VictimPress``, shared by equal scripted presses,
+is a ``NamedTuple``, which builds faster than a frozen dataclass.
+Running it produces a trace: a list of ``(at, kind, fields)`` records
+of every emission, delivery, receiver action, attacker action and door
+change.  Events run in script order; a replay a strategy schedules
+runs before the first scripted event due strictly later, so at equal
+times the scripted event goes first.  Identical scenarios produce
+bit-identical traces.  ``summarize`` reads a finished trace once and
+returns the goal verdicts and run counters; ``evaluate`` looks up one
+goal in it.
 """
 
 from __future__ import annotations
 
 import heapq
-import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
 from .attacks import STRATEGY_KINDS, SetJamming
-from .channel import ATTACKER, VICTIM, ChannelState, subscribe, set_jamming, transmit
+from .channel import ATTACKER, VICTIM, ChannelState, transmit
 from .codebook import (
     COUNTER_MOD,
     MAX_KEY_BYTES,
@@ -39,15 +38,14 @@ from .fob import FobState, press
 from .receiver import (
     ActionKind,
     Door,
+    FobRecord,
     ReceiverPolicy,
     ReceiverState,
+    counter_base,
     enter_learn_mode,
     new_receiver_state,
     receive,
-    register_fob,
 )
-
-logger = logging.getLogger(__name__)
 
 
 class ScenarioError(Exception):
@@ -101,11 +99,6 @@ class AdvanceClock:
     pass
 
 
-class ScenarioEvent(NamedTuple):
-    at: int
-    action: object
-
-
 @dataclass(frozen=True)
 class AttackerDef:
     kind: str
@@ -119,7 +112,7 @@ class Scenario:
     fobs: tuple[FobDef, ...]
     policy: ReceiverPolicy
     attacker: AttackerDef | None = None
-    events: tuple[ScenarioEvent, ...] = ()
+    events: tuple[tuple[int, object], ...] = ()  # (at, action)
 
 
 class Goal(str, Enum):
@@ -231,24 +224,22 @@ def validate_scenario(scenario: Scenario) -> None:
                 % (fob.serial, len(fob.key), MAX_KEY_BYTES)
             )
     previous = None
-    for i, event in enumerate(scenario.events):
-        if event.at < 0:
-            problems.append("event %d: negative time %d" % (i, event.at))
-        if previous is not None and event.at < previous:
+    for i, (at, action) in enumerate(scenario.events):
+        if at < 0:
+            problems.append("event %d: negative time %d" % (i, at))
+        if previous is not None and at < previous:
             problems.append(
-                "event %d: time %d before previous event at %d"
-                % (i, event.at, previous)
+                "event %d: time %d before previous event at %d" % (i, at, previous)
             )
-        previous = event.at
-        action = event.action
+        previous = at
         if isinstance(action, VictimPress):
             fob = fobs.get(action.fob_serial)
             if fob is None:
                 problems.append("event %d: unknown fob serial %d" % (i, action.fob_serial))
-            elif fob.emit_timestamps and not 0 <= event.at + fob.clock_skew_ms < TIMESTAMP_MOD:
+            elif fob.emit_timestamps and not 0 <= at + fob.clock_skew_ms < TIMESTAMP_MOD:
                 problems.append(
                     "event %d: fob %d clock %d out of timestamp range"
-                    % (i, fob.serial, event.at + fob.clock_skew_ms)
+                    % (i, fob.serial, at + fob.clock_skew_ms)
                 )
         elif isinstance(action, (AttackerDeploy, AttackerExploit)):
             if attacker is None:
@@ -293,23 +284,18 @@ class Engine:
                     if fob_def.receiver_counter is not None
                     else fob_def.initial_counter
                 )
-                register_fob(self.receiver, fob_def.serial, key, stored)
+                self.receiver.fobs[fob_def.serial] = FobRecord(key, stored)
         self.channel = ChannelState()
         self.strategy = None
         self.captures = None
         if scenario.attacker is not None:
-            self.captures = subscribe(self.channel)
+            self.captures = self.channel.captures = []
             self.strategy = STRATEGY_KINDS[scenario.attacker.kind](**scenario.attacker.options)
         self.trace = Trace()
         self._queue: list[tuple[int, int, int]] = []  # (due, seq, capture index)
         self._seq = 0
 
     def run(self) -> Trace:
-        logger.debug(
-            "running scenario %s (%d events)",
-            self.scenario.name,
-            len(self.scenario.events),
-        )
         trace = self.trace
         trace.add(0, "scenario", name=self.scenario.name, seed=self.scenario.seed)
         for serial, fob in self.fobs.items():
@@ -404,7 +390,7 @@ class Engine:
         # A strategy answers with SetJamming and ScheduleReplay only.
         for command in commands:
             if isinstance(command, SetJamming):
-                set_jamming(self.channel, command.on)
+                self.channel.jamming_active = command.on
                 self.trace.add(
                     now, "attacker", action="jam_on" if command.on else "jam_off"
                 )
@@ -420,11 +406,18 @@ class Engine:
                 self._seq += 1
 
     def _footer(self, at: int) -> None:
-        """Final records, stamped with the time of the last dispatched action."""
+        """Final records, stamped with the time of the last dispatched action.
+        Under per-instruction counters, ``final_fob`` also gives the counter
+        each button's next frame is checked against."""
+        buttons = tuple(Instruction) if self.policy.per_instruction_counters else ()
         for serial, fob in self.fobs.items():
             record = self.receiver.fobs.get(serial)
-            stored = record.counter if record is not None else -1
-            self.trace.add(at, "final_fob", serial=serial, ctr=fob.counter, stored=stored)
+            fields = {"serial": serial, "ctr": fob.counter,
+                      "stored": record.counter if record is not None else -1}
+            for button in buttons:
+                fields["stored_" + button.value] = (
+                    counter_base(record, self.policy, button) if record is not None else -1)
+            self.trace.append(TraceRecord(at, "final_fob", fields))
         self.trace.add(
             at,
             "final",

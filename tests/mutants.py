@@ -43,6 +43,9 @@ MUTANTS = (
      "len(buffer) == profile.signals_required",
      "an accept clears the rollback buffer, so it never grows past the bound"),
     ("sim.py", "while queue and queue[0][0] < at:", "while queue and queue[0][0] <= at:", None),
+    ("sim.py", "counter_base(record, self.policy, button)", "record.counter", None),
+    ("cli.py", '_marked(row["signature"], row["incomplete"])', '_marked(row["signature"], False)',
+     None),
     ("codebook.py", "        return _authentic(key, serial, encoded)",
      "        return encoded if encoded.timestamp is None or encoded.signature == "
      "timestamp_tag(key, serial, encoded.timestamp) else None", None),

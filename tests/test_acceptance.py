@@ -28,13 +28,13 @@ from rkesim.fob import FobState, press
 from rkesim.receiver import (
     ActionKind,
     Door,
+    FobRecord,
     ReceiverPolicy,
     RollbackProfile,
     SequenceMode,
     TimestampCheck,
     new_receiver_state,
     receive,
-    register_fob,
 )
 from rkesim.sim import (
     AttackerDef,
@@ -43,7 +43,6 @@ from rkesim.sim import (
     FobDef,
     Goal,
     Scenario,
-    ScenarioEvent,
     VictimPress,
     evaluate,
     run,
@@ -66,12 +65,12 @@ def _passed(number, label):
 
 
 def _press(at, button=UNLOCK, serial=SERIAL, **kwargs):
-    return ScenarioEvent(at, VictimPress(fob_serial=serial, button=button, **kwargs))
+    return at, VictimPress(fob_serial=serial, button=button, **kwargs)
 
 
 def _fob_receiver(policy, counter=0, emit_timestamps=False):
     state = new_receiver_state(policy, MASTER)
-    register_fob(state, SERIAL, KEY, counter)
+    state.fobs[SERIAL] = FobRecord(KEY, counter)
     fob = FobState(
         serial=SERIAL, key=KEY, counter=counter, emit_timestamps=emit_timestamps
     )
@@ -145,7 +144,7 @@ def test_criterion_02_five_second_boundary():
 
 def _time_agnostic_scenario(signals, sequence):
     policy = ReceiverPolicy(rollback=RollbackProfile(signals, sequence))
-    events = [ScenarioEvent(0, AttackerDeploy())]
+    events = [(0, AttackerDeploy())]
     # Recon: the jammed first press forces consecutive retries, so the
     # attacker captures `signals` consecutive unlock codes.
     for i in range(signals):
@@ -163,7 +162,7 @@ def _time_agnostic_scenario(signals, sequence):
     indices = list(range(signals))
     for round_no in range(4):
         events.append(
-            ScenarioEvent(
+            (
                 exploit_at,
                 AttackerExploit({"indices": indices, "gap_ms": 1000}),
             )
@@ -221,13 +220,13 @@ def test_criterion_03_time_agnosticism():
 
 def _rolljam_scenario(policy, intervening_press):
     events = [
-        ScenarioEvent(0, AttackerDeploy()),
+        (0, AttackerDeploy()),
         _press(5_000),
         _press(9_000),
     ]
     if intervening_press:
         events.append(_press(30_000, LOCK))
-    events.append(ScenarioEvent(60_000, AttackerExploit()))
+    events.append((60_000, AttackerExploit()))
     return Scenario(
         name="rolljam_grid",
         seed=23,
@@ -370,10 +369,10 @@ def test_criterion_07_mitigation_kill_tests():
         policy=ReceiverPolicy(timestamp_check=tolerance),
         attacker=AttackerDef(kind="rolljam"),
         events=(
-            ScenarioEvent(0, AttackerDeploy()),
+            (0, AttackerDeploy()),
             _press(5_000),
             _press(9_000),
-            ScenarioEvent(120_000, AttackerExploit()),
+            (120_000, AttackerExploit()),
         ),
     )
     trace = run(scenario)

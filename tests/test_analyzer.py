@@ -31,7 +31,6 @@ from rkesim.sim import (
     FobDef,
     Goal,
     Scenario,
-    ScenarioEvent,
     VictimPress,
     evaluate,
     run,
@@ -242,7 +241,7 @@ def test_classify_witness_is_sound_in_simulation():
     signature = classify(pol)
     assert signature.witness_indices is not None
     presses = tuple(
-        ScenarioEvent(1000 * (i + 1), VictimPress(fob_serial=7, button=Instruction.UNLOCK))
+        (1000 * (i + 1), VictimPress(fob_serial=7, button=Instruction.UNLOCK))
         for i in range(8)
     )
     scenario = Scenario(
@@ -254,9 +253,9 @@ def test_classify_witness_is_sound_in_simulation():
             kind="rollback", options={"jam_first": False, "signals_to_capture": 8}
         ),
         events=(
-            ScenarioEvent(0, AttackerDeploy()),
+            (0, AttackerDeploy()),
             *presses,
-            ScenarioEvent(
+            (
                 10**9,
                 AttackerExploit(
                     {
@@ -528,7 +527,7 @@ def test_classify_receive_count(monkeypatch, pol, calls):
 
 
 @pytest.mark.parametrize("max_signals", [6, 3])
-def test_classify_presses_the_transcript_on_every_call(monkeypatch, max_signals):
+def test_classify_presses_the_transcript_on_every_call(monkeypatch, max_signals, fresh_process):
     # The frame memo sits below ``press``: each call still presses its
     # whole 2·max_signals transcript, from a cold memo or a warm one, and
     # only a cold call encodes its frames.
@@ -546,7 +545,7 @@ def test_classify_presses_the_transcript_on_every_call(monkeypatch, max_signals)
     monkeypatch.setattr(analyzer, "press", counting_press)
     monkeypatch.setattr(fob, "encode", counting_encode)
     budget = ProbeBudget(max_signals=max_signals)
-    fob._frame.cache_clear()
+    fresh_process()
     for warm in (False, True, True):
         presses.clear()
         encodes.clear()

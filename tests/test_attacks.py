@@ -18,12 +18,12 @@ from rkesim.codebook import Instruction, derive_key, master_from_seed
 from rkesim.fob import FobState, press
 from rkesim.receiver import (
     Door,
+    FobRecord,
     ReceiverPolicy,
     RollbackProfile,
     SequenceMode,
     new_receiver_state,
     receive,
-    register_fob,
 )
 
 MASTER = master_from_seed(11)
@@ -36,7 +36,7 @@ LOCK = Instruction.LOCK
 def synced_pair(policy, presses, buttons=None):
     """Receiver that saw a press run, plus the captures an attacker made."""
     state = new_receiver_state(policy, MASTER)
-    register_fob(state, SERIAL, KEY, 0)
+    state.fobs[SERIAL] = FobRecord(KEY, 0)
     fob = FobState(serial=SERIAL, key=KEY, counter=0)
     captures = []
     now = 0

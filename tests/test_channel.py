@@ -2,8 +2,6 @@ from rkesim.channel import (
     ATTACKER,
     VICTIM,
     ChannelState,
-    set_jamming,
-    subscribe,
     transmit,
 )
 from rkesim.codebook import Instruction, derive_key, master_from_seed
@@ -20,8 +18,8 @@ def make_frame(counter=1, now=0):
 
 def test_jamming_blocks_delivery_but_not_capture():
     channel = ChannelState()
-    log = subscribe(channel)
-    set_jamming(channel, True)
+    log = channel.captures = []
+    channel.jamming_active = True
     record = transmit(channel, make_frame())
     assert not record.delivered and record.jammed and record.captured
     assert len(log) == 1
@@ -29,7 +27,7 @@ def test_jamming_blocks_delivery_but_not_capture():
 
 def test_passive_capture_with_jamming_off():
     channel = ChannelState()
-    log = subscribe(channel)
+    log = channel.captures = []
     record = transmit(channel, make_frame())
     assert record.delivered and not record.jammed and record.captured
     assert len(log) == 1
@@ -37,9 +35,9 @@ def test_passive_capture_with_jamming_off():
 
 def test_toggle_consistency():
     channel = ChannelState()
-    subscribe(channel)
+    channel.captures = []
     for was_jammed in (False, True, False, True, True, False):
-        set_jamming(channel, was_jammed)
+        channel.jamming_active = was_jammed
         record = transmit(channel, make_frame())
         assert record.jammed == was_jammed
         assert record.delivered == (not was_jammed)
@@ -48,13 +46,13 @@ def test_toggle_consistency():
 
 def test_capture_completeness_in_range():
     channel = ChannelState()
-    log = subscribe(channel)
+    log = channel.captures = []
     frames = [make_frame(counter=i + 1) for i in range(5)]
     records = []
-    set_jamming(channel, True)
+    channel.jamming_active = True
     for frame in frames[:2]:
         records.append(transmit(channel, frame))
-    set_jamming(channel, False)
+    channel.jamming_active = False
     for frame in frames[2:]:
         records.append(transmit(channel, frame))
     assert log == frames
@@ -63,7 +61,7 @@ def test_capture_completeness_in_range():
 
 def test_out_of_range_suppresses_delivery():
     channel = ChannelState()
-    log = subscribe(channel)
+    log = channel.captures = []
     record = transmit(channel, make_frame(), out_of_range=True)
     assert not record.delivered and record.captured
     record = transmit(
@@ -75,7 +73,7 @@ def test_out_of_range_suppresses_delivery():
 
 def test_attacker_replay_not_recaptured():
     channel = ChannelState()
-    log = subscribe(channel)
+    log = channel.captures = []
     frame = make_frame()
     transmit(channel, frame)
     record = transmit(channel, frame, sender=ATTACKER)
@@ -86,7 +84,7 @@ def test_attacker_replay_not_recaptured():
 def test_byte_transparency():
     # A replayed frame is the captured object itself, bit for bit.
     channel = ChannelState()
-    log = subscribe(channel)
+    log = channel.captures = []
     frame = make_frame()
     transmit(channel, frame, sender=VICTIM)
     captured = log[0]

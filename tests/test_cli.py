@@ -397,6 +397,22 @@ def test_matrix_json_stable(capsys):
     assert strict2["timeframe_ms"] == 5000
 
 
+def test_matrix_table_marks_an_incomplete_signature(capsys, tmp_path):
+    # A 20 s timeframe passes every finite probe gap but not the unbounded
+    # one, so the bound lies beyond the grid; the table says so, as classify does.
+    path = tmp_path / "far.pol"
+    path.write_text("rkesim-policy v1\nname far\n[receiver]\nrollback 2 loose 20000\n")
+    marked = "RollBack^Loose_10(2)  (incomplete: bound beyond probe grid)"
+    code, out, _ = run_cli(capsys, "classify", str(path))
+    assert (code, out) == (0, "far: %s\n" % marked)
+    code, out, _ = run_cli(capsys, "matrix", str(tmp_path))
+    assert code == 0
+    assert out.splitlines()[1].endswith("20000ms  " + marked)
+    code, out, _ = run_cli(capsys, "matrix", str(tmp_path), "--json")
+    row = json.loads(out)["policies"][0]
+    assert (row["signature"], row["incomplete"]) == ("RollBack^Loose_10(2)", True)
+
+
 def test_matrix_empty_directory(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "matrix", str(tmp_path))
     assert code == 0

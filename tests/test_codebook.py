@@ -181,7 +181,7 @@ def test_distinct_serials_distinct_ciphertexts():
     assert a.ciphertext != b.ciphertext
 
 
-# --- the permutation memo, kept per pressed frame by fob._frame -----------
+# --- the frame memo, fob._frame ------------------------------------------
 
 SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
 
@@ -192,7 +192,7 @@ SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
     timestamp=st.one_of(st.none(), st.integers(0, TIMESTAMP_MOD - 1)),
 )
 @settings(max_examples=200, deadline=None)
-def test_permute_memo_is_transparent(counter, button, timestamp):
+def test_frame_memo_is_transparent(counter, button, timestamp, fresh_process):
     # Each pressed frame is checked against the rounds, from a cold memo
     # and a warm one, beside frames that differ only in key or button.
     # ``now`` is the timestamp itself: the fobs run with no skew.
@@ -210,7 +210,7 @@ def test_permute_memo_is_transparent(counter, button, timestamp):
         for (state, _), payload in zip(fobs, payloads)
     ]
     now = 0 if timestamp is None else timestamp
-    fob._frame.cache_clear()
+    fresh_process()
     cold = [press(state, pressed, now)[1].ciphertext for state, pressed in fobs]
     assert fob._frame.cache_info().hits == 0
     warm = [press(state, pressed, now)[1] for state, pressed in fobs]
@@ -222,18 +222,18 @@ def test_permute_memo_is_transparent(counter, button, timestamp):
 @pytest.mark.parametrize(
     "path", sorted(glob.glob(os.path.join(SCENARIOS, "*.scn"))), ids=os.path.basename
 )
-def test_shipped_scenarios_never_hit_the_permute_memo(path):
+def test_shipped_scenarios_never_hit_the_permute_memo(path, fresh_process):
     # A fob's counter never repeats a block within a run, so only the
     # analyzer's repeated probe transcripts can hit the memo.
     scenario = load_scenario(path)
-    fob._frame.cache_clear()
+    fresh_process()
     run(scenario)
     info = fob._frame.cache_info()
     assert info.hits == 0
     assert info.misses > 0
 
 
-def test_permute_memo_bound_is_the_one_its_comment_states():
+def test_frame_memo_bound_is_the_one_its_comment_states():
     comment = inspect.getcomments(fob._frame.__wrapped__)
     stated = re.search(r"bound of (\d+) entries", comment)
     assert stated is not None
@@ -269,11 +269,11 @@ def test_clear_caches_empties_every_memo():
     mask=st.binary(min_size=BLOCK_BYTES, max_size=BLOCK_BYTES).filter(any),
 )
 @settings(max_examples=200, deadline=None)
-def test_inverse_memo_is_transparent(counter, button, timestamp, mask):
+def test_inverse_memo_is_transparent(counter, button, timestamp, mask, fresh_process):
     for (key, serial), (other, other_serial) in (((KEY, 7), (OTHER_KEY, 8)),
                                                   ((OTHER_KEY, 8), (KEY, 7))):
         payload = make_payload(counter, button, serial, key, timestamp)
-        codebook.clear_caches()
+        fresh_process()
         frame = encode(key, serial, payload)
         entry = (key, serial, frame.ciphertext)
         # The other key misses the entry stored under this one and leaves
@@ -286,7 +286,7 @@ def test_inverse_memo_is_transparent(counter, button, timestamp, mask):
         assert decode(key, Transmission(serial, fuzzed)) is None
         memo = decode(key, frame)
         assert entry not in codebook._PLAIN
-        codebook.clear_caches()
+        fresh_process()
         rounds = decode(key, frame)
         assert memo == rounds == payload
         assert memo is payload and rounds is not payload
@@ -311,7 +311,8 @@ _BUTTONS = [*Instruction, *(instruction.value for instruction in Instruction)]
 )
 @example(counter=5, button="unlock", timestamp=None, keyed=(KEY, 7), honest=True)
 @settings(max_examples=300, deadline=None)
-def test_primed_decode_equals_a_cold_decode(counter, button, timestamp, keyed, honest):
+def test_primed_decode_equals_a_cold_decode(counter, button, timestamp, keyed, honest,
+                                            fresh_process):
     # Decoding the frame just encoded hands back what the rounds would
     # build from it, field types included: a str button must come back
     # as an Instruction, or receive()'s ``is`` test leaves the door shut.
@@ -319,10 +320,10 @@ def test_primed_decode_equals_a_cold_decode(counter, button, timestamp, keyed, h
     payload = make_payload(counter, button, serial, key, timestamp)
     if not honest:
         payload = dataclasses.replace(payload, discrimination=payload.discrimination ^ 1)
-    codebook.clear_caches()
+    fresh_process()
     frame = encode(key, serial, payload)
     primed = decode(key, frame)
-    codebook.clear_caches()
+    fresh_process()
     cold = decode(key, frame)
     assert _typed(primed) == _typed(cold)
     assert (cold is not None) == honest
@@ -331,9 +332,9 @@ def test_primed_decode_equals_a_cold_decode(counter, button, timestamp, keyed, h
 
 
 @pytest.mark.parametrize("timestamp", [None, 5000], ids=["plain", "timestamped"])
-def test_primed_frame_with_wrong_discrimination_rejected(timestamp):
+def test_primed_frame_with_wrong_discrimination_rejected(timestamp, fresh_process):
     # Only the discrimination is wrong: the tag, when present, is right.
-    codebook.clear_caches()
+    fresh_process()
     good = make_payload(timestamp=timestamp)
     bad = dataclasses.replace(good, discrimination=good.discrimination ^ 1)
     frame = encode(KEY, 7, bad)
@@ -357,8 +358,8 @@ def test_plain_memo_bound_is_the_one_its_comment_states():
     assert codebook._PLAIN_MAX == int(stated.group(1))
 
 
-def test_plain_memo_is_emptied_when_full():
-    codebook.clear_caches()
+def test_plain_memo_is_emptied_when_full(fresh_process):
+    fresh_process()
     payload = make_payload()
     codebook._PLAIN.update(((b"filler", n, b""), payload) for n in range(codebook._PLAIN_MAX))
     frame = encode(KEY, 7, payload)
@@ -370,7 +371,7 @@ def test_plain_memo_is_emptied_when_full():
 @pytest.mark.parametrize(
     "path", sorted(glob.glob(os.path.join(SCENARIOS, "*.scn"))), ids=os.path.basename
 )
-def test_shipped_scenarios_never_run_the_inverse_rounds(path, monkeypatch):
+def test_shipped_scenarios_never_run_the_inverse_rounds(path, monkeypatch, fresh_process):
     # Every frame a receiver decodes was encrypted earlier in the run, so
     # only the forward rounds build a keyed state.  Both memos start
     # empty, as in a fresh process: a warm frame is never primed.
@@ -386,8 +387,7 @@ def test_shipped_scenarios_never_run_the_inverse_rounds(path, monkeypatch):
         forward.append(key)
         return permute(key, block)
 
-    codebook.clear_caches()
-    fob._frame.cache_clear()
+    fresh_process()
     monkeypatch.setattr(codebook, "_keyed", counting)
     monkeypatch.setattr(codebook, "_permute", counting_permute)
     run(scenario)

@@ -16,10 +16,10 @@ from rkesim.codebook import (
 from rkesim.fob import FobState, press
 from rkesim.receiver import (
     ActionKind,
+    FobRecord,
     ReceiverPolicy,
     new_receiver_state,
     receive,
-    register_fob,
 )
 
 MASTER = master_from_seed(7)
@@ -72,7 +72,7 @@ def test_battery_loss_desyncs_from_receiver():
     # After a counter reset the next press is stale for a synced receiver.
     policy = ReceiverPolicy()
     state = new_receiver_state(policy, MASTER)
-    register_fob(state, 3, KEY, 500)
+    state.fobs[3] = FobRecord(KEY, 500)
     fob = FobState(serial=3, key=KEY, counter=0)
     fob, frame = press(fob, Instruction.UNLOCK, now=0)
     assert decode(KEY, frame).counter == 1
@@ -99,9 +99,9 @@ def test_timestamp_embedding_with_skew():
 @example(counter=5, button="unlock", stamped=True, skew=0, now=1000)
 @settings(max_examples=200, deadline=None)
 def test_warm_press_equals_a_cold_one_and_the_frame_built_by_hand(
-        counter, button, stamped, skew, now):
+        counter, button, stamped, skew, now, fresh_process):
     fob = make_fob(counter, clock_skew_ms=skew, emit_timestamps=stamped)
-    fob_module._frame.cache_clear()
+    fresh_process()
     cold = press(fob, button, now)
     warm = press(fob, button, now)
     assert fob_module._frame.cache_info()[:2] == (1, 1)  # (hits, misses)

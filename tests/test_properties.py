@@ -20,6 +20,7 @@ from rkesim.fob import FobState, press
 from rkesim.receiver import (
     ActionKind,
     Door,
+    FobRecord,
     ReceiverPolicy,
     RollbackProfile,
     SequenceMode,
@@ -27,7 +28,6 @@ from rkesim.receiver import (
     classify_window,
     new_receiver_state,
     receive,
-    register_fob,
 )
 
 MASTER = master_from_seed(1000)
@@ -39,7 +39,7 @@ buttons = st.sampled_from([Instruction.LOCK, Instruction.UNLOCK])
 
 def fresh(policy, counter=0):
     state = new_receiver_state(policy, MASTER)
-    register_fob(state, SERIAL, KEY, counter)
+    state.fobs[SERIAL] = FobRecord(KEY, counter)
     fob = FobState(serial=SERIAL, key=KEY, counter=counter)
     return state, fob
 

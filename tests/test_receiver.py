@@ -19,7 +19,6 @@ from rkesim.receiver import (
     enter_learn_mode,
     new_receiver_state,
     receive,
-    register_fob,
 )
 
 MASTER = master_from_seed(42)
@@ -33,7 +32,7 @@ UNLOCK = Instruction.UNLOCK
 def build(policy, fob_counter=100, stored=None, learned=True, **fob_kwargs):
     state = new_receiver_state(policy, MASTER)
     if learned:
-        register_fob(state, SERIAL, KEY, stored if stored is not None else fob_counter)
+        state.fobs[SERIAL] = FobRecord(KEY, stored if stored is not None else fob_counter)
     fob = FobState(serial=SERIAL, key=KEY, counter=fob_counter, **fob_kwargs)
     return state, fob
 
@@ -392,8 +391,8 @@ def test_rollback_buffer_keyed_per_fob():
     other_key = derive_key(MASTER, other_serial)
     policy = ReceiverPolicy(rollback=RollbackProfile(2, SequenceMode.LOOSE))
     state = new_receiver_state(policy, MASTER)
-    register_fob(state, SERIAL, KEY, 0)
-    register_fob(state, other_serial, other_key, 0)
+    state.fobs[SERIAL] = FobRecord(KEY, 0)
+    state.fobs[other_serial] = FobRecord(other_key, 0)
     fob_a = FobState(serial=SERIAL, key=KEY, counter=0)
     fob_b = FobState(serial=other_serial, key=other_key, counter=0)
     frames_a, frames_b = [], []
@@ -610,7 +609,7 @@ def test_learn_stays_active_without_exit():
 def test_learn_readd_ignore_leaves_known_fob_untouched():
     policy = ReceiverPolicy(readd_known_fob=ReaddMode.IGNORE)
     state = new_receiver_state(policy, MASTER)
-    register_fob(state, SERIAL, KEY, 400)
+    state.fobs[SERIAL] = FobRecord(KEY, 400)
     enter_learn_mode(state)
     fob = FobState(serial=SERIAL, key=KEY, counter=50)
     fob, frame = press(fob, LOCK, 0)
@@ -626,7 +625,7 @@ def test_learn_readd_ignore_keeps_the_learn_under_way():
     # ignored too; the new fob's learn goes on from its first press.
     policy = ReceiverPolicy(readd_known_fob=ReaddMode.IGNORE)
     state = new_receiver_state(policy, MASTER)
-    register_fob(state, SERIAL, KEY, 400)
+    state.fobs[SERIAL] = FobRecord(KEY, 400)
     enter_learn_mode(state)
     newcomer = new_fob(31)
     newcomer, first = press(newcomer, LOCK, 0)
@@ -647,7 +646,7 @@ def test_learn_readd_ignore_keeps_the_learn_under_way():
 def test_learn_readd_overwrite_resyncs_counter():
     policy = ReceiverPolicy()  # overwrite is the default
     state = new_receiver_state(policy, MASTER)
-    register_fob(state, SERIAL, KEY, 400)
+    state.fobs[SERIAL] = FobRecord(KEY, 400)
     enter_learn_mode(state)
     fob = FobState(serial=SERIAL, key=KEY, counter=50)
     fob, first = press(fob, LOCK, 0)
@@ -676,7 +675,7 @@ def test_forever_learn_mode_relearns_old_counters():
     # explicit learn event.
     policy = ReceiverPolicy(explicit_entry_required=False, exit_after_success=False)
     state = new_receiver_state(policy, MASTER)
-    register_fob(state, SERIAL, KEY, 400)
+    state.fobs[SERIAL] = FobRecord(KEY, 400)
     assert state.learn_phase is LearnPhase.AWAIT_FIRST
     fob = FobState(serial=SERIAL, key=KEY, counter=50)
     fob, first = press(fob, UNLOCK, 0)
@@ -755,7 +754,7 @@ def _state_with_every_slot_set():
 
 KEY_MUTATIONS = {
     "master": lambda s: setattr(s, "master", master_from_seed(43)),
-    "fobs": lambda s: register_fob(s, SERIAL + 1, KEY, 0),
+    "fobs": lambda s: s.fobs.__setitem__(SERIAL + 1, FobRecord(KEY, 0)),
     "door": lambda s: setattr(s, "door", Door.UNLOCKED),
     "learn_phase": lambda s: setattr(s, "learn_phase", LearnPhase.AWAIT_FIRST),
     "learn_buffer": lambda s: setattr(s, "learn_buffer", None),

@@ -78,11 +78,11 @@ def test_parse_full_scenario():
     assert not scenario.attacker.options["jam_first"]
     assert scenario.attacker.options["signals_to_capture"] == 3
     assert len(scenario.events) == 6
-    press = scenario.events[1].action
+    press = scenario.events[1][1]
     assert isinstance(press, VictimPress) and press.fob_serial == 7
-    oor = scenario.events[2].action
+    oor = scenario.events[2][1]
     assert oor.out_of_range and not oor.fob_in_attacker_range
-    exploit = scenario.events[5].action
+    exploit = scenario.events[5][1]
     assert isinstance(exploit, AttackerExploit)
     assert exploit.params == {"indices": [0, 1, 2], "gap_ms": 2500, "relock": True}
 

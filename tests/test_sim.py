@@ -7,8 +7,15 @@ from enum import Enum
 import pytest
 
 from rkesim.codebook import TIMESTAMP_MOD, Instruction
-from rkesim.receiver import ActionKind, Door, ReceiverPolicy, RollbackProfile, SequenceMode
-from rkesim.fob import FobState
+from rkesim.receiver import (
+    ActionKind,
+    Door,
+    ReceiverPolicy,
+    RollbackProfile,
+    SequenceMode,
+    receive,
+)
+from rkesim.fob import FobState, press
 from rkesim.scenario import load_scenario, loads_scenario
 from rkesim.sim import (
     AdvanceClock,
@@ -21,7 +28,6 @@ from rkesim.sim import (
     LearnModeEntry,
     Scenario,
     ScenarioError,
-    ScenarioEvent,
     Trace,
     TraceRecord,
     VictimPress,
@@ -39,7 +45,7 @@ DAY_MS = 24 * 3600 * 1000
 
 
 def press_event(at, button=UNLOCK, serial=7, **kwargs):
-    return ScenarioEvent(at, VictimPress(fob_serial=serial, button=button, **kwargs))
+    return at, VictimPress(fob_serial=serial, button=button, **kwargs)
 
 
 def loose2_policy():
@@ -48,11 +54,11 @@ def loose2_policy():
 
 def rollback_scenario(exploit_at=2 * DAY_MS, gap_ms=1000, extra_events=(), name="rb"):
     events = [
-        ScenarioEvent(0, AttackerDeploy()),
+        (0, AttackerDeploy()),
         press_event(10_000),
         press_event(15_000),
         *extra_events,
-        ScenarioEvent(exploit_at, AttackerExploit({"gap_ms": gap_ms})),
+        (exploit_at, AttackerExploit({"gap_ms": gap_ms})),
     ]
     return Scenario(
         name=name,
@@ -93,13 +99,13 @@ def test_trace_timestamps_monotonic():
         rollback_scenario(),
         # The last events deliver nothing to the receiver, so its clock
         # stays behind them: the footer must not go back to it.
-        plain(ScenarioEvent(2500, AdvanceClock())),
+        plain((2500, AdvanceClock())),
         plain(press_event(3000, out_of_range=True)),
         # Jammed from the start: no frame ever reaches the receiver.
         Scenario(
             name="jammed", seed=1, fobs=(FobDef(serial=7),), policy=loose2_policy(),
             attacker=AttackerDef(kind="rollback", options={"jam_first": True}),
-            events=(ScenarioEvent(0, AttackerDeploy()), press_event(1000)),
+            events=((0, AttackerDeploy()), press_event(1000)),
         ),
     ]
     for scenario in scenarios:
@@ -146,10 +152,10 @@ def test_rolljam_scenario_goals():
         policy=ReceiverPolicy(),
         attacker=AttackerDef(kind="rolljam"),
         events=(
-            ScenarioEvent(0, AttackerDeploy()),
+            (0, AttackerDeploy()),
             press_event(5_000),
             press_event(9_000),
-            ScenarioEvent(60_000, AttackerExploit()),
+            (60_000, AttackerExploit()),
         ),
     )
     trace = run(scenario)
@@ -167,11 +173,11 @@ def test_rolljam_fragile_after_intervening_press():
         policy=ReceiverPolicy(),
         attacker=AttackerDef(kind="rolljam"),
         events=(
-            ScenarioEvent(0, AttackerDeploy()),
+            (0, AttackerDeploy()),
             press_event(5_000),
             press_event(9_000),
             press_event(30_000, LOCK),  # delivered press invalidates the held code
-            ScenarioEvent(60_000, AttackerExploit()),
+            (60_000, AttackerExploit()),
         ),
     )
     trace = run(scenario)
@@ -198,7 +204,7 @@ def test_naive_replay_fails():
         events=(
             press_event(1000),
             press_event(2000),
-            ScenarioEvent(10_000, AttackerExploit()),
+            (10_000, AttackerExploit()),
         ),
     )
     trace = run(scenario)
@@ -218,9 +224,9 @@ def test_relock_scenario_all_goals():
             kind="rollback", options={"jam_first": False, "signals_to_capture": 2}
         ),
         events=(
-            ScenarioEvent(0, AttackerDeploy()),
+            (0, AttackerDeploy()),
             *presses,
-            ScenarioEvent(
+            (
                 DAY_MS,
                 AttackerExploit({"indices": [0, 1], "gap_ms": 1000, "relock": True}),
             ),
@@ -241,9 +247,9 @@ def test_jam_replay_lock_leaves_car_open_then_covers_tracks():
         attacker=AttackerDef(kind="jam_replay_lock"),
         events=(
             press_event(1_000, UNLOCK),
-            ScenarioEvent(200_000, AttackerDeploy()),
+            (200_000, AttackerDeploy()),
             press_event(201_000, LOCK),  # jammed: the car stays open
-            ScenarioEvent(900_000, AttackerExploit()),
+            (900_000, AttackerExploit()),
         ),
     )
     trace = run(scenario)
@@ -269,7 +275,7 @@ def test_future_code_exploit():
         events=(
             press_event(1000, UNLOCK, out_of_range=True),
             press_event(2000, UNLOCK, out_of_range=True),
-            ScenarioEvent(50_000, AttackerExploit()),
+            (50_000, AttackerExploit()),
         ),
     )
     trace = run(scenario)
@@ -311,6 +317,24 @@ def test_attacker_replay_while_jamming_is_not_delivered():
     assert not evaluate(trace, Goal.UNLOCK_WITHOUT_AUTHORIZATION)
 
 
+def test_final_fob_gives_each_button_counter_under_per_instruction_counters():
+    # Under per-instruction counters the shared ``stored`` never moves; each
+    # button's own counter is what its next frame is checked against.
+    scenario = loads_scenario(
+        "rkesim-scenario v1\n[fob]\nserial 7\n[receiver]\nper_instruction_counters on\n"
+        "[events]\n1000 press 7 unlock\n2000 press 7 unlock\n3000 press 7 lock\n"
+    )
+    engine = Engine(scenario)
+    assert engine.run()[-2].render() == (
+        "t=3000 ev=final_fob serial=7 ctr=3 stored=0 stored_lock=3 stored_unlock=2"
+    )
+    for button, stored in ((LOCK, 3), (UNLOCK, 2)):
+        for counter, kind in ((stored, ActionKind.DISCARDED), (stored + 1, EXECUTED)):
+            _, frame = press(engine.fobs[7]._replace(counter=counter - 1), button, 4000)
+            action = receive(engine.receiver.clone(), scenario.policy, frame, 4000)
+            assert action.kind is kind, (button, counter)
+
+
 def test_learn_mode_event_registers_new_fob():
     scenario = Scenario(
         name="learn",
@@ -321,7 +345,7 @@ def test_learn_mode_event_registers_new_fob():
         ),
         policy=ReceiverPolicy(),
         events=(
-            ScenarioEvent(1000, LearnModeEntry()),
+            (1000, LearnModeEntry()),
             press_event(2000, LOCK, serial=8),
             press_event(3000, LOCK, serial=8),
             press_event(4000, UNLOCK, serial=8),
@@ -343,7 +367,7 @@ def test_advance_clock_records_tick():
         seed=0,
         fobs=(FobDef(serial=7),),
         policy=ReceiverPolicy(),
-        events=(ScenarioEvent(5000, AdvanceClock()),),
+        events=((5000, AdvanceClock()),),
     )
     trace = run(scenario)
     assert any(r.kind == "tick" and r.at == 5000 for r in trace)
@@ -389,7 +413,7 @@ def test_validation_bad_attacker_phase(phase, problem):
         fobs=(FobDef(serial=7),),
         policy=ReceiverPolicy(),
         attacker=AttackerDef(kind="rollback"),
-        events=(ScenarioEvent(0, phase),),
+        events=((0, phase),),
     )
     with pytest.raises(ScenarioError) as excinfo:
         run(scenario)
@@ -402,7 +426,7 @@ def test_validation_phase_without_attacker():
         seed=0,
         fobs=(FobDef(serial=7),),
         policy=ReceiverPolicy(),
-        events=(ScenarioEvent(0, AttackerDeploy()),),
+        events=((0, AttackerDeploy()),),
     )
     with pytest.raises(ScenarioError):
         run(scenario)
@@ -417,7 +441,7 @@ def test_validation_rejects_an_unsupported_action_before_the_run():
         seed=0,
         fobs=(FobDef(serial=7),),
         policy=ReceiverPolicy(),
-        events=(ScenarioEvent(0, object()), press_event(1000, serial=99)),
+        events=((0, object()), press_event(1000, serial=99)),
     )
     with pytest.raises(ScenarioError) as excinfo:
         validate_scenario(scenario)
@@ -558,8 +582,7 @@ def test_trace_render_is_the_record_lines(name):
                                         emit_timestamps=False), FobState(3, b"k", 6)),
         (VictimPress(7, UNLOCK), VictimPress(fob_serial=7, button=UNLOCK, out_of_range=False,
                                              fob_in_attacker_range=True), VictimPress(7, LOCK)),
-        (ScenarioEvent(0, AdvanceClock()), ScenarioEvent(at=0, action=AdvanceClock()),
-         ScenarioEvent(1, AdvanceClock())),
+        ((0, AdvanceClock()), (0, AdvanceClock()), (1, AdvanceClock())),
     ],
     ids=["FobState", "VictimPress", "ScenarioEvent"],
 )
@@ -567,7 +590,7 @@ def test_per_press_values_are_frozen_and_compare_by_value(value, same, other):
     assert value == same and hash(value) == hash(same)
     assert value != other
     assert len({value, same, other}) == 2
-    first_field = next(iter(type(value).__annotations__))
+    first_field = getattr(value, "_fields", ("at",))[0]  # an event is a plain pair
     for name in (first_field, "extra"):
         with pytest.raises(AttributeError):
             setattr(value, name, 1)
@@ -589,10 +612,10 @@ def test_replay_of_missing_capture_is_scenario_error(indices, relock, late_press
     # captured after the exploit was scheduled still counts.
     params = {"indices": indices, "gap_ms": 1000, "relock": relock}
     events = [
-        ScenarioEvent(0, AttackerDeploy()),
+        (0, AttackerDeploy()),
         press_event(1000),
         press_event(2000),
-        ScenarioEvent(3000, AttackerExploit(params)),
+        (3000, AttackerExploit(params)),
     ]
     if late_press:
         events.append(press_event(4500))
