@@ -27,12 +27,19 @@ leave an equal state share it, grouped by their last capture, and the
 state replays each capture above their smallest last index once, on a
 copy, on behalf of every prefix that ends below that capture.  A
 single replay has no gap, so the singles are replayed once per start
-and every gap walk goes on from copies of the states they leave.
+and every gap walk goes on from copies of the states they leave.  The
+starts are independent, so the oracle splits them across up to one
+forked worker per CPU and merges their successes by union: the same
+result as one process searching every start.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
+import marshal
+import os
+import threading
 from dataclasses import dataclass
 
 from .attacks import ExploitSpec, execute_exploit
@@ -257,6 +264,11 @@ def exhaustive_search(
     each with the full set of passing probe gaps.  The successes of all
     starting counters are merged by union: a sequence counts if it
     unlocks at any start, at the union of the gaps where it does.
+
+    The starts are split across up to one process per CPU this process
+    may run on: it searches ``starts[0::workers]`` itself and forks a
+    worker for each other slice.  The union does not depend on the
+    split, so the result is the same as on one process.
     """
     if counter_bits < 0:
         raise ValueError("counter_bits must not be negative")
@@ -269,13 +281,12 @@ def exhaustive_search(
             "bounds exceeded: %d candidate replays"
             % ((1 << counter_bits) * (n + ((1 << n) - 1 - n) * len(gap_probes_ms)))
         )
-    success_gaps: dict[tuple[int, ...], set[int]] = {}
-    for start_counter in range(1 << counter_bits):
-        transcript = Transcript(transcript_len, start_counter)
-        captures, heard = transcript.heard_by(policy)
-        found = _probe_successes(policy, captures, heard, transcript.replay_start, gap_probes_ms)
-        for indices, gaps in found.items():
-            success_gaps.setdefault(indices, set()).update(gaps)
+    starts = range(1 << counter_bits)
+    workers = _worker_count(len(starts))
+    if workers == 1:
+        success_gaps = _slice_successes(policy, transcript_len, gap_probes_ms, starts)
+    else:
+        success_gaps = _forked_successes(policy, transcript_len, gap_probes_ms, starts, workers)
     findings = []
     minimal = _subset_minimal(list(success_gaps))
     for indices in sorted(minimal, key=lambda seq: (len(seq), seq)):
@@ -287,6 +298,114 @@ def exhaustive_search(
             OracleFinding(indices=indices, counter_steps=steps, passing_gaps=gaps)
         )
     return findings
+
+
+def _worker_count(starts: int) -> int:
+    """Processes to split ``starts`` starting counters across: one per
+    CPU this process may run on, at most one per start, and only one
+    where ``os.fork`` is missing or another thread is alive, because a
+    forked child holds a copy of this thread alone."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return min(starts, _usable_cpus())
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _slice_successes(
+    policy: ReceiverPolicy, transcript_len: int, gap_probes_ms: tuple[int, ...], starts: range
+) -> dict[tuple[int, ...], set[int]]:
+    """The union of the success dicts of the starting counters ``starts``."""
+    success_gaps: dict[tuple[int, ...], set[int]] = {}
+    for start_counter in starts:
+        transcript = Transcript(transcript_len, start_counter)
+        captures, heard = transcript.heard_by(policy)
+        found = _probe_successes(policy, captures, heard, transcript.replay_start, gap_probes_ms)
+        _union(success_gaps, found)
+    return success_gaps
+
+
+def _union(success_gaps: dict, found: dict) -> None:
+    for indices, gaps in found.items():
+        success_gaps.setdefault(indices, set()).update(gaps)
+
+
+def _forked_successes(
+    policy: ReceiverPolicy, transcript_len: int, gap_probes_ms: tuple[int, ...], starts: range,
+    workers: int,
+) -> dict[tuple[int, ...], set[int]]:
+    """``_slice_successes`` of ``starts``, split into ``workers`` slices.
+
+    Slice 0 runs here; each other slice runs in a worker forked for it,
+    which sends its success dict back through a pipe and exits.  The
+    dicts are merged by union in slice order.  Raises if any slice
+    fails, and no worker outlives the call.
+    """
+    children = []  # (pid, read end of its pipe), in slice order
+    try:
+        for i in range(1, workers):
+            part = starts[i::workers]
+            read_fd, write_fd = os.pipe()
+            pipe = open(read_fd, "rb")
+            with open(write_fd, "wb") as sink:  # the worker's end; the parent closes its copy
+                try:
+                    pid = os.fork()
+                except OSError:
+                    pipe.close()
+                    raise
+                if pid == 0:  # a forked worker exits here; it never returns to the caller
+                    error = _run_slice(sink, policy, transcript_len, gap_probes_ms, part)
+                    os._exit(0 if error is None else 1)
+            children.append((pid, pipe))
+        own = io.BytesIO()
+        error = _run_slice(own, policy, transcript_len, gap_probes_ms, starts[0::workers])
+        if error is not None:
+            raise error
+        success_gaps = marshal.loads(own.getvalue())
+        for i in range(1, workers):
+            pid, pipe = children[0]
+            payload = pipe.read()  # to EOF, which comes when the worker exits
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            pipe.close()
+            if status != 0:
+                raise RuntimeError(
+                    "oracle worker for starts %r exited with status %d"
+                    % (starts[i::workers], status)
+                )
+            _union(success_gaps, marshal.loads(payload))
+        return success_gaps
+    finally:
+        for pid, pipe in children:  # left only by a failure, so only then is signal loaded
+            import signal
+
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _run_slice(
+    out, policy: ReceiverPolicy, transcript_len: int, gap_probes_ms: tuple[int, ...],
+    starts: range,
+) -> BaseException | None:
+    """Search one slice of starts and write its success dict, marshalled,
+    to the binary file ``out``.  Returns None, or the error that stopped
+    the search after printing its traceback to stderr.  The process that
+    calls ``exhaustive_search`` and every worker it forks run this."""
+    try:
+        marshal.dump(_slice_successes(policy, transcript_len, gap_probes_ms, starts), out)
+        out.flush()
+    except BaseException as error:
+        import traceback  # only on failure: a search that succeeds loads no module
+
+        traceback.print_exception(error)
+        return error
+    return None
 
 
 def _probe_successes(

@@ -172,7 +172,9 @@ def _print_matrix_table(rows: list[dict]) -> None:
             cells = (row["name"], row["policy"], _marked(row["signature"], row["incomplete"]))
         textual.append(cells)
         widths = [max(w, len(str(c))) for w, c in zip(widths, cells)]
-    fmt = "  ".join("%%-%ds" % w for w in widths)
+    # Every column but the last is padded to its width; the last is not,
+    # so no line ends in spaces.
+    fmt = "  ".join(["%%-%ds" % w for w in widths[:-1]] + ["%s"])
     print(fmt % headers)
     for cells in textual:
         print(fmt % cells)

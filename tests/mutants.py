@@ -73,6 +73,12 @@ MUTANTS = (
      "header = [events.append(_event(line, presses)) for line in lines] and None", None),
     ("scenario.py", "key = tuple(words[2:])", "key = tuple(words[2:4])", None),
     ("fob.py", "@lru_cache(maxsize=64, typed=True)", "@lru_cache(maxsize=64)", None),
+    ("analyzer.py", "            _union(success_gaps, marshal.loads(payload))",
+     "            marshal.loads(payload)", None),
+    ("analyzer.py", "part = starts[i::workers]", "part = starts[i + workers::workers]", None),
+    ("analyzer.py", "os._exit(0 if error is None else 1)", "os._exit(0)", None),
+    ("cli.py", '["%%-%ds" % w for w in widths[:-1]] + ["%s"]', '["%%-%ds" % w for w in widths]',
+     None),
     ("analyzer.py",
      "witness_gap = max(gapped_pass) if gapped_pass else max(consecutive_pass)",
      "witness_gap = max(passing)",

@@ -1,4 +1,7 @@
+import errno
 import itertools
+import os
+import threading
 
 import pytest
 
@@ -401,21 +404,28 @@ def test_probe_successes_match_tree_walk_reference(start_counter, gaps, transcri
         assert merged == _tree_walk_successes(pol, transcript, gaps), pol
 
 
-def _count_oracle_receives(monkeypatch, pol, transcript_len):
-    calls = []
+def _count_oracle_receives(monkeypatch, tmp_path, pol, transcript_len):
+    # Each call appends one byte to a file.  The oracle's forked workers
+    # inherit the descriptor, and O_APPEND puts every write at the end, so
+    # the file's size counts the calls of all processes.
+    path = tmp_path / "receives"
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
     original = analyzer.receive
 
     def counting_receive(*args):
-        calls.append(None)
+        os.write(fd, b".")
         return original(*args)
 
     monkeypatch.setattr(analyzer, "receive", counting_receive)
-    exhaustive_search(pol, counter_bits=1, transcript_len=transcript_len)
-    return len(calls)
+    try:
+        exhaustive_search(pol, counter_bits=1, transcript_len=transcript_len)
+    finally:
+        os.close(fd)
+    return path.stat().st_size
 
 
-def test_oracle_receive_count_is_one_per_state_and_capture(monkeypatch):
-    calls = _count_oracle_receives(monkeypatch, policy(2, SequenceMode.LOOSE), 8)
+def test_oracle_receive_count_is_one_per_state_and_capture(monkeypatch, tmp_path):
+    calls = _count_oracle_receives(monkeypatch, tmp_path, policy(2, SequenceMode.LOOSE), 8)
     # Per start: 8 transcript presses and the 8 single replays, shared by
     # every probe gap.  Then at each gap the 8 singles' distinct states
     # replay the 28 pairs.  Every pair unlocks, and every accept after it
@@ -426,8 +436,8 @@ def test_oracle_receive_count_is_one_per_state_and_capture(monkeypatch):
     assert calls < tree_nodes == 5626
 
 
-def test_oracle_receive_count_secure_policy_one_state_per_depth(monkeypatch):
-    calls = _count_oracle_receives(monkeypatch, ReceiverPolicy(), 8)
+def test_oracle_receive_count_secure_policy_one_state_per_depth(monkeypatch, tmp_path):
+    calls = _count_oracle_receives(monkeypatch, tmp_path, ReceiverPolicy(), 8)
     # Every replay is discarded and leaves the receiver as it was, so each
     # depth holds one state, which replays each capture above the
     # smallest last index once: 7 + 6 + ... + 1 = 28 per gap after the
@@ -435,6 +445,131 @@ def test_oracle_receive_count_secure_policy_one_state_per_depth(monkeypatch):
     # the singles at every gap holds one node per last index at each
     # depth instead: 2 * (8 + 11 * (8 + 28 + 56)) = 2040.
     assert calls == 2 * (8 + 8 + len(DEFAULT_GAP_PROBES_MS) * 28) == 648
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(analyzer, "_usable_cpus", lambda: count)
+
+
+def test_oracle_on_one_worker_and_on_two_finds_the_same(monkeypatch):
+    _cpus(monkeypatch, 2)
+    on_two = [exhaustive_search(pol, counter_bits=3, transcript_len=6) for pol in EQUIVALENCE_GRID]
+    assert _no_child_left()
+    _cpus(monkeypatch, 1)
+    on_one = [exhaustive_search(pol, counter_bits=3, transcript_len=6) for pol in EQUIVALENCE_GRID]
+    assert on_two == on_one
+
+
+def _start_counter_successes(policy, captures, heard, start, gap_probes_ms):
+    """A stand-in walk whose success set names the start it searched."""
+    start_counter = heard.fobs[analyzer._PROBE_SERIAL].counter - len(captures)
+    return {(start_counter,): {gap_probes_ms[0]}}
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_oracle_merges_the_successes_of_every_start(monkeypatch, cpus):
+    # Every start of a real policy finds the same successes, so only a
+    # walk that tells the starts apart shows one whose result was lost.
+    _cpus(monkeypatch, cpus)
+    monkeypatch.setattr(analyzer, "_probe_successes", _start_counter_successes)
+    findings = exhaustive_search(ReceiverPolicy(), counter_bits=3, transcript_len=8)
+    # A single replay passes at every gap, whichever one it was seen at.
+    assert findings == [
+        analyzer.OracleFinding((c,), (), DEFAULT_GAP_PROBES_MS) for c in range(8)
+    ]
+    assert _no_child_left()
+
+
+def _failing_at(start_counters):
+    def probe_successes(policy, captures, heard, start, gap_probes_ms):
+        if heard.fobs[analyzer._PROBE_SERIAL].counter - len(captures) in start_counters:
+            raise ZeroDivisionError("walk failed")
+        return original(policy, captures, heard, start, gap_probes_ms)
+
+    original = analyzer._probe_successes
+    return probe_successes
+
+
+def test_oracle_raises_when_a_worker_fails(monkeypatch, capfd):
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(analyzer, "_probe_successes", _failing_at({1}))
+    with pytest.raises(RuntimeError, match=r"^oracle worker for starts range\(1, 4, 2\) "
+                                           r"exited with status 1$"):
+        exhaustive_search(policy(2, SequenceMode.LOOSE), counter_bits=2, transcript_len=4)
+    assert _no_child_left()
+    # The worker printed the traceback of its own error.
+    assert "ZeroDivisionError: walk failed" in capfd.readouterr().err
+
+
+def test_oracle_raises_its_own_error_and_stops_the_workers(monkeypatch, capfd):
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(analyzer, "_probe_successes", _failing_at({0}))
+    with pytest.raises(ZeroDivisionError, match="^walk failed$"):
+        exhaustive_search(policy(2, SequenceMode.LOOSE), counter_bits=2, transcript_len=4)
+    assert _no_child_left()
+    assert "ZeroDivisionError: walk failed" in capfd.readouterr().err
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors")
+def test_oracle_failed_fork_stops_the_workers_and_closes_the_pipes(monkeypatch):
+    _cpus(monkeypatch, 3)
+    real_fork = os.fork
+    forks = []
+
+    def fork_once():
+        if forks:
+            raise OSError(errno.EAGAIN, "fork refused")
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    open_fds = set(os.listdir("/proc/self/fd"))
+    with pytest.raises(OSError, match="fork refused"):
+        exhaustive_search(policy(2, SequenceMode.LOOSE), counter_bits=2, transcript_len=4)
+    assert _no_child_left()
+    assert set(os.listdir("/proc/self/fd")) == open_fds
+
+
+@pytest.mark.parametrize("case", ["one-start", "no-fork", "another-thread"])
+def test_oracle_searches_in_this_process_alone_where_it_must(monkeypatch, case):
+    # One start needs no worker, and without os.fork, or with another
+    # thread alive, forking is missing or unsafe: every start runs here.
+    counter_bits = 0 if case == "one-start" else 2
+    expected = exhaustive_search(policy(3), counter_bits, 4)
+    _cpus(monkeypatch, 2)
+    if case == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        def no_fork():
+            raise AssertionError("forked a worker")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if case == "another-thread":
+        thread.start()
+    try:
+        assert exhaustive_search(policy(3), counter_bits, 4) == expected
+    finally:
+        stop.set()
+        if case == "another-thread":
+            thread.join(10)
+            assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("cpu_count, usable", [(3, 3), (None, 1)])
+def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch, cpu_count, usable):
+    # Where the affinity mask cannot be read, every CPU counts, and an
+    # unknown count means one.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    assert analyzer._usable_cpus() == usable
 
 
 def test_oracle_success_sets_invariant_across_counter_wrap():

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -411,6 +412,22 @@ def test_matrix_table_marks_an_incomplete_signature(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "matrix", str(tmp_path), "--json")
     row = json.loads(out)["policies"][0]
     assert (row["signature"], row["incomplete"]) == ("RollBack^Loose_10(2)", True)
+
+
+def test_matrix_table_lines_end_without_whitespace(capsys, tmp_path):
+    # Signatures of three widths, an error row and the header: only the
+    # last column differs in width from line to line.
+    for name in sorted(os.listdir(POLICIES)):
+        if name.endswith(".pol"):
+            shutil.copy(os.path.join(POLICIES, name), tmp_path)
+    (tmp_path / "far.pol").write_text(
+        "rkesim-policy v1\nname far\n[receiver]\nrollback 2 loose 20000\n"
+    )
+    (tmp_path / "bad.pol").write_text("rkesim-policy v1\n[receiver]\nrollback 2\n")
+    code, out, _ = run_cli(capsys, "matrix", str(tmp_path))
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 7
+    assert [line for line in lines if line != line.rstrip()] == []
 
 
 def test_matrix_empty_directory(capsys, tmp_path):
