@@ -213,25 +213,39 @@ class ReceiverState:
         other.learn_buffer = self.learn_buffer
         return other
 
-    def key(self) -> tuple:
+    def key(self, origin: int = 0) -> tuple:
         """Hashable value of every slot ``clone`` copies, each fob record's
-        included: states with equal keys answer every later frame alike."""
+        included: states with equal keys answer every later frame alike.
+
+        Every counter enters as its distance above ``origin``, mod 2^16.
+        The receiver compares counters only as differences, so two states
+        whose keys relative to their own origins are equal answer frames
+        moved by those origins alike: the same actions, and states whose
+        relative keys are again equal."""
+        # An empty container skips its comprehension: the oracle keys
+        # ~700 states per walk, most with no button counter.
+        learn = self.learn_buffer
         return (
             self.master,
             tuple([
                 (
                     serial,
                     rec.key,
-                    rec.counter,
-                    tuple(sorted(rec.button_counters.items())),
-                    rec.resync,
-                    tuple(rec.rollback),
+                    (rec.counter - origin) % COUNTER_MOD,
+                    tuple(sorted([
+                        (button, (counter - origin) % COUNTER_MOD)
+                        for button, counter in rec.button_counters.items()
+                    ])) if rec.button_counters else (),
+                    None if rec.resync is None else (rec.resync - origin) % COUNTER_MOD,
+                    tuple([
+                        ((counter - origin) % COUNTER_MOD, at) for counter, at in rec.rollback
+                    ]) if rec.rollback else (),
                 )
                 for serial, rec in self.fobs.items()
             ]),
             self.door,
             self.learn_phase,
-            self.learn_buffer,
+            None if learn is None else (learn[0], (learn[1] - origin) % COUNTER_MOD),
         )
 
 

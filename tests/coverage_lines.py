@@ -26,9 +26,6 @@ PACKAGE = os.path.join(REPO, "src", "rkesim")
 ALLOWLIST = (
     ("__main__.py", None, 0,
      "runs only as `python -m rkesim`, which tier-1 starts as a subprocess"),
-    ("analyzer.py",
-     "error = _run_slice(sink, policy, transcript_len, gap_probes_ms, part)", 2,
-     "runs only in a forked oracle worker; the tracer follows this process only"),
     ("cli.py", "except Exception as exc:  # runtime failure", 3,
      "no known input reaches the runtime-failure exit; a closed pipe has its own"),
 )

@@ -1,7 +1,4 @@
-import errno
 import itertools
-import os
-import threading
 
 import pytest
 
@@ -22,6 +19,7 @@ from rkesim.codebook import Instruction
 from rkesim.receiver import (
     Door,
     ReceiverPolicy,
+    ReceiverState,
     RollbackProfile,
     SequenceMode,
     TimestampCheck,
@@ -404,66 +402,97 @@ def test_probe_successes_match_tree_walk_reference(start_counter, gaps, transcri
         assert merged == _tree_walk_successes(pol, transcript, gaps), pol
 
 
-def _count_oracle_receives(monkeypatch, tmp_path, pol, transcript_len):
-    # Each call appends one byte to a file.  The oracle's forked workers
-    # inherit the descriptor, and O_APPEND puts every write at the end, so
-    # the file's size counts the calls of all processes.
-    path = tmp_path / "receives"
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+def _count_oracle_receives(monkeypatch, pol, transcript_len):
+    calls = []
     original = analyzer.receive
 
     def counting_receive(*args):
-        os.write(fd, b".")
+        calls.append(None)
         return original(*args)
 
     monkeypatch.setattr(analyzer, "receive", counting_receive)
-    try:
-        exhaustive_search(pol, counter_bits=1, transcript_len=transcript_len)
-    finally:
-        os.close(fd)
-    return path.stat().st_size
+    exhaustive_search(pol, counter_bits=1, transcript_len=transcript_len)
+    return len(calls)
 
 
-def test_oracle_receive_count_is_one_per_state_and_capture(monkeypatch, tmp_path):
-    calls = _count_oracle_receives(monkeypatch, tmp_path, policy(2, SequenceMode.LOOSE), 8)
-    # Per start: 8 transcript presses and the 8 single replays, shared by
-    # every probe gap.  Then at each gap the 8 singles' distinct states
-    # replay the 28 pairs.  Every pair unlocks, and every accept after it
-    # too, leaving a state set by the last index alone, so each depth from
-    # 2 on holds one state per last index: C(8, 3) = 56 more replays.
+def test_oracle_receive_count_is_one_per_state_and_capture(monkeypatch):
+    calls = _count_oracle_receives(monkeypatch, policy(2, SequenceMode.LOOSE), 8)
+    # Each of the 2 starts hears its 8 transcript presses.  Their receivers
+    # key alike relative to their starts, so start 0 alone is walked: the
+    # 8 single replays, shared by every probe gap, then at each gap the 8
+    # singles' distinct states replay the 28 pairs.  Every pair unlocks,
+    # and every accept after it too, leaving a state set by the last index
+    # alone, so each depth from 2 on holds one state per last index:
+    # C(8, 3) = 56 more replays.  A skipped start would lose its 8 presses.
     tree_nodes = 2 * (8 + len(DEFAULT_GAP_PROBES_MS) * (2**8 - 1))
-    assert calls == 2 * (8 + 8 + len(DEFAULT_GAP_PROBES_MS) * (28 + 56)) == 1880
+    assert calls == 2 * 8 + 8 + len(DEFAULT_GAP_PROBES_MS) * (28 + 56) == 948
     assert calls < tree_nodes == 5626
 
 
-def test_oracle_receive_count_secure_policy_one_state_per_depth(monkeypatch, tmp_path):
-    calls = _count_oracle_receives(monkeypatch, tmp_path, ReceiverPolicy(), 8)
-    # Every replay is discarded and leaves the receiver as it was, so each
-    # depth holds one state, which replays each capture above the
-    # smallest last index once: 7 + 6 + ... + 1 = 28 per gap after the
-    # 8 shared singles.  A walk keyed on (state, last index) that replays
-    # the singles at every gap holds one node per last index at each
-    # depth instead: 2 * (8 + 11 * (8 + 28 + 56)) = 2040.
-    assert calls == 2 * (8 + 8 + len(DEFAULT_GAP_PROBES_MS) * 28) == 648
+def test_oracle_receive_count_secure_policy_one_state_per_depth(monkeypatch):
+    calls = _count_oracle_receives(monkeypatch, ReceiverPolicy(), 8)
+    # Both starts hear 8 presses, and one walk serves them.  Every replay
+    # is discarded and leaves the receiver as it was, so each depth holds
+    # one state, which replays each capture above the smallest last index
+    # once: 7 + 6 + ... + 1 = 28 per gap after the 8 shared singles.  A
+    # walk keyed on (state, last index) that replays the singles at every
+    # gap holds one node per last index at each depth instead:
+    # 2 * 8 + 11 * (8 + 28 + 56) = 1028.
+    assert calls == 2 * 8 + 8 + len(DEFAULT_GAP_PROBES_MS) * 28 == 332
 
 
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    return True
+def test_oracle_walks_one_start_of_each_class(monkeypatch):
+    # Every start of a real policy hears a translate of start 0's history,
+    # so the eight starts of counter_bits=3 make one class and one walk.
+    walks = []
+    original = analyzer._probe_successes
+
+    def counting_walk(*args):
+        walks.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(analyzer, "_probe_successes", counting_walk)
+    for pol in EQUIVALENCE_GRID:
+        walks.clear()
+        exhaustive_search(pol, counter_bits=3, transcript_len=6)
+        assert len(walks) == 1, pol
 
 
-def _cpus(monkeypatch, count):
-    monkeypatch.setattr(analyzer, "_usable_cpus", lambda: count)
+def test_starts_across_the_wrap_key_alike_relative_to_their_own_start():
+    # The receivers that heard from 0 and from 65533 (counters 65534, 65535,
+    # 0, ...) differ, but not relative to their starts, before and after
+    # replays that fill the rollback buffer, the learn buffer or a button
+    # counter.
+    for pol in EQUIVALENCE_GRID:
+        (captures, at_zero), (wrapped_captures, wrapped) = (
+            Transcript(8, start).heard_by(pol) for start in (0, 65533)
+        )
+        assert wrapped.key() != at_zero.key()
+        now = Transcript(8).replay_start
+        for idx in (None, 0, 2, 3):
+            if idx is not None:
+                receive(at_zero, pol, captures[idx], now)
+                receive(wrapped, pol, wrapped_captures[idx], now)
+                now += 1000
+            assert wrapped.key(origin=65533) == at_zero.key(origin=0), (pol, idx)
 
 
-def test_oracle_on_one_worker_and_on_two_finds_the_same(monkeypatch):
-    _cpus(monkeypatch, 2)
-    on_two = [exhaustive_search(pol, counter_bits=3, transcript_len=6) for pol in EQUIVALENCE_GRID]
-    assert _no_child_left()
-    _cpus(monkeypatch, 1)
-    on_one = [exhaustive_search(pol, counter_bits=3, transcript_len=6) for pol in EQUIVALENCE_GRID]
-    assert on_two == on_one
+RELATIVE_KEY_FIELDS = {
+    "door": lambda s: setattr(s, "door", Door.UNLOCKED),
+    "resync": lambda s: setattr(s.fobs[analyzer._PROBE_SERIAL], "resync", 100),
+    "rollback": lambda s: s.fobs[analyzer._PROBE_SERIAL].rollback.append((65534, 0)),
+    "button_counter": lambda s: s.fobs[analyzer._PROBE_SERIAL].button_counters.__setitem__(
+        Instruction.LOCK, 65534),
+    "learn_buffer": lambda s: setattr(s, "learn_buffer", (analyzer._PROBE_SERIAL, 65534)),
+}
+
+
+@pytest.mark.parametrize("field", RELATIVE_KEY_FIELDS)
+def test_relative_key_tells_apart_a_state_that_differs_in_one_field(field):
+    _, heard = Transcript(8, 65533).heard_by(policy(2, SequenceMode.LOOSE))
+    changed = heard.clone()
+    RELATIVE_KEY_FIELDS[field](changed)
+    assert changed.key(origin=65533) != heard.key(origin=65533)
 
 
 def _start_counter_successes(policy, captures, heard, start, gap_probes_ms):
@@ -472,104 +501,21 @@ def _start_counter_successes(policy, captures, heard, start, gap_probes_ms):
     return {(start_counter,): {gap_probes_ms[0]}}
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_oracle_merges_the_successes_of_every_start(monkeypatch, cpus):
-    # Every start of a real policy finds the same successes, so only a
-    # walk that tells the starts apart shows one whose result was lost.
-    _cpus(monkeypatch, cpus)
+@pytest.mark.parametrize("counter_bits", [1, 2, 3])
+def test_oracle_merges_the_successes_of_every_start(monkeypatch, counter_bits):
+    # Every start of a real policy falls in one class and finds the same
+    # successes.  A key that names the start puts each start in a class of
+    # its own, and a walk that names it shows any start whose successes
+    # were lost.
+    real_key = ReceiverState.key
+    monkeypatch.setattr(ReceiverState, "key",
+                        lambda state, origin=0: (origin, real_key(state, origin)))
     monkeypatch.setattr(analyzer, "_probe_successes", _start_counter_successes)
-    findings = exhaustive_search(ReceiverPolicy(), counter_bits=3, transcript_len=8)
+    findings = exhaustive_search(ReceiverPolicy(), counter_bits, transcript_len=8)
     # A single replay passes at every gap, whichever one it was seen at.
     assert findings == [
-        analyzer.OracleFinding((c,), (), DEFAULT_GAP_PROBES_MS) for c in range(8)
+        analyzer.OracleFinding((c,), (), DEFAULT_GAP_PROBES_MS) for c in range(1 << counter_bits)
     ]
-    assert _no_child_left()
-
-
-def _failing_at(start_counters):
-    def probe_successes(policy, captures, heard, start, gap_probes_ms):
-        if heard.fobs[analyzer._PROBE_SERIAL].counter - len(captures) in start_counters:
-            raise ZeroDivisionError("walk failed")
-        return original(policy, captures, heard, start, gap_probes_ms)
-
-    original = analyzer._probe_successes
-    return probe_successes
-
-
-def test_oracle_raises_when_a_worker_fails(monkeypatch, capfd):
-    _cpus(monkeypatch, 2)
-    monkeypatch.setattr(analyzer, "_probe_successes", _failing_at({1}))
-    with pytest.raises(RuntimeError, match=r"^oracle worker for starts range\(1, 4, 2\) "
-                                           r"exited with status 1$"):
-        exhaustive_search(policy(2, SequenceMode.LOOSE), counter_bits=2, transcript_len=4)
-    assert _no_child_left()
-    # The worker printed the traceback of its own error.
-    assert "ZeroDivisionError: walk failed" in capfd.readouterr().err
-
-
-def test_oracle_raises_its_own_error_and_stops_the_workers(monkeypatch, capfd):
-    _cpus(monkeypatch, 2)
-    monkeypatch.setattr(analyzer, "_probe_successes", _failing_at({0}))
-    with pytest.raises(ZeroDivisionError, match="^walk failed$"):
-        exhaustive_search(policy(2, SequenceMode.LOOSE), counter_bits=2, transcript_len=4)
-    assert _no_child_left()
-    assert "ZeroDivisionError: walk failed" in capfd.readouterr().err
-
-
-@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors")
-def test_oracle_failed_fork_stops_the_workers_and_closes_the_pipes(monkeypatch):
-    _cpus(monkeypatch, 3)
-    real_fork = os.fork
-    forks = []
-
-    def fork_once():
-        if forks:
-            raise OSError(errno.EAGAIN, "fork refused")
-        forks.append(None)
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", fork_once)
-    open_fds = set(os.listdir("/proc/self/fd"))
-    with pytest.raises(OSError, match="fork refused"):
-        exhaustive_search(policy(2, SequenceMode.LOOSE), counter_bits=2, transcript_len=4)
-    assert _no_child_left()
-    assert set(os.listdir("/proc/self/fd")) == open_fds
-
-
-@pytest.mark.parametrize("case", ["one-start", "no-fork", "another-thread"])
-def test_oracle_searches_in_this_process_alone_where_it_must(monkeypatch, case):
-    # One start needs no worker, and without os.fork, or with another
-    # thread alive, forking is missing or unsafe: every start runs here.
-    counter_bits = 0 if case == "one-start" else 2
-    expected = exhaustive_search(policy(3), counter_bits, 4)
-    _cpus(monkeypatch, 2)
-    if case == "no-fork":
-        monkeypatch.delattr(os, "fork")
-    else:
-        def no_fork():
-            raise AssertionError("forked a worker")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    if case == "another-thread":
-        thread.start()
-    try:
-        assert exhaustive_search(policy(3), counter_bits, 4) == expected
-    finally:
-        stop.set()
-        if case == "another-thread":
-            thread.join(10)
-            assert not thread.is_alive()
-
-
-@pytest.mark.parametrize("cpu_count, usable", [(3, 3), (None, 1)])
-def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch, cpu_count, usable):
-    # Where the affinity mask cannot be read, every CPU counts, and an
-    # unknown count means one.
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-    assert analyzer._usable_cpus() == usable
 
 
 def test_oracle_success_sets_invariant_across_counter_wrap():

@@ -1,6 +1,7 @@
 """Property tests for the protocol invariants."""
 
 import random
+from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
@@ -21,11 +22,14 @@ from rkesim.receiver import (
     ActionKind,
     Door,
     FobRecord,
+    ReaddMode,
     ReceiverPolicy,
     RollbackProfile,
     SequenceMode,
+    TimestampCheck,
     WindowClass,
     classify_window,
+    enter_learn_mode,
     new_receiver_state,
     receive,
 )
@@ -262,3 +266,84 @@ def test_execute_exploit_delivers_the_schedule_exploit_plan(indices, gap, relock
     plan = schedule_exploit(spec, now)
     assert delivered == [(c.at, captures[c.capture_index]) for c in plan]
     assert success is (bool(indices) and doors[len(indices) - 1] is Door.UNLOCKED)
+
+
+@st.composite
+def policies(draw):
+    """Any receiver policy: rollback, per-button counters, every learn-mode
+    knob (a receiver without explicit entry starts in learn mode), a
+    timestamp check and the window bounds."""
+    single = draw(st.integers(1, 8))
+    return ReceiverPolicy(
+        single_window=single,
+        double_window_limit=draw(st.integers(single + 1, single + 12) | st.just(1 << 15)),
+        rollback=draw(st.none() | st.builds(
+            RollbackProfile, st.integers(2, 4), st.sampled_from(SequenceMode),
+            st.none() | st.integers(1, 5000),
+        )),
+        explicit_entry_required=draw(st.booleans()),
+        exit_after_success=draw(st.booleans()),
+        readd_known_fob=draw(st.sampled_from(ReaddMode)),
+        per_instruction_counters=draw(st.booleans()),
+        timestamp_check=draw(st.none() | st.builds(TimestampCheck, st.integers(0, 3000))),
+    )
+
+
+near_the_top = st.integers(COUNTER_MOD - 24, COUNTER_MOD - 1)
+
+
+@given(
+    policy=policies(),
+    start=near_the_top | st.integers(0, COUNTER_MOD - 1),
+    offset=near_the_top | st.integers(1, COUNTER_MOD - 1),
+    ops=st.lists(
+        st.one_of(
+            # A press, heard or not (a skipped counter opens the double window).
+            st.tuples(st.just("press"), buttons, st.booleans(), st.integers(0, 4000)),
+            st.tuples(st.just("replay"), st.integers(0, 40), st.integers(0, 4000)),
+            st.tuples(st.just("learn"), st.just(0)),
+        ),
+        max_size=30,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_receive_is_equivariant_under_translating_every_counter(policy, start, offset, ops):
+    # Two fobs that differ only in their start counter, each heard by a
+    # receiver that stored that counter, take the same presses and replays
+    # at the same times.  Every counter of one run is the other's moved by
+    # ``offset``, mod 2^16, so the actions agree and the receivers key
+    # alike relative to their starts.  The oracle walks one start of each
+    # such class of starts on the strength of this.
+    runs = []
+    for origin in (start, (start + offset) % COUNTER_MOD):
+        state = new_receiver_state(policy, MASTER)
+        state.fobs[SERIAL] = FobRecord(KEY, origin)
+        fob = FobState(SERIAL, KEY, origin, emit_timestamps=policy.timestamp_check is not None)
+        runs.append([origin, state, fob, []])
+    now = 0
+    for op in ops:
+        now += op[-1]
+        actions = []
+        for run in runs:
+            origin, state, fob, seen = run
+            if op[0] == "learn":
+                enter_learn_mode(state)
+                continue
+            if op[0] == "press":
+                run[2], frame = press(fob, op[1], now)
+                seen.append(frame)
+                if not op[2]:
+                    continue
+            elif seen:
+                frame = seen[op[1] % len(seen)]
+            else:
+                continue
+            action = receive(state, policy, frame, now)
+            if action.new_counter is not None:
+                action = replace(action, new_counter=(action.new_counter - origin) % COUNTER_MOD)
+            actions.append(action)
+        if actions:
+            one, other = actions
+            assert one == other, op
+        (origin_one, state_one, *_), (origin_other, state_other, *_) = runs
+        assert state_one.key(origin=origin_one) == state_other.key(origin=origin_other), op
