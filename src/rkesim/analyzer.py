@@ -10,11 +10,12 @@ transcript of 2 * max_signals presses it probes replay sequences of
 growing length, two shapes (a consecutive run and an ascending run with
 gaps) and a grid of inter-replay gaps.  The verdict is either
 NotVulnerable or the minimal working variant (#signals, sequence mode,
-timeframe).  The length-k run of a shape is its length-(k-1) run plus
-one capture, so each (shape, gap) probe keeps one receiver and replays
-one more capture per length step, straight through ``receive()``.  Both
-shapes open with the same single replay, so it is replayed once,
-through ``execute_exploit``, and the probes are cloned after it.
+timeframe).  Each shape keeps one receiver at the smallest grid gap and
+replays one more capture on it per length step, through ``receive()``:
+passing gaps form a down-set, so that gap decides each length, and only
+the first passing length bisects the grid.  Both shapes open with the
+same single replay, so it is replayed once, through
+``execute_exploit``, and the receivers are cloned after it.
 
 ``exhaustive_search`` is the independent oracle: over small bounds it
 tries every ascending subsequence of one transcript per starting
@@ -164,63 +165,57 @@ def classify(policy: ReceiverPolicy, budget: ProbeBudget = ProbeBudget()) -> Var
     success by shape (consecutive vs gapped) and by the largest passing
     replay gap.  A policy surviving the whole budget is NotVulnerable.
 
-    Each (shape, gap) probe owns one receiver: step k replays the k-th
-    capture of its run onto the state step k-1 left, the same frames at
-    the same times a fresh length-k replay would deliver.  The search
-    stops at the first passing length, so no probe carries a success
-    forward.  Step 1, the single replay of capture 0 that opens both
-    shapes, goes once through ``execute_exploit``, unjudged, before the
-    probes are cloned; the later steps call ``receive()`` directly.
+    Each shape carries one receiver at the smallest grid gap: step k
+    replays the k-th capture of its run onto the state step k-1 left,
+    as a fresh length-k replay at that gap would.  Time enters a replay
+    only through the stale-timestamp discard and the rollback pace
+    break, each firing at every gap above one it fires at, so passing
+    gaps form a down-set and the smallest gap decides each length.  At
+    the first passing length, each passing shape bisects the grid for
+    its largest passing gap; a probe replays the run after capture 0 on
+    a fresh clone of the receiver step 1 left.  Step 1, the single
+    replay of capture 0 that opens both shapes, goes once through
+    ``execute_exploit``, unjudged; the later steps call ``receive()``.
     """
     gaps = budget.gap_probes_ms
     transcript = Transcript(2 * budget.max_signals)
     start = transcript.replay_start
     captures, first = transcript.heard_by(policy)
     execute_exploit(ExploitSpec(signal_indices=(0,)), captures, first, policy, start)
-    consecutive_states = {gap: first.clone() for gap in gaps}
-    gapped_states = {gap: first.clone() for gap in gaps}
+    shapes = [(1, first.clone()), (2, first.clone())]  # (index stride, carried receiver)
 
     for k in range(2, budget.max_signals + 1):
-        consecutive = tuple(range(k))
-        gapped = tuple(range(0, 2 * k, 2))
-        consecutive_pass = _replay_next(policy, captures, start, consecutive_states, consecutive)
-        gapped_pass = _replay_next(policy, captures, start, gapped_states, gapped)
-        if not consecutive_pass and not gapped_pass:
+        tops = {}  # stride of each passing shape -> grid index of its largest passing gap
+        for stride, carried in shapes:
+            run = range(0, stride * k, stride)
+            receive(carried, policy, captures[run[-1]], start + (k - 1) * gaps[0])
+            if carried.door is not _UNLOCKED:
+                continue
+            lo, hi = 0, len(gaps)  # the run passes at gaps[lo] and fails at gaps[hi], if any
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                probe = first.clone()
+                for step in range(1, k):
+                    receive(probe, policy, captures[run[step]], start + step * gaps[mid])
+                if probe.door is _UNLOCKED:
+                    lo = mid
+                else:
+                    hi = mid
+            tops[stride] = lo
+        if not tops:
             continue
-        sequence = SequenceMode.LOOSE if gapped_pass else SequenceMode.STRICT
-        passing = sorted(set(consecutive_pass) | set(gapped_pass))
-        timeframe_ms, incomplete = _timeframe_from_gaps(passing, gaps)
-        witness = gapped if gapped_pass else consecutive
-        witness_gap = max(gapped_pass) if gapped_pass else max(consecutive_pass)
+        stride = max(tops)  # the gapped shape is the witness when it passes
+        timeframe_ms, incomplete = _timeframe_from_gaps(list(gaps[:max(tops.values()) + 1]), gaps)
         return VariantSignature(
             vulnerable=True,
             signals=k,
-            sequence=sequence,
+            sequence=SequenceMode.LOOSE if stride == 2 else SequenceMode.STRICT,
             timeframe_ms=timeframe_ms,
             incomplete=incomplete,
-            witness_indices=witness,
-            witness_gap_ms=witness_gap,
+            witness_indices=tuple(range(0, stride * k, stride)),
+            witness_gap_ms=gaps[tops[stride]],
         )
     return VariantSignature(vulnerable=False)
-
-
-def _replay_next(
-    policy: ReceiverPolicy, captures: list[Transmission], start: int, states: dict, run: tuple
-) -> list[int]:
-    """Replay the last capture of ``run`` on each gap's receiver, in turn.
-
-    Every receiver already holds the rest of the run, replayed at its gap,
-    so the last capture goes straight to ``receive()`` at the time a
-    whole-run replay at that gap delivers it.  Returns the gaps whose door
-    is unlocked after the whole run.
-    """
-    frame = captures[run[-1]]
-    passing = []
-    for gap, state in states.items():
-        receive(state, policy, frame, start + (len(run) - 1) * gap)
-        if state.door is _UNLOCKED:
-            passing.append(gap)
-    return passing
 
 
 def _timeframe_from_gaps(
@@ -228,11 +223,11 @@ def _timeframe_from_gaps(
 ) -> tuple[int | None, bool]:
     """Reported timeframe: largest passing probe gap, or unbounded.
 
-    Only a pass at the ``UNBOUNDED_GAP_MS`` probe reads as unbounded.
-    When no failing probe lies above the largest passing one, the true
-    bound lies beyond the grid; the signature is flagged incomplete.
+    Only a pass at the ``UNBOUNDED_GAP_MS`` probe and every one above it
+    reads as unbounded.  When no failing probe but that one lies above the
+    largest passing one, the bound lies beyond the grid: incomplete.
     """
-    if UNBOUNDED_GAP_MS in passing:
+    if UNBOUNDED_GAP_MS in passing and all(g in passing for g in gaps if g > UNBOUNDED_GAP_MS):
         return None, False
     best = max(passing)
     return best, not any(g > best and g != UNBOUNDED_GAP_MS for g in gaps)

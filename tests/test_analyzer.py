@@ -103,6 +103,27 @@ def test_classify_custom_grid_reads_only_the_sentinel_as_unbounded(
     assert (signature.timeframe_ms, signature.incomplete) == (timeframe_ms, incomplete)
 
 
+# A grid with a probe above the unbounded sentinel, as ``--gaps`` allows.
+ABOVE_SENTINEL_GAPS = (1000, UNBOUNDED_GAP_MS, 2 * UNBOUNDED_GAP_MS)
+JUDGES = {
+    "classify": lambda pol, gaps: classify(pol, ProbeBudget(gap_probes_ms=gaps)),
+    "oracle": lambda pol, gaps: signature_from_findings(exhaustive_search(pol, 0, 4, gaps), gaps),
+}
+
+
+@pytest.mark.parametrize("judge", JUDGES)
+@pytest.mark.parametrize(
+    ("timeframe", "timeframe_ms"),
+    [(1_500_000_000, UNBOUNDED_GAP_MS), (None, None)],
+    ids=["fails-above-sentinel", "passes-everywhere"],
+)
+def test_unbounded_only_when_no_probe_above_the_sentinel_fails(judge, timeframe, timeframe_ms):
+    # A 1.5·10^9 ms timeframe passes the 10^9 ms probe and fails the
+    # 2·10^9 one: the verdict is the largest passing gap, not ⊗.
+    signature = JUDGES[judge](policy(2, SequenceMode.LOOSE, timeframe), ABOVE_SENTINEL_GAPS)
+    assert (signature.timeframe_ms, signature.incomplete) == (timeframe_ms, False)
+
+
 def test_probe_budget_keeps_the_transcript_within_half_the_counter_ring():
     # The probe transcript holds 2 * max_signals presses; past half the
     # 2^16 ring its earliest captures would replay as future codes.
@@ -582,19 +603,24 @@ def test_classify_matches_fresh_replay_reference(budget):
 
 
 @pytest.mark.parametrize(
-    "pol, calls",
+    "pol, calls, clones",
     [
         # 12 transcript presses, one shared step-1 replay, then one replay
-        # per (shape, gap) probe and length step from 2 up to the first
-        # passing length: 12 + 1 + 22 * (k - 1).
-        (ReceiverPolicy(), 123),
-        (policy(2, SequenceMode.LOOSE), 35),
-        (policy(5), 101),
+        # per shape (consecutive, gapped) and length step from 2 up to the
+        # first passing length k: 12 + 1 + 2 * (k - 1).  There each passing
+        # shape bisects the 11-gap default grid above gaps[0], 4 probes when
+        # every gap passes, each replaying k - 1 captures on its own clone
+        # of the step-1 receiver: plus (k - 1) per probe.  Clones: the two
+        # carried receivers plus one per probe.
+        (ReceiverPolicy(), 23, 2),                      # k runs out at 6
+        (policy(2, SequenceMode.LOOSE), 23, 10),        # k = 2, both shapes
+        (policy(5), 37, 6),                             # k = 5, consecutive only
+        (policy(2, SequenceMode.LOOSE, timestamp_check=TimestampCheck(1000)), 23, 2),
     ],
-    ids=["secure", "loose-2", "strict-5"],
+    ids=["secure", "loose-2", "strict-5", "stale-timestamp"],
 )
-def test_classify_receive_count(monkeypatch, pol, calls):
-    counted = []
+def test_classify_receive_count(monkeypatch, pol, calls, clones):
+    counted, cloned = [], []
     for module in (analyzer, attacks):
         original = module.receive
 
@@ -603,8 +629,15 @@ def test_classify_receive_count(monkeypatch, pol, calls):
             return _original(*args)
 
         monkeypatch.setattr(module, "receive", counting_receive)
+    original_clone = ReceiverState.clone
+
+    def counting_clone(state):
+        cloned.append(None)
+        return original_clone(state)
+
+    monkeypatch.setattr(ReceiverState, "clone", counting_clone)
     classify(pol)
-    assert len(counted) == calls
+    assert (len(counted), len(cloned)) == (calls, clones)
 
 
 @pytest.mark.parametrize("max_signals", [6, 3])
@@ -642,7 +675,7 @@ def test_classify_presses_the_transcript_on_every_call(monkeypatch, max_signals,
 )
 def test_classify_calls_execute_exploit_once(monkeypatch, pol):
     # Only the opening replay of capture 0 goes through the exploit API;
-    # the length steps hand each probe's next capture to receive().
+    # the length steps and bisection probes hand their captures to receive().
     specs = []
     original = analyzer.execute_exploit
 

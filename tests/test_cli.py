@@ -321,6 +321,16 @@ def test_classify_secure_policy(capsys):
     assert out.strip() == "secure: NOT VULNERABLE"
 
 
+def test_classify_timeframe_below_a_failing_gap_above_the_sentinel(capsys, tmp_path):
+    # The 10^9 ms probe passes and the 2·10^9 ms one fails, so the
+    # timeframe is bounded: 10^9 ms, printed in seconds.
+    path = tmp_path / "slow.pol"
+    path.write_text("rkesim-policy v1\nname slow\n[receiver]\nrollback 2 loose 1500000000\n")
+    code, out, _ = run_cli(capsys, "classify", str(path), "--gaps", "1000,1000000000,2000000000")
+    assert code == 0
+    assert out == "slow: RollBack^Loose_1e+06(2)\n"
+
+
 def test_classify_bad_gaps_usage_error(capsys):
     code, _, err = run_cli(
         capsys,

@@ -6,6 +6,7 @@ from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
 from rkesim import attacks
+from rkesim.analyzer import UNBOUNDED_GAP_MS, ProbeBudget, Transcript, classify
 from rkesim.attacks import ExploitSpec, execute_exploit, schedule_exploit
 from rkesim.codebook import (
     COUNTER_MOD,
@@ -33,6 +34,7 @@ from rkesim.receiver import (
     new_receiver_state,
     receive,
 )
+from test_analyzer import _fresh_replay_classify
 
 MASTER = master_from_seed(1000)
 SERIAL = 5
@@ -347,3 +349,48 @@ def test_receive_is_equivariant_under_translating_every_counter(policy, start, o
             assert one == other, op
         (origin_one, state_one, *_), (origin_other, state_other, *_) = runs
         assert state_one.key(origin=origin_one) == state_other.key(origin=origin_other), op
+
+
+_GAP_SETS = st.sets(
+    st.sampled_from([1, UNBOUNDED_GAP_MS]) | st.integers(2, 12_000)
+    | st.integers(UNBOUNDED_GAP_MS + 1, 3 * UNBOUNDED_GAP_MS),
+    min_size=1, max_size=6,
+)
+
+
+@st.composite
+def classify_cases(draw):
+    """A probe budget, and a rollback policy whose timeframe and timestamp
+    tolerance sit where the probe gaps' verdicts can change: timeframes
+    near a grid gap, tolerances near the replay start (a capture's age
+    when the first replay lands).  A policy without rollback never
+    unlocks on replays, so every drawn policy has one."""
+    gaps = sorted(draw(_GAP_SETS))
+    budget = ProbeBudget(max_signals=draw(st.integers(2, 5)), gap_probes_ms=tuple(gaps))
+    near_a_gap = gaps[draw(st.integers(0, len(gaps) - 1))] + draw(st.integers(-2, 2))
+    timeframe = draw(
+        st.sampled_from([None, max(1, near_a_gap)]) | st.integers(1, 4 * UNBOUNDED_GAP_MS)
+    )
+    replay_start = Transcript(2 * budget.max_signals).replay_start
+    policy = replace(
+        draw(policies()),
+        rollback=RollbackProfile(
+            draw(st.integers(2, budget.max_signals + 1)), draw(st.sampled_from(SequenceMode)),
+            timeframe,
+        ),
+        timestamp_check=draw(st.none() | st.builds(
+            TimestampCheck, st.integers(replay_start - 10**6, replay_start + 10**6),
+        )),
+    )
+    return policy, budget
+
+
+@given(case=classify_cases())
+@settings(max_examples=200, deadline=None)
+def test_classify_matches_the_full_grid_reference(case):
+    # classify decides each length at the smallest gap and bisects the grid
+    # only where a shape passes; that is exact only if passing gaps form a
+    # down-set at the first passing length.  The reference replays every
+    # (shape, gap) probe of every length from a fresh clone.
+    policy, budget = case
+    assert classify(policy, budget) == _fresh_replay_classify(policy, budget)
