@@ -18,21 +18,19 @@ same single replay, so it is replayed once, through
 ``execute_exploit``, and the receivers are cloned after it.
 
 ``exhaustive_search`` is the independent oracle: over small bounds it
-tries every ascending subsequence of one transcript per starting
-counter at every probe gap, driving the receiver directly, and returns
-the subset-minimal successful sequences.  The two must agree.  The
-subsequences form a tree in which each node extends its parent's
-prefix by one later capture.  The oracle walks that tree one depth at
-a time, keyed by receiver state alone: the prefixes of a depth that
-leave an equal state share it, grouped by their last capture, and the
-state replays each capture above their smallest last index once, on a
-copy, on behalf of every prefix that ends below that capture.  A
-single replay has no gap, so the singles are replayed once per walked
-start and every gap walk goes on from copies of the states they leave.
-The receiver compares counters only as differences, so a start whose
-heard receiver keys, relative to its start counter, like one already
-walked finds the same successes: only the first start of each such
-class is walked.
+tries every ascending subsequence of one transcript at every probe
+gap, driving the receiver directly, and returns the subset-minimal
+successful sequences.  The two must agree.  The subsequences form a
+tree in which each node extends its parent's prefix by one later
+capture.  The oracle walks that tree one depth at a time, keyed by
+receiver state alone: the prefixes of a depth that leave an equal
+state share it, grouped by their last capture, and the state replays
+each capture above their smallest last index once, on a copy, on
+behalf of every prefix that ends below that capture.  A single replay
+has no gap, so the singles are replayed once and every gap walk goes
+on from copies of the states they leave.  The receiver compares
+counters only as differences mod 2^16, so the transcript from start
+counter 0 stands for the transcript from every start.
 """
 
 from __future__ import annotations
@@ -239,10 +237,9 @@ def exhaustive_search(
     transcript_len: int,
     gap_probes_ms: tuple[int, ...] = DEFAULT_GAP_PROBES_MS,
 ) -> list[OracleFinding]:
-    """Try every replay subsequence over every starting counter.
+    """Try every replay subsequence of the transcript from counter 0.
 
-    For the first start of each class of starting counters (below),
-    replays the ``transcript_len`` single captures once, recorded at
+    Replays the ``transcript_len`` single captures once, recorded at
     the first probe only (a single replay has no gap).  Then, for each
     probe gap, walks the tree of ascending index sequences one depth at
     a time from copies of the states the singles left.  Each distinct receiver state
@@ -253,16 +250,16 @@ def exhaustive_search(
     state.
 
     Returns the subset-minimal successful sequences (by capture index),
-    each with the full set of passing probe gaps.  The successes of all
-    starting counters are merged by union: a sequence counts if it
-    unlocks at any start, at the union of the gaps where it does.
+    each with the full set of passing probe gaps.
 
-    Every start's transcript is heard, but the walk runs once per class
-    of starts: those whose heard receivers have equal keys relative to
-    their own start counters (``ReceiverState.key(origin=start)``).
-    Their captures and states are translates of each other, and
-    ``receive()`` answers translated frames on translated states alike,
-    so each start of a class finds the successes of its first.
+    ``counter_bits`` bounds the starting counters the search stands for,
+    ``2^counter_bits`` of them, but the result does not depend on it:
+    the transcript from any start is start 0's with every counter moved
+    by that start, mod 2^16, and ``receive()`` answers translated frames
+    on translated states alike.  Start 0 stands for every start, as
+    three tests check: receive() is equivariant under translating every
+    counter, the success sets are invariant across the counter wrap,
+    and a brute-force reference that hears every start agrees.
     """
     if counter_bits < 0:
         raise ValueError("counter_bits must not be negative")
@@ -275,18 +272,9 @@ def exhaustive_search(
             "bounds exceeded: %d candidate replays"
             % ((1 << counter_bits) * (n + ((1 << n) - 1 - n) * len(gap_probes_ms)))
         )
-    success_gaps: dict[tuple[int, ...], set[int]] = {}
-    walked = set()  # relative keys of the receivers a walk started from
-    for start_counter in range(1 << counter_bits):
-        transcript = Transcript(transcript_len, start_counter)
-        captures, heard = transcript.heard_by(policy)
-        relative = heard.key(origin=start_counter)
-        if relative in walked:
-            continue
-        walked.add(relative)
-        found = _probe_successes(policy, captures, heard, transcript.replay_start, gap_probes_ms)
-        for indices, gaps in found.items():
-            success_gaps.setdefault(indices, set()).update(gaps)
+    transcript = Transcript(transcript_len)
+    captures, heard = transcript.heard_by(policy)
+    success_gaps = _probe_successes(policy, captures, heard, transcript.replay_start, gap_probes_ms)
     findings = []
     minimal = _subset_minimal(list(success_gaps))
     for indices in sorted(minimal, key=lambda seq: (len(seq), seq)):

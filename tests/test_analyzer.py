@@ -314,6 +314,10 @@ EQUIVALENCE_GRID = [
     policy(2, SequenceMode.LOOSE, **FOREVER_LEARN),
     policy(2, single_window=1, double_window_limit=2),
     policy(3, SequenceMode.LOOSE, single_window=2, double_window_limit=4),
+    # Fresh only within 25 s of the replay start: the captures' age then
+    # decides which replays pass, so the oracle must replay when it says.
+    policy(2, SequenceMode.LOOSE,
+           timestamp_check=TimestampCheck(analyzer._EXPLOIT_DELAY_MS + 25_000)),
 ]
 
 # The criterion-8 acceptance grid.
@@ -438,45 +442,47 @@ def _count_oracle_receives(monkeypatch, pol, transcript_len):
 
 def test_oracle_receive_count_is_one_per_state_and_capture(monkeypatch):
     calls = _count_oracle_receives(monkeypatch, policy(2, SequenceMode.LOOSE), 8)
-    # Each of the 2 starts hears its 8 transcript presses.  Their receivers
-    # key alike relative to their starts, so start 0 alone is walked: the
-    # 8 single replays, shared by every probe gap, then at each gap the 8
-    # singles' distinct states replay the 28 pairs.  Every pair unlocks,
-    # and every accept after it too, leaving a state set by the last index
-    # alone, so each depth from 2 on holds one state per last index:
-    # C(8, 3) = 56 more replays.  A skipped start would lose its 8 presses.
-    tree_nodes = 2 * (8 + len(DEFAULT_GAP_PROBES_MS) * (2**8 - 1))
-    assert calls == 2 * 8 + 8 + len(DEFAULT_GAP_PROBES_MS) * (28 + 56) == 948
-    assert calls < tree_nodes == 5626
+    # The receiver hears start 0's 8 transcript presses, once whatever the
+    # counter bits.  Then come the 8 single replays, shared by every probe
+    # gap, and at each gap the 8 singles' distinct states replay the 28
+    # pairs.  Every pair unlocks, and every accept after it too, leaving a
+    # state set by the last index alone, so each depth from 2 on holds one
+    # state per last index: C(8, 3) = 56 more replays.  A walk that
+    # replays once per tree node and gap makes 8 + 11 * 255 calls.
+    tree_nodes = 8 + len(DEFAULT_GAP_PROBES_MS) * (2**8 - 1)
+    assert calls == 8 + 8 + len(DEFAULT_GAP_PROBES_MS) * (28 + 56) == 940
+    assert calls < tree_nodes == 2813
 
 
 def test_oracle_receive_count_secure_policy_one_state_per_depth(monkeypatch):
     calls = _count_oracle_receives(monkeypatch, ReceiverPolicy(), 8)
-    # Both starts hear 8 presses, and one walk serves them.  Every replay
-    # is discarded and leaves the receiver as it was, so each depth holds
-    # one state, which replays each capture above the smallest last index
-    # once: 7 + 6 + ... + 1 = 28 per gap after the 8 shared singles.  A
-    # walk keyed on (state, last index) that replays the singles at every
-    # gap holds one node per last index at each depth instead:
-    # 2 * 8 + 11 * (8 + 28 + 56) = 1028.
-    assert calls == 2 * 8 + 8 + len(DEFAULT_GAP_PROBES_MS) * 28 == 332
+    # The receiver hears 8 presses.  Every replay is discarded and leaves
+    # the receiver as it was, so each depth holds one state, which replays
+    # each capture above the smallest last index once: 7 + 6 + ... + 1 = 28
+    # per gap after the 8 shared singles.  A walk keyed on (state, last
+    # index) that replays the singles at every gap holds one node per last
+    # index at each depth instead: 8 + 11 * (8 + 28 + 56) = 1020.
+    assert calls == 8 + 8 + len(DEFAULT_GAP_PROBES_MS) * 28 == 324
 
 
-def test_oracle_walks_one_start_of_each_class(monkeypatch):
-    # Every start of a real policy hears a translate of start 0's history,
-    # so the eight starts of counter_bits=3 make one class and one walk.
-    walks = []
-    original = analyzer._probe_successes
+def test_oracle_hears_one_transcript_whatever_the_counter_bits(monkeypatch):
+    # Every start hears a translate of start 0's history, so one hearing
+    # serves every start and the findings do not depend on counter_bits.
+    hearings = []
+    original = Transcript.heard_by
 
-    def counting_walk(*args):
-        walks.append(None)
-        return original(*args)
+    def counting_heard_by(transcript, pol):
+        hearings.append(None)
+        return original(transcript, pol)
 
-    monkeypatch.setattr(analyzer, "_probe_successes", counting_walk)
+    monkeypatch.setattr(Transcript, "heard_by", counting_heard_by)
     for pol in EQUIVALENCE_GRID:
-        walks.clear()
-        exhaustive_search(pol, counter_bits=3, transcript_len=6)
-        assert len(walks) == 1, pol
+        found = []
+        for counter_bits in range(4):
+            hearings.clear()
+            found.append(exhaustive_search(pol, counter_bits, transcript_len=6))
+            assert len(hearings) == 1, (pol, counter_bits)
+        assert all(findings == found[0] for findings in found), pol
 
 
 def test_starts_across_the_wrap_key_alike_relative_to_their_own_start():
@@ -516,26 +522,15 @@ def test_relative_key_tells_apart_a_state_that_differs_in_one_field(field):
     assert changed.key(origin=65533) != heard.key(origin=65533)
 
 
-def _start_counter_successes(policy, captures, heard, start, gap_probes_ms):
-    """A stand-in walk whose success set names the start it searched."""
-    start_counter = heard.fobs[analyzer._PROBE_SERIAL].counter - len(captures)
-    return {(start_counter,): {gap_probes_ms[0]}}
-
-
-@pytest.mark.parametrize("counter_bits", [1, 2, 3])
-def test_oracle_merges_the_successes_of_every_start(monkeypatch, counter_bits):
-    # Every start of a real policy falls in one class and finds the same
-    # successes.  A key that names the start puts each start in a class of
-    # its own, and a walk that names it shows any start whose successes
-    # were lost.
-    real_key = ReceiverState.key
-    monkeypatch.setattr(ReceiverState, "key",
-                        lambda state, origin=0: (origin, real_key(state, origin)))
-    monkeypatch.setattr(analyzer, "_probe_successes", _start_counter_successes)
-    findings = exhaustive_search(ReceiverPolicy(), counter_bits, transcript_len=8)
-    # A single replay passes at every gap, whichever one it was seen at.
-    assert findings == [
-        analyzer.OracleFinding((c,), (), DEFAULT_GAP_PROBES_MS) for c in range(1 << counter_bits)
+def test_oracle_single_replay_passes_at_every_gap(monkeypatch):
+    # Every capture of a transcript lies behind the receiver that heard it,
+    # so no real policy unlocks on one replay.  A stand-in walk reports one
+    # single, recorded at the first gap only, as the walk records singles;
+    # a single replay has no gap, so the finding reads every gap.
+    monkeypatch.setattr(analyzer, "_probe_successes",
+                        lambda pol, captures, heard, start, gaps: {(3,): {gaps[0]}})
+    assert exhaustive_search(ReceiverPolicy(), counter_bits=0, transcript_len=8) == [
+        analyzer.OracleFinding((3,), (), DEFAULT_GAP_PROBES_MS)
     ]
 
 
