@@ -27,10 +27,10 @@ receiver state alone: the prefixes of a depth that leave an equal
 state share it, grouped by their last capture, and the state replays
 each capture above their smallest last index once, on a copy, on
 behalf of every prefix that ends below that capture.  A single replay
-has no gap, so the singles are replayed once and every gap walk goes
-on from copies of the states they leave.  The receiver compares
-counters only as differences mod 2^16, so the transcript from start
-counter 0 stands for the transcript from every start.
+has no gap, so the singles are replayed once, recorded at every gap,
+and every gap walk goes on from copies of the states they leave.  The
+receiver compares counters only as differences mod 2^16, so the
+transcript from counter 0 stands for the transcript from every start.
 """
 
 from __future__ import annotations
@@ -130,11 +130,10 @@ class OracleFinding:
 @dataclass(frozen=True)
 class Transcript:
     """The history both judges replay: ``length`` UNLOCK presses of the
-    probe fob, ``_PRESS_SPACING_MS`` apart, from ``start_counter`` on.
-    The frames carry a timestamp when the policy that hears them checks one."""
+    probe fob, ``_PRESS_SPACING_MS`` apart, from counter 0 on.  The frames
+    carry a timestamp when the policy that hears them checks one."""
 
     length: int
-    start_counter: int = 0
 
     @property
     def replay_start(self) -> int:
@@ -143,9 +142,9 @@ class Transcript:
     def heard_by(self, policy: ReceiverPolicy) -> tuple[list[Transmission], ReceiverState]:
         """The captures, and the receiver after them with its door locked."""
         stamped = policy.timestamp_check is not None
-        fob = FobState(_PROBE_SERIAL, _PROBE_KEY, self.start_counter, emit_timestamps=stamped)
+        fob = FobState(_PROBE_SERIAL, _PROBE_KEY, 0, emit_timestamps=stamped)
         state = new_receiver_state(policy, _PROBE_MASTER)
-        state.fobs[_PROBE_SERIAL] = FobRecord(_PROBE_KEY, self.start_counter)
+        state.fobs[_PROBE_SERIAL] = FobRecord(_PROBE_KEY, 0)
         captures = []
         for i in range(1, self.length + 1):
             now = i * _PRESS_SPACING_MS
@@ -239,27 +238,28 @@ def exhaustive_search(
 ) -> list[OracleFinding]:
     """Try every replay subsequence of the transcript from counter 0.
 
-    Replays the ``transcript_len`` single captures once, recorded at
-    the first probe only (a single replay has no gap).  Then, for each
-    probe gap, walks the tree of ascending index sequences one depth at
-    a time from copies of the states the singles left.  Each distinct receiver state
-    of a depth replays each capture above the smallest last index of
-    the prefixes that reach it once, for all of them, so a gap walk
-    makes at most ``2^transcript_len - 1 - transcript_len`` receive()
-    calls, and one per capture and depth where every replay leaves one
-    state.
+    Replays the ``transcript_len`` single captures once and records each
+    that unlocks at every probe gap (a single replay has no gap).  Then,
+    for each probe gap, walks the tree of ascending index sequences one
+    depth at a time from copies of the states the singles left.  Each
+    distinct receiver state of a depth replays each capture above the
+    smallest last index of the prefixes that reach it once, for all of
+    them, so a gap walk makes at most ``2^transcript_len - 1 -
+    transcript_len`` receive() calls, and one per capture and depth
+    where every replay leaves one state.
 
     Returns the subset-minimal successful sequences (by capture index),
-    each with the full set of passing probe gaps.
+    shortest first, each with the full set of passing probe gaps.
 
     ``counter_bits`` bounds the starting counters the search stands for,
     ``2^counter_bits`` of them, but the result does not depend on it:
     the transcript from any start is start 0's with every counter moved
     by that start, mod 2^16, and ``receive()`` answers translated frames
     on translated states alike.  Start 0 stands for every start, as
-    three tests check: receive() is equivariant under translating every
-    counter, the success sets are invariant across the counter wrap,
-    and a brute-force reference that hears every start agrees.
+    three tests check, each hearing the other starts itself: receive()
+    is equivariant under translating every counter, the success sets
+    are invariant across the counter wrap, and a brute-force reference
+    that hears every start agrees.
     """
     if counter_bits < 0:
         raise ValueError("counter_bits must not be negative")
@@ -275,16 +275,12 @@ def exhaustive_search(
     transcript = Transcript(transcript_len)
     captures, heard = transcript.heard_by(policy)
     success_gaps = _probe_successes(policy, captures, heard, transcript.replay_start, gap_probes_ms)
-    findings = []
-    minimal = _subset_minimal(list(success_gaps))
-    for indices in sorted(minimal, key=lambda seq: (len(seq), seq)):
-        steps = tuple(b - a for a, b in itertools.pairwise(indices))
-        gaps = tuple(sorted(success_gaps[indices]))
-        if len(indices) == 1:
-            gaps = tuple(gap_probes_ms)  # gap is meaningless for one replay
-        findings.append(
-            OracleFinding(indices=indices, counter_steps=steps, passing_gaps=gaps)
-        )
+    findings: list[OracleFinding] = []
+    for indices in sorted(success_gaps, key=lambda seq: (len(seq), seq)):
+        members = set(indices)
+        if not any(set(found.indices) <= members for found in findings):
+            steps = tuple(b - a for a, b in itertools.pairwise(indices))
+            findings.append(OracleFinding(indices, steps, tuple(sorted(success_gaps[indices]))))
     return findings
 
 
@@ -299,10 +295,12 @@ def _probe_successes(
     # not share the execute_exploit code path it is meant to check.
     success_gaps: dict[tuple[int, ...], set[int]] = {}
     # A single replay has no gap: the singles are replayed once, at start,
-    # and recorded at the first gap only.  Every gap walk goes on from
-    # copies of the depth-1 frontier they leave.
+    # and each that unlocks passes at every gap.  Every gap walk goes on
+    # from copies of the depth-1 frontier they leave.
     root = [(heard, {-1: [()]})]
     singles = _expand(policy, captures, root, start, gap_probes_ms[0], success_gaps)
+    for passing in success_gaps.values():
+        passing.update(gap_probes_ms)
     for gap in gap_probes_ms:
         frontier = [(state.clone(), groups) for state, groups in singles]
         now = start
@@ -346,16 +344,6 @@ def _expand(
                 if group is not extended:
                     group += extended
     return list(merged.values())
-
-
-def _subset_minimal(sequences: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    ordered = sorted(sequences, key=len)
-    minimal: list[tuple[int, ...]] = []
-    for candidate in ordered:
-        candidate_set = set(candidate)
-        if not any(set(kept) <= candidate_set for kept in minimal):
-            minimal.append(candidate)
-    return minimal
 
 
 def signature_from_findings(

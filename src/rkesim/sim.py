@@ -218,7 +218,9 @@ def validate_scenario(scenario: Scenario) -> None:
                 problems.append(
                     "fob %d: %s %d out of range [0, 2^16)" % (fob.serial, name, counter)
                 )
-        if fob.key is not None and len(fob.key) > MAX_KEY_BYTES:
+        if fob.key is not None and not fob.key:
+            problems.append("fob %d: key is empty" % fob.serial)
+        elif fob.key is not None and len(fob.key) > MAX_KEY_BYTES:
             problems.append(
                 "fob %d: key of %d bytes is longer than %d"
                 % (fob.serial, len(fob.key), MAX_KEY_BYTES)

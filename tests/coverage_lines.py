@@ -33,23 +33,31 @@ ALLOWLIST = (
 
 def executable_lines(path: str) -> set[int]:
     """Line numbers that carry bytecode in ``path``, its nested code included."""
+    return set(line_owners(path))
+
+
+def line_owners(path: str) -> dict[int, str]:
+    """Each line that carries bytecode in ``path``, with the qualified name
+    of the innermost code that holds it (``<module>`` at the top level)."""
     with open(path, encoding="utf-8") as handle:
         code = compile(handle.read(), path, "exec")
-    lines: set[int] = set()
+    owners: dict[int, str] = {}
     stack = [code]
-    while stack:
+    while stack:  # a code object's lines are named before its nested code's
         code = stack.pop()
         # A function's first instruction sits on its ``def`` line, which
         # runs when the enclosing code defines it, not when it is called.
         first = code.co_firstlineno if code.co_name != "<module>" else None
-        lines.update(line for _, _, line in code.co_lines()
-                     if line and line != first)
+        name = getattr(code, "co_qualname", code.co_name)
+        owners.update((line, name) for _, _, line in code.co_lines()
+                      if line and line != first)
         stack.extend(const for const in code.co_consts if hasattr(const, "co_lines"))
-    return lines
+    return owners
 
 
-def run_suite() -> tuple[int, dict[str, set[int]]]:
-    """Run tier-1 under the line tracer: (pytest status, lines run per file)."""
+def traced(run):
+    """Call ``run()`` under a line tracer of ``src/rkesim``, threads
+    included: (its result, the lines run per file)."""
     ran: dict[str, set[int]] = {}
     prefix = PACKAGE + os.sep
 
@@ -65,17 +73,23 @@ def run_suite() -> tuple[int, dict[str, set[int]]]:
         ran.setdefault(filename, set()).add(frame.f_lineno)
         return local
 
-    import pytest  # before tracing: the suite, not its runner, is measured
-
     sys.settrace(tracer)
     threading.settrace(tracer)
     try:
-        status = pytest.main(["-q", "-p", "no:cacheprovider", "--rootdir", REPO,
-                              os.path.join(REPO, "tests"), os.path.join(REPO, "bench")])
+        result = run()
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    return int(status), ran
+    return result, ran
+
+
+def run_suite() -> tuple[int, dict[str, set[int]]]:
+    """Run tier-1 under the line tracer: (pytest status, lines run per file)."""
+    import pytest  # before tracing: the suite, not its runner, is measured
+
+    return traced(lambda: int(pytest.main([
+        "-q", "-p", "no:cacheprovider", "--rootdir", REPO,
+        os.path.join(REPO, "tests"), os.path.join(REPO, "bench")])))
 
 
 def missed_lines(ran: dict[str, set[int]]) -> list[tuple[str, int, str | None]]:

@@ -77,11 +77,14 @@ MUTANTS = (
     ("receiver.py", "for counter, at in rec.rollback", "for counter, at in ()", None),
     ("receiver.py", "None if learn is None else (learn[0], (learn[1] - origin) % COUNTER_MOD)",
      "learn", None),
-    ("analyzer.py", "transcript = Transcript(transcript_len)",
-     "transcript = Transcript(transcript_len, 65533)",
-     "the transcript from any start is start 0's with every counter moved by that start, "
-     "mod 2^16, and receive() answers it alike: the equivariance, wrap and brute-force "
-     "tests check it"),
+    ("analyzer.py", "    for passing in success_gaps.values():\n        passing.update(gap_probes_ms)\n",
+     "", None),
+    ("analyzer.py", "if not any(set(found.indices) <= members for found in findings):",
+     "if not any(set(found.indices) < members for found in findings):",
+     "every success is a distinct ascending index tuple, so no earlier finding's index set "
+     "equals a later candidate's, and <= and < keep the same candidates"),
+    ("analyzer.py", "if not any(set(found.indices) <= members for found in findings):",
+     "if not any(set(found.indices) >= members for found in findings):", None),
     ("analyzer.py", "heard, transcript.replay_start, gap_probes_ms)",
      "heard, transcript.length * _PRESS_SPACING_MS, gap_probes_ms)", None),
     ("cli.py", '["%%-%ds" % w for w in widths[:-1]] + ["%s"]', '["%%-%ds" % w for w in widths]',

@@ -18,11 +18,13 @@ from rkesim.attacks import ExploitSpec, execute_exploit
 from rkesim.codebook import Instruction
 from rkesim.receiver import (
     Door,
+    FobRecord,
     ReceiverPolicy,
     ReceiverState,
     RollbackProfile,
     SequenceMode,
     TimestampCheck,
+    new_receiver_state,
     receive,
 )
 from rkesim.sim import (
@@ -337,17 +339,36 @@ CRITERION_8_GRID = [
 ]
 
 
+def _heard_from(pol, length, start):
+    """The probe transcript heard from counter ``start``: ``length`` UNLOCK
+    presses of a probe fob at ``start`` into a receiver that stores
+    ``start``, door locked after.  ``Transcript.heard_by`` hears start 0."""
+    stamped = pol.timestamp_check is not None
+    probe = fob.FobState(analyzer._PROBE_SERIAL, analyzer._PROBE_KEY, start,
+                         emit_timestamps=stamped)
+    heard = new_receiver_state(pol, analyzer._PROBE_MASTER)
+    heard.fobs[analyzer._PROBE_SERIAL] = FobRecord(analyzer._PROBE_KEY, start)
+    captures = []
+    for i in range(1, length + 1):
+        now = i * analyzer._PRESS_SPACING_MS
+        probe, transmission = fob.press(probe, Instruction.UNLOCK, now)
+        receive(heard, pol, transmission, now)
+        captures.append(transmission)
+    heard.door = Door.LOCKED
+    return captures, heard
+
+
 def _brute_force_search(pol, counter_bits, transcript_len, gaps=DEFAULT_GAP_PROBES_MS):
     """Reference oracle: replays each subset on a fresh copy of the receiver."""
     success = {}
+    replay_start = Transcript(transcript_len).replay_start
     for start_counter in range(1 << counter_bits):
-        transcript = Transcript(transcript_len, start_counter)
-        captures, heard = transcript.heard_by(pol)
+        captures, heard = _heard_from(pol, transcript_len, start_counter)
         for length in range(1, transcript_len + 1):
             for indices in itertools.combinations(range(transcript_len), length):
-                for gap in gaps if length > 1 else gaps[:1]:
+                for gap in gaps:
                     state = heard.clone()
-                    now = transcript.replay_start
+                    now = replay_start
                     for idx in indices:
                         receive(state, pol, captures[idx], now)
                         now += gap
@@ -361,7 +382,7 @@ def _brute_force_search(pol, counter_bits, transcript_len, gaps=DEFAULT_GAP_PROB
         analyzer.OracleFinding(
             indices=seq,
             counter_steps=tuple(b - a for a, b in itertools.pairwise(seq)),
-            passing_gaps=tuple(gaps) if len(seq) == 1 else tuple(sorted(success[seq])),
+            passing_gaps=tuple(sorted(success[seq])),
         )
         for seq in sorted(minimal, key=lambda seq: (len(seq), seq))
     ]
@@ -376,27 +397,27 @@ def test_oracle_matches_brute_force_reference(transcript_len):
         assert found == _brute_force_search(pol, 2, transcript_len), pol
 
 
-def _oracle_successes(pol, transcript, gaps):
-    captures, state = transcript.heard_by(pol)
-    return analyzer._probe_successes(pol, captures, state, transcript.replay_start, gaps)
+def _oracle_successes(pol, length, start, gaps):
+    captures, heard = _heard_from(pol, length, start)
+    return analyzer._probe_successes(pol, captures, heard, Transcript(length).replay_start, gaps)
 
 
-def _tree_walk_successes(pol, transcript, gap_probes_ms):
+def _tree_walk_successes(pol, length, start, gap_probes_ms):
     """Reference walk: the subset tree depth-first, one receive per node."""
-    captures, heard = transcript.heard_by(pol)
+    captures, heard = _heard_from(pol, length, start)
     last = len(captures) - 1
-    start = transcript.replay_start
+    replay_start = Transcript(length).replay_start
     success_gaps = {}
     for gap in gap_probes_ms:
         # Prefixes still to extend: (indices, receiver state, next replay time).
-        pending = [((), heard.clone(), start)]
+        pending = [((), heard.clone(), replay_start)]
         while pending:
             prefix, state, now = pending.pop()
             for idx in range(prefix[-1] + 1 if prefix else 0, last + 1):
                 child = state if idx == last else state.clone()
                 receive(child, pol, captures[idx], now)
                 indices = prefix + (idx,)
-                if child.door is Door.UNLOCKED and (prefix or gap == gap_probes_ms[0]):
+                if child.door is Door.UNLOCKED:
                     success_gaps.setdefault(indices, set()).add(gap)
                 if idx != last:
                     pending.append((indices, child, now + gap))
@@ -422,9 +443,8 @@ def test_probe_successes_match_tree_walk_reference(start_counter, gaps, transcri
     # The merged walk returns the very success dict of the tree walk: the
     # same index sequences, each with the same passing gaps.
     for pol in EQUIVALENCE_GRID + CRITERION_8_GRID:
-        transcript = Transcript(transcript_len, start_counter)
-        merged = _oracle_successes(pol, transcript, gaps)
-        assert merged == _tree_walk_successes(pol, transcript, gaps), pol
+        merged = _oracle_successes(pol, transcript_len, start_counter, gaps)
+        assert merged == _tree_walk_successes(pol, transcript_len, start_counter, gaps), pol
 
 
 def _count_oracle_receives(monkeypatch, pol, transcript_len):
@@ -492,7 +512,7 @@ def test_starts_across_the_wrap_key_alike_relative_to_their_own_start():
     # counter.
     for pol in EQUIVALENCE_GRID:
         (captures, at_zero), (wrapped_captures, wrapped) = (
-            Transcript(8, start).heard_by(pol) for start in (0, 65533)
+            _heard_from(pol, 8, start) for start in (0, 65533)
         )
         assert wrapped.key() != at_zero.key()
         now = Transcript(8).replay_start
@@ -516,22 +536,26 @@ RELATIVE_KEY_FIELDS = {
 
 @pytest.mark.parametrize("field", RELATIVE_KEY_FIELDS)
 def test_relative_key_tells_apart_a_state_that_differs_in_one_field(field):
-    _, heard = Transcript(8, 65533).heard_by(policy(2, SequenceMode.LOOSE))
+    _, heard = _heard_from(policy(2, SequenceMode.LOOSE), 8, 65533)
     changed = heard.clone()
     RELATIVE_KEY_FIELDS[field](changed)
     assert changed.key(origin=65533) != heard.key(origin=65533)
 
 
-def test_oracle_single_replay_passes_at_every_gap(monkeypatch):
+def test_oracle_single_replay_passes_at_every_gap():
     # Every capture of a transcript lies behind the receiver that heard it,
-    # so no real policy unlocks on one replay.  A stand-in walk reports one
-    # single, recorded at the first gap only, as the walk records singles;
-    # a single replay has no gap, so the finding reads every gap.
-    monkeypatch.setattr(analyzer, "_probe_successes",
-                        lambda pol, captures, heard, start, gaps: {(3,): {gaps[0]}})
-    assert exhaustive_search(ReceiverPolicy(), counter_bits=0, transcript_len=8) == [
-        analyzer.OracleFinding((3,), (), DEFAULT_GAP_PROBES_MS)
-    ]
+    # so no real policy unlocks on one replay.  Set the heard receiver's
+    # stored counter back to the transcript's start and every capture lies
+    # ahead of it: each single unlocks through receive(), and since a single
+    # replay has no gap, it passes at every probe gap.
+    gaps = (1000, 5000, UNBOUNDED_GAP_MS)
+    for pol in (ReceiverPolicy(), policy(2, SequenceMode.LOOSE)):
+        captures, heard = Transcript(4).heard_by(pol)
+        heard.fobs[analyzer._PROBE_SERIAL].counter = 0
+        successes = analyzer._probe_successes(
+            pol, captures, heard, Transcript(4).replay_start, gaps)
+        singles = {seq: passing for seq, passing in successes.items() if len(seq) == 1}
+        assert singles == {(i,): set(gaps) for i in range(4)}, pol
 
 
 def test_oracle_success_sets_invariant_across_counter_wrap():
@@ -539,9 +563,9 @@ def test_oracle_success_sets_invariant_across_counter_wrap():
     # at the same gaps as a transcript starting at counter 0.
     gaps = (1000, 3000, 5000, 8000, 10_000, UNBOUNDED_GAP_MS)
     for pol in CRITERION_8_GRID:
-        at_zero = _oracle_successes(pol, Transcript(8), gaps)
+        at_zero = _oracle_successes(pol, 8, 0, gaps)
         for start_counter in range(65530, 65536):
-            wrapped = _oracle_successes(pol, Transcript(8, start_counter), gaps)
+            wrapped = _oracle_successes(pol, 8, start_counter, gaps)
             assert wrapped == at_zero, (pol, start_counter)
 
 

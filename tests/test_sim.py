@@ -6,13 +6,22 @@ from enum import Enum
 
 import pytest
 
-from rkesim.codebook import TIMESTAMP_MOD, Instruction
+from rkesim.codebook import (
+    TIMESTAMP_MOD,
+    Instruction,
+    Transmission,
+    derive_key,
+    master_from_seed,
+)
 from rkesim.receiver import (
     ActionKind,
     Door,
+    FobRecord,
     ReceiverPolicy,
     RollbackProfile,
     SequenceMode,
+    enter_learn_mode,
+    new_receiver_state,
     receive,
 )
 from rkesim.fob import FobState, press
@@ -34,6 +43,7 @@ from rkesim.sim import (
     evaluate,
     render_value,
     run,
+    summarize,
     validate_scenario,
 )
 
@@ -502,13 +512,16 @@ def test_validation_fob_clock_out_of_timestamp_range(at, skew, timestamps, clock
         ({"receiver_counter": -1}, "fob 7: receiver_counter -1 out of range [0, 2^16)"),
         ({"receiver_counter": 1 << 16}, "fob 7: receiver_counter 65536 out of range [0, 2^16)"),
         ({"key": bytes(65)}, "fob 7: key of 65 bytes is longer than 64"),
+        # An empty key would be taken as no key and replaced by the derived one.
+        ({"key": b""}, "fob 7: key is empty"),
         ({"serial": (1 << 64) - 1, "initial_counter": (1 << 16) - 1, "key": bytes(64)}, None),
+        ({"key": bytes(1)}, None),
         ({"receiver_counter": 0}, None),
     ],
     ids=[
         "serial-negative", "serial-too-big", "counter-too-big", "counter-negative",
         "receiver-counter-negative", "receiver-counter-too-big", "key-65-bytes",
-        "upper-limits", "receiver-counter-zero",
+        "key-empty", "upper-limits", "key-1-byte", "receiver-counter-zero",
     ],
 )
 def test_validation_fob_fields_out_of_range(fields, problem):
@@ -573,6 +586,67 @@ def test_trace_render_is_the_record_lines(name):
     else:
         trace = run(load_scenario(os.path.join(SCENARIOS, name)))
     assert trace.render() == "".join(record.render() + "\n" for record in trace)
+
+
+def _answers_from_a_rebuilt_receiver(scenario, trace):
+    """Re-derive the receiver side of ``trace``: a receiver rebuilt from
+    the scenario hears every delivered ``tx`` frame at its time and every
+    ``learn_mode`` entry.  Returns the door, rx and final_fob records its
+    answers imply, and its resync count."""
+    master = master_from_seed(scenario.seed)
+    receiver = new_receiver_state(scenario.policy, master)
+    for fob_def in scenario.fobs:
+        if fob_def.learned:
+            key = derive_key(master, fob_def.serial) if fob_def.key is None else fob_def.key
+            stored = (fob_def.initial_counter if fob_def.receiver_counter is None
+                      else fob_def.receiver_counter)
+            receiver.fobs[fob_def.serial] = FobRecord(key, stored)
+    records, resyncs = [(0, "door", {"state": receiver.door})], 0
+    for at, kind, fields in trace:
+        if kind == "learn_mode":
+            enter_learn_mode(receiver)
+            assert fields == {"state": receiver.learn_phase}
+        elif kind == "tx" and fields["delivered"]:
+            door = receiver.door
+            frame = Transmission(fields["serial"], fields["frame"])
+            action = receive(receiver, scenario.policy, frame, at)
+            rx = {"src": fields["src"], "serial": fields["serial"], "action": action.kind,
+                  "btn": action.instruction, "reason": action.reason,
+                  "ctr": action.new_counter, "door": receiver.door}
+            records.append((at, "rx", {k: v for k, v in rx.items() if v is not None}))
+            if receiver.door is not door:
+                records.append((at, "door", {"state": receiver.door}))
+            resyncs += action.kind is ActionKind.RESYNCED
+    for fob_def in scenario.fobs:
+        record = receiver.fobs.get(fob_def.serial)
+        records.append(("final_fob", fob_def.serial, -1 if record is None else record.counter))
+    records.append(("final", receiver.door))
+    return records, resyncs
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(SCENARIOS)))
+def test_engine_trace_matches_a_receiver_rebuilt_from_the_scenario(name):
+    # The engine checks its own trace: every rx and door record, every
+    # final_fob's stored counter and the final door follow from feeding
+    # the traced frames to a receiver built from the scenario alone, and
+    # summarize counts what the tx and rx records say.
+    scenario = load_scenario(os.path.join(SCENARIOS, name))
+    trace = run(scenario)
+    expected, resyncs = _answers_from_a_rebuilt_receiver(scenario, trace)
+    traced = []
+    for at, kind, fields in trace:
+        if kind in ("rx", "door"):
+            traced.append((at, kind, fields))
+        elif kind == "final_fob":
+            traced.append(("final_fob", fields["serial"], fields["stored"]))
+        elif kind == "final":
+            traced.append(("final", fields["door"]))
+    assert traced == expected
+    tx = [fields for _, kind, fields in trace if kind == "tx"]
+    summary = summarize(trace)
+    assert (summary.presses, summary.captures, summary.replays, summary.resyncs) == (
+        sum(f["src"] == "victim" for f in tx), sum(f["captured"] for f in tx),
+        sum(f["src"] == "attacker" for f in tx), resyncs)
 
 
 @pytest.mark.parametrize(
