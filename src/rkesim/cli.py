@@ -54,9 +54,13 @@ def report_from_trace(name: str, trace: Trace, trace_path: str | None) -> RunRep
 
 
 def _pretty_trace(trace: Trace) -> str:
+    """One ``[seconds] kind key=value ...`` line per record; a record with
+    no fields ends at its kind."""
     return "".join([
-        "[%12.3fs] %-10s %s\n" % (record.at / 1000, record.kind, " ".join(record.field_texts()))
-        for record in trace
+        ("[%12.3fs] %-10s %s" % (at / 1000, kind, " ".join(
+            [key + "=" + sim.render_value(value) for key, value in fields.items()]
+        ))).rstrip() + "\n"
+        for at, kind, fields in trace
     ])
 
 

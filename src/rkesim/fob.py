@@ -51,17 +51,17 @@ def press(fob: FobState, button: Instruction, now: int) -> tuple[FobState, Trans
 
 
 # Hits come only from probe transcripts that press a frame again: every
-# classify call presses the same 2·max_signals probe frames, and
-# consecutive oracle starts share all but one.  A fob's counter never
+# classify call presses the same 2·max_signals probe frames, and every
+# oracle search hears the same one transcript.  A fob's counter never
 # repeats a frame within a run, so the bound of 64 entries only caps
 # memory; it holds the 12 plain and 12 timestamped default probe frames.
 # A warm benchmark pass finds here all 12 000 of policy-matrix's frames,
-# 1 359 of oracle-sweep's 1 572 and none of press-stream's 10 000.  A hit
-# skips the payload, the field checks, the rounds and the decode priming:
-# the decode memo keeps what the first press's frame decoded to, and no
-# pass runs the inverse rounds.  ``typed``: a float ``now`` or a str
-# button takes its own entry and the path a cold press takes, so a float
-# timestamp still fails to sign.
+# all 60 of oracle-sweep's (48 on its first pass) and none of
+# press-stream's 10 000.  A hit skips the payload, the field checks, the
+# rounds and the decode priming: the decode memo keeps what the first
+# press's frame decoded to, and no pass runs the inverse rounds.
+# ``typed``: a float ``now`` or a str button takes its own entry and the
+# path a cold press takes, so a float timestamp still fails to sign.
 @lru_cache(maxsize=64, typed=True)
 def _frame(key: bytes, serial: int, counter: int, button: Instruction,
            timestamp: int | None) -> Transmission:

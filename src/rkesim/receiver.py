@@ -182,7 +182,8 @@ class FobRecord:
 
     def clone(self) -> "FobRecord":
         # Both clones fill every slot themselves, with no round trip
-        # through __init__: the oracle makes ~10^5 clones per policy.
+        # through __init__: the oracle at 6/8 makes 249, 760 and 765
+        # clones on oracle-sweep's three policies.
         other = object.__new__(FobRecord)
         other.key = self.key
         other.counter = self.counter
@@ -223,7 +224,8 @@ class ReceiverState:
         moved by those origins alike: the same actions, and states whose
         relative keys are again equal."""
         # An empty container skips its comprehension: the oracle keys
-        # ~700 states per walk, most with no button counter.
+        # 238, 683 and 688 states per 6/8 search on oracle-sweep's three
+        # policies, over 11 gap walks, most with no button counter.
         learn = self.learn_buffer
         return (
             self.master,

@@ -24,7 +24,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .attacks import STRATEGY_KINDS, SetJamming
-from .channel import ATTACKER, VICTIM, ChannelState, transmit
+from .channel import ATTACKER, VICTIM, transmit
 from .codebook import (
     COUNTER_MOD,
     MAX_KEY_BYTES,
@@ -131,13 +131,6 @@ class TraceRecord(NamedTuple):
     def get(self, name: str, default=None):
         return self.fields.get(name, default)
 
-    def field_texts(self) -> list[str]:
-        """The fields as ``key=value`` texts, the form every rendering uses."""
-        return [key + "=" + render_value(value) for key, value in self.fields.items()]
-
-    def render(self) -> str:
-        return " ".join(["t=%d" % self.at, "ev=%s" % self.kind, *self.field_texts()])
-
 
 def render_value(value) -> str:
     """Trace text of one field: bool as 1/0, Enum by value, bytes as hex, else str."""
@@ -169,8 +162,8 @@ class Trace(list):
         self.append(TraceRecord(at, kind, fields))
 
     def render(self) -> str:
-        """Every record's ``render()`` line, each ended by a newline, built
-        in one pass with no per-record method calls."""
+        """One ``t=<at> ev=<kind> key=value ...`` line per record, each
+        ended by a newline, built in one pass with no per-record calls."""
         get = _RENDERERS.get
         lines = []
         for at, kind, fields in self:
@@ -287,11 +280,11 @@ class Engine:
                     else fob_def.initial_counter
                 )
                 self.receiver.fobs[fob_def.serial] = FobRecord(key, stored)
-        self.channel = ChannelState()
+        self.jamming = False
         self.strategy = None
-        self.captures = None
+        self.captures: list | None = None  # None until an attacker listens
         if scenario.attacker is not None:
-            self.captures = self.channel.captures = []
+            self.captures = []
             self.strategy = STRATEGY_KINDS[scenario.attacker.kind](**scenario.attacker.options)
         self.trace = Trace()
         self._queue: list[tuple[int, int, int]] = []  # (due, seq, capture index)
@@ -358,15 +351,17 @@ class Engine:
         ``src``, ``serial`` and the sender's own fields; the channel's
         outcome and the frame complete it in place."""
         sender = fields["src"]
-        record = transmit(self.channel, transmission, sender, out_of_range, in_attacker_range)
-        fields["jammed"] = record.jammed
-        fields["delivered"] = record.delivered
-        fields["captured"] = record.captured
+        delivered, captured = transmit(
+            self.jamming, self.captures, transmission, sender, out_of_range, in_attacker_range
+        )
+        fields["jammed"] = self.jamming
+        fields["delivered"] = delivered
+        fields["captured"] = captured
         fields["frame"] = transmission.ciphertext
         self.trace.append(TraceRecord(now, "tx", fields))
-        if record.captured:
+        if captured:
             self._apply(self.strategy.on_capture(len(self.captures) - 1, now), now)
-        if record.delivered:
+        if delivered:
             self._deliver(now, transmission, sender)
 
     def _deliver(self, now: int, transmission, sender: str) -> None:
@@ -392,7 +387,7 @@ class Engine:
         # A strategy answers with SetJamming and ScheduleReplay only.
         for command in commands:
             if isinstance(command, SetJamming):
-                self.channel.jamming_active = command.on
+                self.jamming = command.on
                 self.trace.add(
                     now, "attacker", action="jam_on" if command.on else "jam_off"
                 )

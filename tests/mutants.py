@@ -42,6 +42,9 @@ MUTANTS = (
     ("receiver.py", "len(buffer) >= profile.signals_required",
      "len(buffer) == profile.signals_required",
      "an accept clears the rollback buffer, so it never grows past the bound"),
+    ("channel.py", "not jamming and not out_of_range", "not out_of_range", None),
+    ("channel.py", "sender == VICTIM and fob_in_attacker_range", "fob_in_attacker_range", None),
+    ("channel.py", "fob_in_attacker_range and captures", "captures", None),
     ("sim.py", "while queue and queue[0][0] < at:", "while queue and queue[0][0] <= at:", None),
     ("sim.py", "counter_base(record, self.policy, button)", "record.counter", None),
     ("cli.py", '_marked(row["signature"], row["incomplete"])', '_marked(row["signature"], False)',

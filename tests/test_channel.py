@@ -1,9 +1,8 @@
-from rkesim.channel import (
-    ATTACKER,
-    VICTIM,
-    ChannelState,
-    transmit,
-)
+import itertools
+
+import pytest
+
+from rkesim.channel import ATTACKER, VICTIM, transmit
 from rkesim.codebook import Instruction, derive_key, master_from_seed
 from rkesim.fob import FobState, press
 
@@ -16,77 +15,55 @@ def make_frame(counter=1, now=0):
     return frame
 
 
-def test_jamming_blocks_delivery_but_not_capture():
-    channel = ChannelState()
-    log = channel.captures = []
-    channel.jamming_active = True
-    record = transmit(channel, make_frame())
-    assert not record.delivered and record.jammed and record.captured
-    assert len(log) == 1
+# Every case of the rule: jamming x listening x sender x out_of_range x
+# fob_in_attacker_range.
+CASES = list(itertools.product(
+    (False, True), (False, True), (VICTIM, ATTACKER), (False, True), (False, True)
+))
 
 
-def test_passive_capture_with_jamming_off():
-    channel = ChannelState()
-    log = channel.captures = []
-    record = transmit(channel, make_frame())
-    assert record.delivered and not record.jammed and record.captured
-    assert len(log) == 1
-
-
-def test_toggle_consistency():
-    channel = ChannelState()
-    channel.captures = []
-    for was_jammed in (False, True, False, True, True, False):
-        channel.jamming_active = was_jammed
-        record = transmit(channel, make_frame())
-        assert record.jammed == was_jammed
-        assert record.delivered == (not was_jammed)
-        assert not (record.delivered and record.jammed)
+@pytest.mark.parametrize("jamming,listening,sender,out_of_range,in_attacker_range", CASES)
+def test_transmit_rule(jamming, listening, sender, out_of_range, in_attacker_range):
+    # Delivery needs the band clear and the fob in range.  A listening
+    # attacker captures every victim frame it hears, jammed or not, and
+    # never its own replays.  A capture is appended after the earlier
+    # ones and is the frame object itself, so a replay is bit-identical.
+    earlier = make_frame()
+    frame = make_frame(counter=2)
+    captures = [earlier] if listening else None
+    delivered, captured = transmit(
+        jamming, captures, frame, sender, out_of_range, in_attacker_range
+    )
+    assert delivered == (not jamming and not out_of_range)
+    assert captured == (listening and sender == VICTIM and in_attacker_range)
+    if listening:
+        assert captures == ([earlier, frame] if captured else [earlier])
+        assert captures[-1] is (frame if captured else earlier)
 
 
 def test_capture_completeness_in_range():
-    channel = ChannelState()
-    log = channel.captures = []
+    log = []
     frames = [make_frame(counter=i + 1) for i in range(5)]
-    records = []
-    channel.jamming_active = True
-    for frame in frames[:2]:
-        records.append(transmit(channel, frame))
-    channel.jamming_active = False
-    for frame in frames[2:]:
-        records.append(transmit(channel, frame))
+    for jamming, frame in zip((True, True, False, False, False), frames):
+        transmit(jamming, log, frame)
     assert log == frames
-    assert [record.jammed for record in records] == [True, True, False, False, False]
 
 
 def test_out_of_range_suppresses_delivery():
-    channel = ChannelState()
-    log = channel.captures = []
-    record = transmit(channel, make_frame(), out_of_range=True)
-    assert not record.delivered and record.captured
-    record = transmit(
-        channel, make_frame(counter=2), out_of_range=True, fob_in_attacker_range=False
+    log = []
+    assert transmit(False, log, make_frame(), out_of_range=True) == (False, True)
+    outcome = transmit(
+        False, log, make_frame(counter=2), out_of_range=True, fob_in_attacker_range=False
     )
-    assert not record.delivered and not record.captured
-    assert len(log) == 1
-
-
-def test_attacker_replay_not_recaptured():
-    channel = ChannelState()
-    log = channel.captures = []
-    frame = make_frame()
-    transmit(channel, frame)
-    record = transmit(channel, frame, sender=ATTACKER)
-    assert record.delivered and not record.captured
+    assert outcome == (False, False)
     assert len(log) == 1
 
 
 def test_byte_transparency():
     # A replayed frame is the captured object itself, bit for bit.
-    channel = ChannelState()
-    log = channel.captures = []
+    log = []
     frame = make_frame()
-    transmit(channel, frame, sender=VICTIM)
+    transmit(False, log, frame, sender=VICTIM)
     captured = log[0]
     assert captured.ciphertext == frame.ciphertext
     assert captured is frame

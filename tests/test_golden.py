@@ -156,7 +156,7 @@ def test_record_without_fields_bytes():
         "[       1.000s] tx         " + tx + "\n"
         "[       1.000s] rx         " + rx + "\n"
         "[       1.000s] door       state=unlocked\n"
-        "[       2.500s] tick       \n"
+        "[       2.500s] tick\n"
         "[       2.500s] final_fob  serial=7 ctr=1 stored=1\n"
         "[       2.500s] final      door=unlocked captures=0\n"
     )
