@@ -12,10 +12,10 @@ gaps) and a grid of inter-replay gaps.  The verdict is either
 NotVulnerable or the minimal working variant (#signals, sequence mode,
 timeframe).  Each shape keeps one receiver at the smallest grid gap and
 replays one more capture on it per length step, through ``receive()``:
-passing gaps form a down-set, so that gap decides each length, and only
-the first passing length bisects the grid.  Both shapes open with the
-same single replay, so it is replayed once, through
-``execute_exploit``, and the receivers are cloned after it.
+passing gaps form a down-set, so that gap decides each length, and at
+the first passing length only the witness's shape bisects the grid.
+Both shapes open with the same single replay, so it is replayed once,
+through ``execute_exploit``, and the receivers are cloned after it.
 
 ``exhaustive_search`` is the independent oracle: over small bounds it
 tries every ascending subsequence of one transcript at every probe
@@ -168,7 +168,7 @@ def classify(policy: ReceiverPolicy, budget: ProbeBudget = ProbeBudget()) -> Var
     only through the stale-timestamp discard and the rollback pace
     break, each firing at every gap above one it fires at, so passing
     gaps form a down-set and the smallest gap decides each length.  At
-    the first passing length, each passing shape bisects the grid for
+    the first passing length, the witness's shape bisects the grid for
     its largest passing gap; a probe replays the run after capture 0 on
     a fresh clone of the receiver step 1 left.  Step 1, the single
     replay of capture 0 that opens both shapes, goes once through
@@ -182,27 +182,28 @@ def classify(policy: ReceiverPolicy, budget: ProbeBudget = ProbeBudget()) -> Var
     shapes = [(1, first.clone()), (2, first.clone())]  # (index stride, carried receiver)
 
     for k in range(2, budget.max_signals + 1):
-        tops = {}  # stride of each passing shape -> grid index of its largest passing gap
         for stride, carried in shapes:
-            run = range(0, stride * k, stride)
-            receive(carried, policy, captures[run[-1]], start + (k - 1) * gaps[0])
-            if carried.door is not _UNLOCKED:
-                continue
-            lo, hi = 0, len(gaps)  # the run passes at gaps[lo] and fails at gaps[hi], if any
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                probe = first.clone()
-                for step in range(1, k):
-                    receive(probe, policy, captures[run[step]], start + step * gaps[mid])
-                if probe.door is _UNLOCKED:
-                    lo = mid
-                else:
-                    hi = mid
-            tops[stride] = lo
-        if not tops:
+            receive(carried, policy, captures[stride * (k - 1)], start + (k - 1) * gaps[0])
+        passed = [stride for stride, carried in shapes if carried.door is _UNLOCKED]
+        if not passed:
             continue
-        stride = max(tops)  # the gapped shape is the witness when it passes
-        timeframe_ms, incomplete = _timeframe_from_gaps(list(gaps[:max(tops.values()) + 1]), gaps)
+        # The gapped shape is the witness when it passes, and only its gaps
+        # are bisected.  A gapped run passes only under loose rollback, and
+        # there it passes at every gap the consecutive run passes: both
+        # replay at the same times in ascending counter order, and each
+        # gapped capture's timestamp is the fresher.
+        stride = max(passed)
+        lo, hi = 0, len(gaps)  # the run passes at gaps[lo] and fails at gaps[hi], if any
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            probe = first.clone()
+            for step in range(1, k):
+                receive(probe, policy, captures[stride * step], start + step * gaps[mid])
+            if probe.door is _UNLOCKED:
+                lo = mid
+            else:
+                hi = mid
+        timeframe_ms, incomplete = _timeframe_from_gaps(list(gaps[:lo + 1]), gaps)
         return VariantSignature(
             vulnerable=True,
             signals=k,
@@ -210,7 +211,7 @@ def classify(policy: ReceiverPolicy, budget: ProbeBudget = ProbeBudget()) -> Var
             timeframe_ms=timeframe_ms,
             incomplete=incomplete,
             witness_indices=tuple(range(0, stride * k, stride)),
-            witness_gap_ms=gaps[tops[stride]],
+            witness_gap_ms=gaps[lo],
         )
     return VariantSignature(vulnerable=False)
 

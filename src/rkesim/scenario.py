@@ -306,11 +306,11 @@ def loads_policy(text: str, default_name: str = "policy") -> tuple[str, Receiver
         if _section(header) != "[receiver]":
             raise _fail(header, 0, "policy files allow only a [receiver] section")
         if policy is not None:
-            break
+            raise _fail(header, 0, "duplicate [receiver] section")
         block: list = []
         header = _until_header(lines, block.append)
         policy = parse_policy_section(block)
-    if policy is None or header is not None:
+    if policy is None:
         raise ParseError(1, 1, "policy file needs exactly one [receiver] section")
     return top.get("name", default_name), policy
 
@@ -369,29 +369,29 @@ def _event(line: tuple, presses: dict) -> tuple[int, object]:
             raise _fail(line, 3, "attacker deploy takes no parameters")
         params: dict = {}
         for index in range(3, len(words)):
-            word = words[index]
-            if word == "relock":
-                name, value = "relock", True
-            elif "=" in word:
-                name, _, text = word.partition("=")
-                if name == "indices":
-                    try:
-                        value = [int(x) for x in text.split(",")]
-                    except ValueError:
-                        raise _fail(line, index, "indices must be comma-separated integers")
-                    if min(value) < 0:
-                        raise _fail(line, index, "indices must be non-negative")
-                elif name == "gap_ms":
-                    try:
-                        value = int(text)
-                    except ValueError:
-                        raise _fail(line, index, "gap_ms must be an integer")
-                    if value < 0:
-                        raise _fail(line, index, "gap_ms must be non-negative")
-                else:
-                    raise _fail(line, index, "unknown exploit parameter %r" % name)
+            name, equals, text = words[index].partition("=")
+            if name == "relock" and not equals:
+                value = True
+            elif name == "indices" and equals:
+                try:
+                    value = [int(x) for x in text.split(",")]
+                except ValueError:
+                    raise _fail(line, index, "indices must be comma-separated integers")
+                if min(value) < 0:
+                    raise _fail(line, index, "indices must be non-negative")
+            elif name == "gap_ms" and equals:
+                try:
+                    value = int(text)
+                except ValueError:
+                    raise _fail(line, index, "gap_ms must be an integer")
+                if value < 0:
+                    raise _fail(line, index, "gap_ms must be non-negative")
+            elif name in ("relock", "indices", "gap_ms"):
+                form = "takes no value" if equals else "needs '=<value>'"
+                raise _fail(line, index, "%s %s" % (name, form))
             else:
-                raise _fail(line, index, "unknown attacker argument %r" % word)
+                kind = "exploit parameter" if equals else "attacker argument"
+                raise _fail(line, index, "unknown %s %r" % (kind, name))
             if name in params:
                 raise _fail(line, index, "duplicate exploit parameter %r" % name)
             params[name] = value

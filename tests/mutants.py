@@ -92,13 +92,10 @@ MUTANTS = (
      "heard, transcript.length * _PRESS_SPACING_MS, gap_probes_ms)", None),
     ("cli.py", '["%%-%ds" % w for w in widths[:-1]] + ["%s"]', '["%%-%ds" % w for w in widths]',
      None),
-    ("analyzer.py", "witness_gap_ms=gaps[tops[stride]],",
-     "witness_gap_ms=gaps[max(tops.values())],",
-     "a gapped run passes only under loose rollback, and there the consecutive run passes "
-     "only at gaps where the gapped one does: both replay at the same times in ascending "
-     "counter order, and a gapped capture's timestamp is the fresher"),
-    ("analyzer.py", "                    lo = mid\n                else:\n                    hi = mid",
-     "                    hi = mid\n                else:\n                    lo = mid", None),
+    ("analyzer.py", "captures[stride * step]", "captures[step]", None),
+    ("analyzer.py", "stride = max(passed)", "stride = min(passed)", None),
+    ("analyzer.py", "                lo = mid\n            else:\n                hi = mid",
+     "                hi = mid\n            else:\n                lo = mid", None),
     ("analyzer.py", "probe = first.clone()", "probe = carried", None),
     ("analyzer.py", "start + (k - 1) * gaps[0])", "start + (k - 1) * gaps[-1])", None),
     ("analyzer.py",

@@ -447,15 +447,22 @@ def test_probe_successes_match_tree_walk_reference(start_counter, gaps, transcri
         assert merged == _tree_walk_successes(pol, transcript_len, start_counter, gaps), pol
 
 
-def _count_oracle_receives(monkeypatch, pol, transcript_len):
+def _record_calls(monkeypatch, owner, name):
+    """Wraps ``owner.<name>`` for the test; returns the list of the
+    argument tuples it is called with, in call order."""
     calls = []
-    original = analyzer.receive
+    original = getattr(owner, name)
 
-    def counting_receive(*args):
-        calls.append(None)
+    def recording(*args):
+        calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(analyzer, "receive", counting_receive)
+    monkeypatch.setattr(owner, name, recording)
+    return calls
+
+
+def _count_oracle_receives(monkeypatch, pol, transcript_len):
+    calls = _record_calls(monkeypatch, analyzer, "receive")
     exhaustive_search(pol, counter_bits=1, transcript_len=transcript_len)
     return len(calls)
 
@@ -488,14 +495,7 @@ def test_oracle_receive_count_secure_policy_one_state_per_depth(monkeypatch):
 def test_oracle_hears_one_transcript_whatever_the_counter_bits(monkeypatch):
     # Every start hears a translate of start 0's history, so one hearing
     # serves every start and the findings do not depend on counter_bits.
-    hearings = []
-    original = Transcript.heard_by
-
-    def counting_heard_by(transcript, pol):
-        hearings.append(None)
-        return original(transcript, pol)
-
-    monkeypatch.setattr(Transcript, "heard_by", counting_heard_by)
+    hearings = _record_calls(monkeypatch, Transcript, "heard_by")
     for pol in EQUIVALENCE_GRID:
         found = []
         for counter_bits in range(4):
@@ -600,6 +600,14 @@ def _fresh_replay_classify(pol, budget):
     return VariantSignature(vulnerable=False)
 
 
+# Loose-2 whose timestamp check lets capture i of the default 12-press
+# transcript (stamped (i + 1) * 10 s) replay up to i * 10 s + 5 s after
+# the replay start: the consecutive run (0, 1) passes up to 15 s and the
+# gapped run (0, 2) up to 25 s, so the two shapes pass different gaps.
+FRESHER_GAPPED = policy(
+    2, SequenceMode.LOOSE, timestamp_check=TimestampCheck(Transcript(12).replay_start - 5000))
+FRESHER_GAPPED_GAPS = (1000, 12_000, 18_000, 30_000, UNBOUNDED_GAP_MS)
+
 CLASSIFY_EQUIVALENCE_GRID = CRITERION_8_GRID + [
     policy(2, SequenceMode.LOOSE, timestamp_check=TimestampCheck(1000)),
     policy(2, SequenceMode.LOOSE, per_instruction_counters=True),
@@ -608,10 +616,12 @@ CLASSIFY_EQUIVALENCE_GRID = CRITERION_8_GRID + [
     policy(2, single_window=1, double_window_limit=2),
     policy(2, SequenceMode.STRICT, 500),
     policy(7),
+    FRESHER_GAPPED,
 ]
 
 CLASSIFY_EQUIVALENCE_BUDGETS = [ProbeBudget(max_signals=m) for m in range(2, 8)] + [
     ProbeBudget(gap_probes_ms=(250, 500, 750, 4000, 30_000, UNBOUNDED_GAP_MS)),
+    ProbeBudget(gap_probes_ms=FRESHER_GAPPED_GAPS),
 ]
 
 
@@ -621,42 +631,44 @@ def test_classify_matches_fresh_replay_reference(budget):
         assert classify(pol, budget) == _fresh_replay_classify(pol, budget), pol
 
 
+def test_classify_reports_the_gapped_witness_gaps_when_the_shapes_differ():
+    # The consecutive run alone passes up to 12 s; the reported timeframe and
+    # witness gap are the gapped run's, 18 s, with 30 s failing above it.
+    signature = classify(FRESHER_GAPPED, ProbeBudget(gap_probes_ms=FRESHER_GAPPED_GAPS))
+    assert signature == VariantSignature(
+        vulnerable=True,
+        signals=2,
+        sequence=SequenceMode.LOOSE,
+        timeframe_ms=18_000,
+        incomplete=False,
+        witness_indices=(0, 2),
+        witness_gap_ms=18_000,
+    )
+    assert signature.notation() == "RollBack^Loose_18(2)"
+
+
 @pytest.mark.parametrize(
     "pol, calls, clones",
     [
         # 12 transcript presses, one shared step-1 replay, then one replay
         # per shape (consecutive, gapped) and length step from 2 up to the
-        # first passing length k: 12 + 1 + 2 * (k - 1).  There each passing
-        # shape bisects the 11-gap default grid above gaps[0], 4 probes when
-        # every gap passes, each replaying k - 1 captures on its own clone
-        # of the step-1 receiver: plus (k - 1) per probe.  Clones: the two
-        # carried receivers plus one per probe.
+        # first passing length k: 12 + 1 + 2 * (k - 1).  There the witness's
+        # shape alone bisects the 11-gap default grid above gaps[0], 4 probes
+        # when every gap passes, each replaying k - 1 captures on its own
+        # clone of the step-1 receiver: plus (k - 1) per probe.  Clones: the
+        # two carried receivers plus one per probe.
         (ReceiverPolicy(), 23, 2),                      # k runs out at 6
-        (policy(2, SequenceMode.LOOSE), 23, 10),        # k = 2, both shapes
+        (policy(2, SequenceMode.LOOSE), 19, 6),         # k = 2, gapped witness
         (policy(5), 37, 6),                             # k = 5, consecutive only
         (policy(2, SequenceMode.LOOSE, timestamp_check=TimestampCheck(1000)), 23, 2),
     ],
     ids=["secure", "loose-2", "strict-5", "stale-timestamp"],
 )
 def test_classify_receive_count(monkeypatch, pol, calls, clones):
-    counted, cloned = [], []
-    for module in (analyzer, attacks):
-        original = module.receive
-
-        def counting_receive(*args, _original=original):
-            counted.append(None)
-            return _original(*args)
-
-        monkeypatch.setattr(module, "receive", counting_receive)
-    original_clone = ReceiverState.clone
-
-    def counting_clone(state):
-        cloned.append(None)
-        return original_clone(state)
-
-    monkeypatch.setattr(ReceiverState, "clone", counting_clone)
+    counted = [_record_calls(monkeypatch, module, "receive") for module in (analyzer, attacks)]
+    cloned = _record_calls(monkeypatch, ReceiverState, "clone")
     classify(pol)
-    assert (len(counted), len(cloned)) == (calls, clones)
+    assert (sum(map(len, counted)), len(cloned)) == (calls, clones)
 
 
 @pytest.mark.parametrize("max_signals", [6, 3])
@@ -664,19 +676,8 @@ def test_classify_presses_the_transcript_on_every_call(monkeypatch, max_signals,
     # The frame memo sits below ``press``: each call still presses its
     # whole 2·max_signals transcript, from a cold memo or a warm one, and
     # only a cold call encodes its frames.
-    presses, encodes = [], []
-    original_press, original_encode = analyzer.press, fob.encode
-
-    def counting_press(*args):
-        presses.append(None)
-        return original_press(*args)
-
-    def counting_encode(*args):
-        encodes.append(None)
-        return original_encode(*args)
-
-    monkeypatch.setattr(analyzer, "press", counting_press)
-    monkeypatch.setattr(fob, "encode", counting_encode)
+    presses = _record_calls(monkeypatch, analyzer, "press")
+    encodes = _record_calls(monkeypatch, fob, "encode")
     budget = ProbeBudget(max_signals=max_signals)
     fresh_process()
     for warm in (False, True, True):
@@ -695,13 +696,6 @@ def test_classify_presses_the_transcript_on_every_call(monkeypatch, max_signals,
 def test_classify_calls_execute_exploit_once(monkeypatch, pol):
     # Only the opening replay of capture 0 goes through the exploit API;
     # the length steps and bisection probes hand their captures to receive().
-    specs = []
-    original = analyzer.execute_exploit
-
-    def counting_exploit(spec, *args):
-        specs.append(spec)
-        return original(spec, *args)
-
-    monkeypatch.setattr(analyzer, "execute_exploit", counting_exploit)
+    calls = _record_calls(monkeypatch, analyzer, "execute_exploit")
     classify(pol)
-    assert specs == [ExploitSpec(signal_indices=(0,))]
+    assert [spec for spec, *_ in calls] == [ExploitSpec(signal_indices=(0,))]

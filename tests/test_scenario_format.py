@@ -142,6 +142,9 @@ def test_event_errors():
         ("100 attacker deploy indices=3 relock", 21, "attacker deploy takes no parameters"),
         ("100 attacker deploy relock", 21, "attacker deploy takes no parameters"),
         ("100 attacker deploy gap_ms=5", 21, "attacker deploy takes no parameters"),
+        ("100 attacker exploit relock=1", 22, "relock takes no value"),
+        ("100 attacker exploit gap_ms", 22, "gap_ms needs '=<value>'"),
+        ("100 attacker exploit indices=0 indices", 32, "indices needs '=<value>'"),
         ("100 learn_mode now please", 16, "learn_mode takes no parameters"),
         ("100 advance 5", 13, "advance takes no parameters"),
     ],
@@ -324,7 +327,7 @@ _EVENTS = _SCN + _FOB + _RX + "[events]\n"
         ("rkesim-policy v1\nname p\n", 1, 1, "policy file needs exactly one [receiver] section"),
         (
             "rkesim-policy v1\n[receiver]\n[receiver]\nsingle_window 8\n",
-            1, 1, "policy file needs exactly one [receiver] section",
+            3, 1, "duplicate [receiver] section",
         ),
         (_SCN + _FOB + _RX + _RX, 6, 1, "duplicate [receiver] section"),
         (
